@@ -1,19 +1,15 @@
 """Parameter-reduced LSTM variants with hand-derived BPTT, trained on row-wise MNIST."""
 
-from .bptt import Gradients, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
+from .bptt import Gradients, Trace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
 from .cells import (
     Activation,
     CellParams,
-    CellState,
     OutputHead,
-    StepCache,
     Variant,
     VariantSpec,
     apply_activation,
     init_params,
     param_count,
-    predict,
-    step,
 )
 from .data import Dataset, SequenceBatch, Split, batches, load_dataset, read_idx_images, read_idx_labels, to_sequences
 from .gradcheck import check_all, check_gradients
@@ -26,7 +22,6 @@ __all__ = [
     "Activation",
     "BestResult",
     "CellParams",
-    "CellState",
     "Dataset",
     "EpochMetrics",
     "Gradients",
@@ -34,7 +29,7 @@ __all__ = [
     "RmsState",
     "SequenceBatch",
     "Split",
-    "StepCache",
+    "Trace",
     "TrainConfig",
     "Variant",
     "VariantSpec",
@@ -51,13 +46,11 @@ __all__ = [
     "init_rms_state",
     "load_dataset",
     "param_count",
-    "predict",
     "read_idx_images",
     "read_idx_labels",
     "rmsprop_step",
     "run_grid",
     "softmax_xent",
-    "step",
     "to_sequences",
     "train",
 ]

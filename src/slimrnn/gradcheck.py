@@ -12,12 +12,15 @@ proportional to the gradient itself and still surface.
 
 relu has a kink at zero, where no finite difference is trustworthy. A
 coordinate is only compared when every relu input (candidate
-pre-activations and cell states fed to the output activation) keeps a
-magnitude above 1e-3 in both perturbed passes, so the +/- eps evaluations
-cannot straddle the kink. Inputs that are exactly zero are exempt: a relu
-cell pins many values at 0.0 by construction (clamped candidates feeding
-a zero cell state), those stay pinned under perturbation as long as their
-own sources clear the margin, and a pinned value never crosses the kink.
+pre-activations and cell states fed to the output activation, at every
+step of every example) lies on the same side of the kink in the
+unperturbed pass and in both perturbed passes: the +/- eps evaluations
+then lie on one smooth piece of the loss, so the central difference is
+as accurate there as for tanh or sigmoid. Inputs that are exactly zero
+count as off: a relu cell pins many values at 0.0 by construction
+(clamped candidates feeding a zero cell state), and relu and the
+hand-derived derivative (taken as 0 there) agree with a value pushed
+below zero.
 """
 
 from __future__ import annotations
@@ -26,32 +29,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bptt import backward_sequence, forward_sequence, softmax_xent
-from .cells import Activation, StepCache, Variant, VariantSpec, init_params
+from .bptt import Trace, batch_loss_and_grads, forward_sequence, softmax_xent
+from .cells import Activation, Variant, VariantSpec, init_params
+from .data import SequenceBatch
 from .rng import TAG_GRADCHECK, stream
 
 EPS = 1e-5
 REL_TOL = 1e-4
-KINK_MARGIN = 1e-3
 _ERR_FLOOR = 1e-4
 
 
-def _min_nonzero_abs(v: np.ndarray, current: float) -> float:
-    a = np.abs(v)
-    a = a[a > 0.0]
-    return current if a.size == 0 else min(current, float(a.min()))
-
-
-def relu_margin(spec: VariantSpec, caches: list[StepCache]) -> float:
-    """Smallest nonzero |input| seen by any relu application in a forward pass."""
+def relu_pattern(spec: VariantSpec, trace: Trace) -> np.ndarray | None:
+    """Which relu inputs of a forward pass are positive; None when the cell has no relu."""
     if spec.activation is not Activation.RELU:
-        return np.inf
-    margin = np.inf
-    for k in caches:
-        margin = _min_nonzero_abs(k.a_c, margin)
-        if k.c is not None:
-            margin = _min_nonzero_abs(k.c, margin)
-    return margin
+        return None
+    on = trace.pre[:, -trace.h.shape[1]:] > 0.0
+    if trace.c is None:
+        return on
+    return np.concatenate([on, trace.c[1:] > 0.0])
 
 
 def _flatten(arrays: dict[str, np.ndarray]) -> np.ndarray:
@@ -90,40 +85,51 @@ def check_gradients(
     T: int = 4,
     seed: int = 0,
     eps: float = EPS,
+    batch_size: int = 1,
 ) -> CheckResult:
-    """Compare BPTT gradients against central differences for one config."""
+    """Compare batch BPTT gradients against central differences for one config.
+
+    The loss is the mean over ``batch_size`` random sequences, and the
+    relu kink rule covers all of them.
+    """
     spec = VariantSpec.make(variant, activation)
     cell, head = init_params(spec, n_in, n_h, n_out, seed)
     rng = stream(seed, TAG_GRADCHECK)
-    seq = rng.uniform(0.0, 1.0, size=(T, n_in))
-    label = int(rng.integers(0, n_out))
+    batch = SequenceBatch(
+        inputs=rng.uniform(0.0, 1.0, size=(batch_size, T, n_in)),
+        labels=rng.integers(0, n_out, size=batch_size),
+    )
+    seqs = np.ascontiguousarray(np.swapaxes(batch.inputs, 0, 1))
 
+    _, grads, _ = batch_loss_and_grads(spec, cell, head, batch)
+    analytic = _flatten(grads)
+
+    # The parameters below are views into ``work``, which the loop perturbs in place.
     params = {**cell.arrays(), **head.arrays()}
     base = _flatten(params)
+    work = base.copy()
+    views = _unflatten(work, params)
+    cell, head = cell.with_arrays(views), head.with_arrays(views)
 
-    def loss_at(flat: np.ndarray) -> tuple[float, float]:
-        arrays = _unflatten(flat, params)
-        c = cell.with_arrays(arrays)
-        h = head.with_arrays(arrays)
-        logits, caches = forward_sequence(spec, c, h, seq)
-        loss, _ = softmax_xent(logits, label)
-        return loss, relu_margin(spec, caches)
+    def loss_at() -> tuple[float, np.ndarray | None]:
+        logits, trace = forward_sequence(spec, cell, head, seqs)
+        losses, _ = softmax_xent(logits, batch.labels)
+        return float(losses.sum() / batch_size), relu_pattern(spec, trace)
 
-    logits, caches = forward_sequence(spec, cell, head, seq)
-    _, dlogits = softmax_xent(logits, label)
-    analytic = _flatten(backward_sequence(spec, cell, head, caches, dlogits))
+    _, pattern = loss_at()
 
     max_err = 0.0
     compared = 0
     skipped = 0
-    work = base.copy()
     for j in range(base.size):
         work[j] = base[j] + eps
-        lo_plus, m_plus = loss_at(work)
+        lo_plus, p_plus = loss_at()
         work[j] = base[j] - eps
-        lo_minus, m_minus = loss_at(work)
+        lo_minus, p_minus = loss_at()
         work[j] = base[j]
-        if min(m_plus, m_minus) <= KINK_MARGIN:
+        if pattern is not None and not (
+            np.array_equal(p_plus, pattern) and np.array_equal(p_minus, pattern)
+        ):
             skipped += 1
             continue
         numeric = (lo_plus - lo_minus) / (2.0 * eps)

@@ -7,7 +7,6 @@ Everything else runs hermetically on synthetic fixtures.
 """
 
 import os
-import statistics
 import time
 from pathlib import Path
 
@@ -181,18 +180,20 @@ def test_criterion_6_epoch_time_ordering(capsys):
         dataset = load_dataset(data, train_limit=None, test_limit=64)
     else:
         dataset = synth_dataset(512, 32)
-    medians = {}
+    # The fastest of several epochs is the least disturbed by other load on
+    # the machine, which only ever adds time.
+    fastest = {}
     for variant in ("lstm", "lstm4", "lstm4a", "lstm6"):
         config = TrainConfig(
-            variant=variant, activation="tanh", eta=1e-3, epochs=3,
+            variant=variant, activation="tanh", eta=1e-3, epochs=5,
             batch_size=32, n_h=100, seed=0,
         )
         metrics = train(config, dataset=dataset)
-        medians[variant] = statistics.median(m.epoch_seconds for m in metrics)
-    assert medians["lstm"] > medians["lstm4"] > medians["lstm4a"] > medians["lstm6"], medians
+        fastest[variant] = min(m.epoch_seconds for m in metrics)
+    assert fastest["lstm"] > fastest["lstm4"] > fastest["lstm4a"] > fastest["lstm6"], fastest
     with capsys.disabled():
-        pretty = ", ".join(f"{k}={v:.2f}s" for k, v in medians.items())
-        print(f"\nACCEPTANCE 6 PASS: median optimization epoch times ordered ({pretty})")
+        pretty = ", ".join(f"{k}={v:.2f}s" for k, v in fastest.items())
+        print(f"\nACCEPTANCE 6 PASS: fastest-of-5 optimization epoch times ordered ({pretty})")
 
 
 def test_criterion_7_bitwise_determinism(tmp_path, capsys):

@@ -4,14 +4,24 @@ import numpy as np
 import pytest
 
 from slimrnn.bptt import backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
-from slimrnn.cells import Variant, VariantSpec, init_params
+from slimrnn.cells import Activation, Variant, VariantSpec, init_params
 from slimrnn.data import SequenceBatch
 from slimrnn.gradcheck import check_gradients
 from slimrnn.rng import TAG_GRADCHECK, stream
 
+from .fixtures.freeze_batch_grads import BATCH_SIZES, N_H, N_IN, N_OUT, OUT, fixed_batch
 from .test_cells import zeroed_params
 
 ALL_VARIANTS = list(Variant)
+ALL_ACTIVATIONS = list(Activation)
+with np.load(OUT) as frozen:
+    FROZEN = dict(frozen)
+
+
+def rel_err(got, want) -> float:
+    """Largest deviation relative to the largest magnitude of ``want``."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
 
 
 def random_setup(variant, activation, n_in=3, n_h=5, n_out=4, T=4, seed=0):
@@ -172,13 +182,15 @@ def test_batch_of_one_equals_single_example():
     assert correct in (0, 1)
 
 
+# The batch engine sums over examples in a different order than a loop over
+# single examples would, so batch-level identities hold to rounding only.
 def test_batch_duplicate_example_keeps_mean():
     spec, cell, head, seq, label = random_setup("lstm4", "sigmoid")
     once_loss, once, _ = batch_loss_and_grads(spec, cell, head, batch_of([(seq, label)]))
     twice_loss, twice, _ = batch_loss_and_grads(spec, cell, head, batch_of([(seq, label)] * 2))
-    assert once_loss == twice_loss
+    assert rel_err(twice_loss, once_loss) <= 1e-12
     for name in once:
-        assert np.array_equal(once[name], twice[name])
+        assert rel_err(twice[name], once[name]) <= 1e-12, name
 
 
 def test_batch_mean_is_hand_average():
@@ -196,9 +208,36 @@ def test_batch_mean_is_hand_average():
         l, dlogits = softmax_xent(logits, label)
         losses.append(l)
         parts.append(backward_sequence(spec, cell, head, caches, dlogits))
-    assert loss == (losses[0] + losses[1]) / 2
+    assert rel_err(loss, (losses[0] + losses[1]) / 2) <= 1e-12
     for name in grads:
-        assert np.array_equal(grads[name], (parts[0][name] + parts[1][name]) / 2)
+        assert rel_err(grads[name], (parts[0][name] + parts[1][name]) / 2) <= 1e-12, name
+
+
+@pytest.mark.parametrize("activation", ALL_ACTIVATIONS)
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_batch_matches_frozen_per_example_engine(variant, activation):
+    # fixtures/batch_grads.npz holds what the per-example engine returned
+    spec = VariantSpec.make(variant, activation)
+    for size in BATCH_SIZES:
+        cell, head = init_params(spec, N_IN, N_H, N_OUT, seed=size)
+        loss, grads, correct = batch_loss_and_grads(spec, cell, head, fixed_batch(size))
+        want = FROZEN[f"{spec.variant.value}/{spec.activation.value}/{size}"]
+        assert rel_err(loss, want[0]) <= 1e-12, size
+        assert correct == want[1], size
+        assert sum(g.size for g in grads.values()) == want.size - 2, size
+        pos = 0
+        for name, g in grads.items():
+            assert rel_err(g.ravel(), want[2 + pos : 2 + pos + g.size]) <= 1e-12, (size, name)
+            pos += g.size
+
+
+@pytest.mark.parametrize("activation", ALL_ACTIVATIONS)
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_batch_gradients_match_finite_differences(variant, activation):
+    # gradcheck's bound, eps and relu kink rule, on a mean over three sequences
+    result = check_gradients(variant, activation, seed=0, batch_size=3)
+    assert result.compared > 0
+    assert result.max_rel_err < 1e-4
 
 
 def test_batch_correct_count_ties_to_lowest_class():

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
+from slimrnn.bptt import forward_sequence
 from slimrnn.cells import (
     Activation,
-    CellState,
     Variant,
     VariantSpec,
     apply_activation,
     init_params,
     param_count,
     param_field_names,
-    predict,
-    step,
 )
 
 ALL_VARIANTS = list(Variant)
@@ -135,117 +133,113 @@ def test_field_names_per_variant():
     assert len(param_field_names("lstm")) == 12
 
 
+# Cell properties, asserted on the traces of the forward pass.
+
+
 def test_step_zero_params_is_fixed_point():
-    spec, cell, _ = zeroed_params("lstm", "tanh", 3, 4, 2)
-    state = CellState(h=np.zeros(4), c=np.zeros(4))
-    nxt, _ = step(spec, cell, np.array([0.3, -1.0, 2.0]), state)
-    assert np.array_equal(nxt.h, np.zeros(4))
-    assert np.array_equal(nxt.c, np.zeros(4))
+    spec, cell, head = zeroed_params("lstm", "tanh", 3, 4, 2)
+    _, trace = forward_sequence(spec, cell, head, np.array([[0.3, -1.0, 2.0]] * 3))
+    assert np.array_equal(trace.h, np.zeros((4, 4, 1)))
+    assert np.array_equal(trace.c, np.zeros((4, 4, 1)))
 
 
 def test_step_scalar_chain_lstm6():
-    spec, cell, _ = zeroed_params("lstm6", "tanh", 1, 1, 1)
+    spec, cell, head = zeroed_params("lstm6", "tanh", 1, 1, 1)
     cell.b_c[:] = 0.5
-    state = CellState(h=np.zeros(1), c=np.zeros(1))
-    state, cache = step(spec, cell, np.zeros(1), state)
+    _, trace = forward_sequence(spec, cell, head, np.zeros((1, 1)))
     # independently computed: c1 = tanh(0.5), h1 = tanh(c1)
-    assert state.c[0] == pytest.approx(0.46211715726000974, abs=1e-12)
-    assert state.h[0] == pytest.approx(0.4318081805950961, abs=1e-12)
-    assert cache.i is None and cache.f is None and cache.o is None
+    assert trace.c[1, 0, 0] == pytest.approx(0.46211715726000974, abs=1e-12)
+    assert trace.h[1, 0, 0] == pytest.approx(0.4318081805950961, abs=1e-12)
+    assert trace.pre.shape[2] == 1  # every gate is a constant: only the candidate block
 
 
 def test_step_lstm6_forget_constant_exact():
-    spec, cell, _ = zeroed_params("lstm6", "tanh", 1, 1, 1)
-    state = CellState(h=np.zeros(1), c=np.ones(1))
-    state, _ = step(spec, cell, np.zeros(1), state)
-    assert state.c[0] == 0.59
+    # driven once, then undriven: c2 = 0.59 * c1 + 1 * tanh(0)
+    spec, cell, head = zeroed_params("lstm6", "tanh", 1, 1, 1)
+    cell.W_c[:] = 1.0
+    _, trace = forward_sequence(spec, cell, head, np.array([[1.0], [0.0]]))
+    assert trace.c[1, 0, 0] == np.tanh(1.0)
+    assert trace.c[2, 0, 0] == 0.59 * trace.c[1, 0, 0]
 
 
 def test_step_rejects_bad_shapes():
-    spec, cell, _ = zeroed_params("lstm", "tanh", 3, 4, 2)
-    state = CellState(h=np.zeros(4), c=np.zeros(4))
-    with pytest.raises(ValueError):
-        step(spec, cell, np.zeros(2), state)
-    with pytest.raises(ValueError):
-        step(spec, cell, np.zeros(3), CellState(h=np.zeros(5), c=np.zeros(5)))
+    spec, cell, head = zeroed_params("lstm", "tanh", 3, 4, 2)
+    for bad in (np.zeros((2, 2)), np.zeros(3), np.zeros((2, 0, 3)), np.zeros((1, 2, 2, 3))):
+        with pytest.raises(ValueError):
+            forward_sequence(spec, cell, head, bad)
 
 
 def test_step_does_not_mutate_inputs():
     spec = VariantSpec.make("lstm5", "sigmoid")
-    cell, _ = init_params(spec, 3, 4, 2, seed=7)
-    x = np.array([0.1, 0.2, 0.3])
-    state = CellState(h=np.full(4, 0.25), c=np.full(4, -0.5))
-    snapshot = {k: v.copy() for k, v in cell.arrays().items()}
-    x0, h0, c0 = x.copy(), state.h.copy(), state.c.copy()
-    step(spec, cell, x, state)
+    cell, head = init_params(spec, 3, 4, 2, seed=7)
+    x = np.random.default_rng(7).uniform(0.0, 1.0, size=(5, 2, 3))
+    snapshot = {k: v.copy() for k, v in {**cell.arrays(), **head.arrays()}.items()}
+    x0 = x.copy()
+    forward_sequence(spec, cell, head, x)
     assert np.array_equal(x, x0)
-    assert np.array_equal(state.h, h0)
-    assert np.array_equal(state.c, c0)
-    for k, v in cell.arrays().items():
+    for k, v in {**cell.arrays(), **head.arrays()}.items():
         assert np.array_equal(v, snapshot[k])
 
 
 @pytest.mark.parametrize("variant", ["lstm4a", "lstm5a", "lstm6"])
 def test_bibo_decay_with_zero_weights(variant):
-    # undriven cell: |c_t| <= f^t |c_0| elementwise, so the state dies out
-    spec, cell, _ = zeroed_params(variant, "tanh", 3, 6, 2)
+    # driven by the first input only, then undriven: |c_t| <= f^(t-1) |c_1|
+    # elementwise, so the state dies out
+    spec, cell, head = zeroed_params(variant, "tanh", 3, 6, 2)
     f = spec.forget_const
-    rng = np.random.default_rng(0)
-    c0 = rng.uniform(-2.0, 2.0, size=6)
-    state = CellState(h=np.zeros(6), c=c0.copy())
-    for t in range(1, 12):
-        state, _ = step(spec, cell, np.zeros(3), state)
-        bound = (f**t) * np.max(np.abs(c0))
-        assert np.max(np.abs(state.c)) <= bound + 1e-15
+    cell.W_c[:] = np.random.default_rng(0).uniform(-2.0, 2.0, size=(6, 3))
+    x = np.zeros((12, 3))
+    x[0] = 1.0
+    _, trace = forward_sequence(spec, cell, head, x)
+    c1 = np.max(np.abs(trace.c[1]))
+    assert c1 > 0.0
+    for t in range(2, 13):
+        bound = (f ** (t - 1)) * c1
+        assert np.max(np.abs(trace.c[t])) <= bound + 1e-15
 
 
 @pytest.mark.parametrize("variant", GATED)
 @pytest.mark.parametrize("activation", ["tanh", "sigmoid"])
 def test_hidden_state_bounded(variant, activation):
     spec = VariantSpec.make(variant, activation)
-    cell, _ = init_params(spec, 3, 5, 2, seed=9)
-    rng = np.random.default_rng(1)
-    state = CellState(h=np.zeros(5), c=np.zeros(5))
-    for _ in range(30):
-        state, _ = step(spec, cell, rng.uniform(-1, 1, size=3), state)
-        assert np.max(np.abs(state.h)) <= 1.0
+    cell, head = init_params(spec, 3, 5, 2, seed=9)
+    x = np.random.default_rng(1).uniform(-1, 1, size=(30, 4, 3))
+    _, trace = forward_sequence(spec, cell, head, x)
+    assert np.max(np.abs(trace.h)) <= 1.0
 
 
 def test_saturated_gates_make_cell_additive():
     # with every gate pre-activation >= 30 the base cell acts like c += cand
     spec = VariantSpec.make("lstm", "tanh")
-    cell, _ = init_params(spec, 3, 4, 2, seed=0)
+    cell, head = init_params(spec, 3, 4, 2, seed=0)
     for name in ("W_i", "U_i", "W_f", "U_f", "W_o", "U_o"):
         getattr(cell, name)[:] = 0.0
     cell.b_i[:] = 30.0
     cell.b_f[:] = 30.0
     cell.b_o[:] = 30.0
-    rng = np.random.default_rng(3)
-    prev = CellState(h=rng.uniform(-0.5, 0.5, 4), c=rng.uniform(-0.5, 0.5, 4))
-    x = rng.uniform(0, 1, 3)
-    nxt, cache = step(spec, cell, x, prev)
-    assert np.max(np.abs(nxt.c - (prev.c + cache.c_tilde))) < 1e-9
+    x = np.random.default_rng(3).uniform(0, 1, size=(6, 2, 3))
+    _, trace = forward_sequence(spec, cell, head, x)
+    cand = trace.act[:, -4:]
+    assert np.max(np.abs(trace.c[1:] - (trace.c[:-1] + cand))) < 1e-9
 
 
 def test_srn_carries_cell_state_untouched():
+    # the srn keeps no cell state at all; only its hidden state moves
     spec = VariantSpec.make("srn", "tanh")
-    cell, _ = init_params(spec, 3, 4, 2, seed=1)
-    c = np.array([1.0, -2.0, 3.0, 4.0])
-    state = CellState(h=np.zeros(4), c=c)
-    nxt, cache = step(spec, cell, np.ones(3), state)
-    assert nxt.c is c
-    assert cache.c is None
-    assert not np.array_equal(nxt.h, np.zeros(4))
+    cell, head = init_params(spec, 3, 4, 2, seed=1)
+    _, trace = forward_sequence(spec, cell, head, np.ones((3, 3)))
+    assert trace.c is None and trace.sig_c is None
+    assert all(step.c is None for step in trace)
+    assert not np.array_equal(trace.h[1:], np.zeros((3, 4, 1)))
 
 
 def test_predict():
-    from slimrnn.cells import OutputHead
-
-    head = OutputHead(W_hy=np.zeros((2, 3)), b_y=np.array([1.0, 2.0]))
-    assert np.array_equal(predict(head, np.zeros(3)), [1.0, 2.0])
-    eye = OutputHead(W_hy=np.eye(2), b_y=np.zeros(2))
-    assert np.array_equal(predict(eye, np.array([3.0, 4.0])), [3.0, 4.0])
-    row = OutputHead(W_hy=np.array([[1.0, 1.0]]), b_y=np.zeros(1))
-    assert np.array_equal(predict(row, np.array([2.0, 3.0])), [5.0])
-    with pytest.raises(ValueError):
-        predict(eye, np.zeros(3))
+    # the head reads the final hidden state: logits = W_hy h_T + b_y
+    spec, cell, head = zeroed_params("lstm6", "tanh", 1, 1, 2)
+    cell.b_c[:] = 0.5
+    head.W_hy[:] = [[2.0], [-1.0]]
+    head.b_y[:] = [1.0, 2.0]
+    logits, trace = forward_sequence(spec, cell, head, np.zeros((1, 1)))
+    h1 = 0.4318081805950961  # tanh(tanh(0.5)), as in the scalar chain
+    assert trace.h[1, 0, 0] == pytest.approx(h1, abs=1e-12)
+    assert logits == pytest.approx([1.0 + 2.0 * h1, 2.0 - h1], abs=1e-12)

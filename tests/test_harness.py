@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -119,10 +120,16 @@ def test_train_smoke(tmp_path):
 
 
 def test_train_learns_synthetic_stripes():
-    config = small_config(variant="lstm6", eta=2e-3, epochs=8, n_h=24, batch_size=16)
-    metrics = train(config, dataset=synth_dataset(192, 48))
-    assert best_of(metrics).best_test >= 0.6
-    assert metrics[-1].mean_train_loss < metrics[0].mean_train_loss
+    # One run's accuracy on 48 test examples swings with rounding-level
+    # changes to the arithmetic, so the bar applies to the median over seeds.
+    dataset = synth_dataset(192, 48)
+    best_tests = []
+    for seed in range(5):
+        config = small_config(variant="lstm6", eta=2e-3, epochs=8, n_h=24, batch_size=16, seed=seed)
+        metrics = train(config, dataset=dataset)
+        best_tests.append(best_of(metrics).best_test)
+        assert metrics[-1].mean_train_loss < metrics[0].mean_train_loss, seed
+    assert statistics.median(best_tests) >= 0.6, best_tests
 
 
 def test_train_is_deterministic():
