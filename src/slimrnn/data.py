@@ -15,8 +15,11 @@ counter-based stream keyed by (seed, epoch); test order is never shuffled.
 from __future__ import annotations
 
 import gzip
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from .rng import TAG_SHUFFLE, stream
 IMAGE_MAGIC = 2051
 LABEL_MAGIC = 2049
 NUM_CLASSES = 10
+READ_CHUNK = 1 << 16  # bytes per read while filling an array from an IDX file
 
 TRAIN_IMAGES = "train-images-idx3-ubyte"
 TRAIN_LABELS = "train-labels-idx1-ubyte"
@@ -86,53 +90,69 @@ class Dataset:
     test: Split
 
 
-def _read_bytes(path: str | Path) -> bytes:
+@contextmanager
+def _open_idx(path: str | Path) -> Iterator[BinaryIO]:
+    """Binary reader of an IDX file, gzipped or not; a bad gzip stream is an IdxFormatError."""
     path = Path(path)
     with open(path, "rb") as f:
-        prefix = f.read(2)
-    if prefix == b"\x1f\x8b":
-        try:
-            with gzip.open(path, "rb") as f:
-                return f.read()
-        except (OSError, EOFError) as e:
-            raise IdxFormatError(f"{path}: cannot decompress: {e}") from e
-    return path.read_bytes()
+        gzipped = f.read(2) == b"\x1f\x8b"
+    if not gzipped:
+        with open(path, "rb") as f:
+            yield f
+        return
+    try:
+        with gzip.open(path, "rb") as f:
+            yield f
+    except (OSError, EOFError) as e:
+        raise IdxFormatError(f"{path}: cannot decompress: {e}") from e
 
 
-def _header_fields(raw: bytes, n: int, path) -> tuple[int, ...]:
-    need = 4 * n
-    if len(raw) < need:
+def _header_fields(f: BinaryIO, n: int, path) -> tuple[int, ...]:
+    raw = f.read(4 * n)
+    if len(raw) < 4 * n:
         raise IdxFormatError(f"{path}: truncated header, file ends at byte {len(raw)}")
     return tuple(int.from_bytes(raw[4 * i : 4 * i + 4], "big") for i in range(n))
 
 
+def _read_payload(f: BinaryIO, size: int, header_size: int, path) -> np.ndarray:
+    """The ``size`` bytes after the header as a new uint8 array; the file must end there.
+
+    Bytes go straight into the array READ_CHUNK at a time, so the file's
+    contents never also sit in memory as one bytes object.
+    """
+    out = np.empty(size, dtype=np.uint8)
+    view = memoryview(out)
+    filled = 0
+    while filled < size:
+        got = f.readinto(view[filled : filled + READ_CHUNK])
+        if not got:
+            expected = header_size + size
+            raise IdxFormatError(f"{path}: truncated at byte {header_size + filled}, expected {expected} bytes")
+        filled += got
+    trailing = 0
+    while chunk := f.read(READ_CHUNK):
+        trailing += len(chunk)
+    if trailing:
+        raise IdxFormatError(f"{path}: {trailing} trailing bytes after payload")
+    return out
+
+
 def read_idx_images(path: str | Path) -> np.ndarray:
     """Parse an IDX image file into a uint8 array of shape (count, rows, cols)."""
-    raw = _read_bytes(path)
-    magic, count, rows, cols = _header_fields(raw, 4, path)
-    if magic != IMAGE_MAGIC:
-        raise IdxFormatError(f"{path}: magic {magic} is not an IDX image file ({IMAGE_MAGIC})")
-    expected = 16 + count * rows * cols
-    if len(raw) < expected:
-        raise IdxFormatError(f"{path}: truncated at byte {len(raw)}, expected {expected} bytes")
-    if len(raw) > expected:
-        raise IdxFormatError(f"{path}: {len(raw) - expected} trailing bytes after payload")
-    data = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    return data.reshape(count, rows, cols).copy()
+    with _open_idx(path) as f:
+        magic, count, rows, cols = _header_fields(f, 4, path)
+        if magic != IMAGE_MAGIC:
+            raise IdxFormatError(f"{path}: magic {magic} is not an IDX image file ({IMAGE_MAGIC})")
+        return _read_payload(f, count * rows * cols, 16, path).reshape(count, rows, cols)
 
 
 def read_idx_labels(path: str | Path) -> np.ndarray:
     """Parse an IDX label file into an int64 array; labels must be below 10."""
-    raw = _read_bytes(path)
-    magic, count = _header_fields(raw, 2, path)
-    if magic != LABEL_MAGIC:
-        raise IdxFormatError(f"{path}: magic {magic} is not an IDX label file ({LABEL_MAGIC})")
-    expected = 8 + count
-    if len(raw) < expected:
-        raise IdxFormatError(f"{path}: truncated at byte {len(raw)}, expected {expected} bytes")
-    if len(raw) > expected:
-        raise IdxFormatError(f"{path}: {len(raw) - expected} trailing bytes after payload")
-    labels = np.frombuffer(raw, dtype=np.uint8, offset=8)
+    with _open_idx(path) as f:
+        magic, count = _header_fields(f, 2, path)
+        if magic != LABEL_MAGIC:
+            raise IdxFormatError(f"{path}: magic {magic} is not an IDX label file ({LABEL_MAGIC})")
+        labels = _read_payload(f, count, 8, path)
     if labels.size and int(labels.max()) >= NUM_CLASSES:
         bad = int(np.argmax(labels >= NUM_CLASSES))
         raise IdxFormatError(f"{path}: label {int(labels[bad])} at index {bad} is out of range")

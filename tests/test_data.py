@@ -6,6 +6,7 @@ import pytest
 from slimrnn.data import (
     IdxFormatError,
     MissingDataError,
+    READ_CHUNK,
     Split,
     batches,
     load_dataset,
@@ -81,6 +82,18 @@ def test_truncated_image_file_reports_offset(tmp_path):
     path.write_bytes(data[:-5])
     with pytest.raises(IdxFormatError, match=rf"byte {len(data) - 5}"):
         read_idx_images(path)
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+def test_image_file_longer_than_one_read_chunk(tmp_path, suffix):
+    images = np.arange(3 * READ_CHUNK, dtype=np.uint64).astype(np.uint8).reshape(-1, 32, 32)
+    path = tmp_path / ("imgs" + suffix)
+    write_idx_images(path, images)
+    assert np.array_equal(read_idx_images(path), images)
+    if not suffix:
+        path.write_bytes(path.read_bytes()[: 16 + READ_CHUNK + 7])
+        with pytest.raises(IdxFormatError, match=rf"byte {16 + READ_CHUNK + 7}, expected {16 + images.size}"):
+            read_idx_images(path)
 
 
 def test_trailing_bytes_rejected(tmp_path):
