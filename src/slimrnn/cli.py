@@ -10,7 +10,7 @@ import sys
 
 from .cells import Variant, VariantSpec, param_count
 from .data import NUM_CLASSES, DataError
-from .gradcheck import REL_TOL, check_gradients
+from .gradcheck import REL_TOL, check_all
 from .harness import DEFAULT_ETAS, ConfigError, TrainConfig, best_of, run_grid, train
 
 MNIST_INPUT_DIM = 28
@@ -20,7 +20,6 @@ ACTIVATION_CHOICES = ["tanh", "sigmoid", "relu"]
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eta", type=float, default=1e-3, help="learning rate")
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--hidden", type=int, default=100, help="hidden units")
@@ -28,6 +27,20 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train-limit", type=int, default=None)
     p.add_argument("--test-limit", type=int, default=None)
     p.add_argument("--data-dir", default="data", help="directory with the MNIST IDX files")
+
+
+def _config(args: argparse.Namespace, **fields) -> TrainConfig:
+    """TrainConfig from the options of _add_common, plus ``fields``."""
+    return TrainConfig(
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        n_h=args.hidden,
+        seed=args.seed,
+        train_limit=args.train_limit,
+        test_limit=args.test_limit,
+        data_dir=args.data_dir,
+        **fields,
+    )
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -40,6 +53,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one variant and stream per-epoch metrics")
     p.add_argument("--variant", required=True, choices=VARIANT_CHOICES)
     p.add_argument("--activation", required=True, choices=ACTIVATION_CHOICES)
+    p.add_argument("--eta", type=float, default=1e-3, help="learning rate")
     _add_common(p)
     p.add_argument("--out", default=None, help="metrics CSV path")
 
@@ -50,16 +64,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="repeatable; default: tanh, sigmoid, relu")
     p.add_argument("--eta", action="append", type=float,
                    help="repeatable; default: 1e-4, 1e-3, 2e-3")
-    for flag, kw in (
-        ("--epochs", dict(type=int, default=100)),
-        ("--batch-size", dict(type=int, default=32)),
-        ("--hidden", dict(type=int, default=100)),
-        ("--seed", dict(type=int, default=0)),
-        ("--train-limit", dict(type=int, default=None)),
-        ("--test-limit", dict(type=int, default=None)),
-        ("--data-dir", dict(default="data")),
-    ):
-        p.add_argument(flag, **kw)
+    _add_common(p)
     p.add_argument("--out", default="grid-out", help="output directory")
 
     p = sub.add_parser("count-params", help="trainable parameter counts per variant")
@@ -67,26 +72,15 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--hidden", type=int, default=100)
 
     p = sub.add_parser("grad-check", help="verify BPTT gradients against finite differences")
-    p.add_argument("--seed", type=int, default=0, help="first of three consecutive seeds")
+    p.add_argument("--seed", type=int, default=0, help="first of --trials consecutive seeds")
     p.add_argument("--trials", type=int, default=3, help="seeds per configuration")
 
     return parser
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = TrainConfig(
-        variant=args.variant,
-        activation=args.activation,
-        eta=args.eta,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        n_h=args.hidden,
-        seed=args.seed,
-        train_limit=args.train_limit,
-        test_limit=args.test_limit,
-        data_dir=args.data_dir,
-        metrics_path=args.out,
-    )
+    config = _config(args, variant=args.variant, activation=args.activation, eta=args.eta,
+                     metrics_path=args.out)
     metrics = train(config, verbose=True)
     best = best_of(metrics)
     print(f"best train_acc={best.best_train:.4f}  "
@@ -98,23 +92,15 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     variants = args.variant or [v.value for v in Variant if v is not Variant.SRN]
     activations = args.activation or ACTIVATION_CHOICES
     etas = args.eta or list(DEFAULT_ETAS)
-    base = TrainConfig(
-        variant=variants[0],
-        activation=activations[0],
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        n_h=args.hidden,
-        seed=args.seed,
-        train_limit=args.train_limit,
-        test_limit=args.test_limit,
-        data_dir=args.data_dir,
-    )
+    base = _config(args, variant=variants[0], activation=activations[0])
     summary = run_grid(variants, activations, etas, base, args.out, verbose=True)
     print(f"summary written to {summary}")
     return 0
 
 
 def _cmd_count_params(args: argparse.Namespace) -> int:
+    if args.hidden < 1:
+        raise ConfigError("--hidden must be at least 1")
     wanted = [Variant(args.variant)] if args.variant else list(Variant)
     for variant in wanted:
         spec = VariantSpec.make(variant, "tanh")
@@ -124,19 +110,16 @@ def _cmd_count_params(args: argparse.Namespace) -> int:
 
 
 def _cmd_grad_check(args: argparse.Namespace) -> int:
-    failed = 0
-    for variant in Variant:
-        for activation in ACTIVATION_CHOICES:
-            for seed in range(args.seed, args.seed + args.trials):
-                r = check_gradients(variant, activation, seed=seed)
-                status = "PASS" if r.passed else "FAIL"
-                if not r.passed:
-                    failed += 1
-                print(
-                    f"{r.variant.value:6s} {r.activation.value:7s} seed={r.seed:<3d} "
-                    f"max_rel_err={r.max_rel_err:.3e} compared={r.compared:<4d} "
-                    f"skipped={r.skipped:<3d} {status}"
-                )
+    if args.trials < 1:
+        raise ConfigError("--trials must be at least 1")
+    results = check_all(seeds=tuple(range(args.seed, args.seed + args.trials)))
+    for r in results:
+        print(
+            f"{r.variant.value:6s} {r.activation.value:7s} seed={r.seed:<3d} "
+            f"max_rel_err={r.max_rel_err:.3e} compared={r.compared:<4d} "
+            f"skipped={r.skipped:<3d} {'PASS' if r.passed else 'FAIL'}"
+        )
+    failed = sum(not r.passed for r in results)
     print(f"tolerance {REL_TOL:g}: {'all passed' if failed == 0 else f'{failed} FAILED'}")
     return 0 if failed == 0 else 1
 

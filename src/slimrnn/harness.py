@@ -58,8 +58,8 @@ class TrainConfig:
             activation = Activation(self.activation)
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        if self.eta <= 0:
-            raise ConfigError("eta must be positive")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ConfigError(f"eta must be positive and finite, got {self.eta}")
         if self.epochs < 1 or self.batch_size < 1 or self.n_h < 1:
             raise ConfigError("epochs, batch_size and hidden size must be at least 1")
         for name in ("train_limit", "test_limit"):
@@ -216,62 +216,44 @@ def run_grid(
 ) -> Path:
     """Train every (variant, activation, eta) cell; returns the summary path.
 
-    Each cell writes its own metrics CSV into ``out_dir``. A failing cell
-    is recorded with NaN accuracies and the grid keeps going.
+    Every cell's configuration is validated before the first cell runs, so
+    a bad one raises ConfigError without training anything. Each cell
+    writes its own metrics CSV into ``out_dir``. A cell that fails while
+    running is recorded with NaN accuracies and the grid keeps going.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     variants = [Variant(v) for v in variants]
     activations = [Activation(a) for a in activations]
     etas = list(etas)
     if not variants or not activations or not etas:
         raise ConfigError("grid axes must be nonempty")
-
+    cells = [
+        replace(base, variant=v, activation=a, eta=eta, metrics_path=out_dir / _cell_name(v, a, eta)).validate()
+        for v in variants
+        for a in activations
+        for eta in etas
+    ]
     if dataset is None:
-        checked = base.validate()
-        dataset = load_dataset(checked.data_dir, checked.train_limit, checked.test_limit)
+        dataset = load_dataset(base.data_dir, base.train_limit, base.test_limit)
     n_in = dataset.train.sequences.shape[2]
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary_path = out_dir / "summary.csv"
     with open(summary_path, "w") as summary:
         summary.write(SUMMARY_HEADER + "\n")
         summary.flush()
-        for variant in variants:
-            for activation in activations:
-                for eta in etas:
-                    spec = VariantSpec.make(variant, activation)
-                    n_params = param_count(spec, n_in, base.n_h, NUM_CLASSES)
-                    config = replace(
-                        base,
-                        variant=variant,
-                        activation=activation,
-                        eta=eta,
-                        metrics_path=out_dir / _cell_name(variant, activation, eta),
-                    )
-                    if verbose:
-                        print(f"=== {variant.value} {activation.value} eta={eta:g}", flush=True)
-                    try:
-                        best = best_of(train(config, dataset=dataset, verbose=verbose))
-                    except Exception as e:  # any cell failure: record, move on
-                        print(
-                            f"grid cell {variant.value}/{activation.value}/eta={eta:g} "
-                            f"failed: {e}",
-                            file=sys.stderr,
-                        )
-                        best = BestResult(math.nan, math.nan, 0)
-                    summary.write(
-                        ",".join(
-                            [
-                                variant.value,
-                                activation.value,
-                                f"{eta:g}",
-                                repr(float(best.best_train)),
-                                repr(float(best.best_test)),
-                                str(n_params),
-                                str(best.best_test_epoch),
-                            ]
-                        )
-                        + "\n"
-                    )
-                    summary.flush()
+        for config in cells:
+            variant, activation, eta = config.variant, config.activation, config.eta
+            n_params = param_count(VariantSpec.make(variant, activation), n_in, config.n_h, NUM_CLASSES)
+            if verbose:
+                print(f"=== {variant.value} {activation.value} eta={eta:g}", flush=True)
+            try:
+                best = best_of(train(config, dataset=dataset, verbose=verbose))
+            except Exception as e:  # any cell failure: record, move on
+                print(f"grid cell {variant.value}/{activation.value}/eta={eta:g} failed: {e}", file=sys.stderr)
+                best = BestResult(math.nan, math.nan, 0)
+            row = [variant.value, activation.value, f"{eta:g}", repr(float(best.best_train)),
+                   repr(float(best.best_test)), str(n_params), str(best.best_test_epoch)]
+            summary.write(",".join(row) + "\n")
+            summary.flush()
     return summary_path

@@ -1,9 +1,9 @@
-"""Small dense linear-algebra layer underneath the recurrent cells.
+"""Checked matrix-vector products on float64 arrays.
 
 Vectors are nonempty 1-D float64 numpy arrays; matrices are nonempty 2-D
 row-major float64 arrays. Every operation validates shapes, never mutates
-its inputs, and returns a fresh array. Sizes here top out around 100x100,
-so plain numpy calls are all the machinery required.
+its inputs, and returns a fresh array. The batch-major engine does not use
+this module; it is due for deletion.
 """
 
 from __future__ import annotations
@@ -42,28 +42,3 @@ def matvec_transposed(m: Matrix, v: Vector) -> Vector:
             f"matvec_transposed: matrix {m.shape} incompatible with vector ({v.shape[0]},)"
         )
     return m.T @ v
-
-
-def hadamard(a: Vector, b: Vector) -> Vector:
-    """Elementwise product of two equal-length vectors."""
-    _check_vector(a, "a")
-    _check_vector(b, "b")
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"hadamard: lengths differ ({a.shape[0]} vs {b.shape[0]})")
-    return a * b
-
-
-def axpy(alpha: float, x: Vector, y: Vector) -> Vector:
-    """Return ``alpha * x + y`` without touching x or y."""
-    _check_vector(x, "x")
-    _check_vector(y, "y")
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"axpy: lengths differ ({x.shape[0]} vs {y.shape[0]})")
-    return alpha * x + y
-
-
-def outer(a: Vector, b: Vector) -> Matrix:
-    """Outer product: result[i, j] = a[i] * b[j], shape (len(a), len(b))."""
-    _check_vector(a, "a")
-    _check_vector(b, "b")
-    return np.outer(a, b)

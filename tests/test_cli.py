@@ -75,6 +75,30 @@ def test_train_bad_eta_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("eta", ["nan", "inf"])
+def test_train_non_finite_eta_exits_2(tmp_path, eta, capsys):
+    write_mnist_dir(tmp_path, n_train=8, n_test=8)
+    code = main(
+        [
+            "train",
+            "--variant", "lstm6",
+            "--activation", "tanh",
+            "--eta", eta,
+            "--epochs", "1",
+            "--data-dir", str(tmp_path),
+        ]
+    )
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_count_params_zero_hidden_exits_2(capsys):
+    assert main(["count-params", "--hidden", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--hidden" in captured.err
+
+
 def test_unknown_variant_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--variant", "gru", "--activation", "tanh"])
@@ -104,12 +128,43 @@ def test_grid_end_to_end(tmp_path):
     assert summary[1].startswith("lstm6,tanh,0.001,")
 
 
+def test_grid_bad_eta_exits_2_before_any_cell(tmp_path, capsys):
+    write_mnist_dir(tmp_path, n_train=16, n_test=8)
+    out_dir = tmp_path / "grid"
+    code = main(
+        [
+            "grid",
+            "--variant", "lstm6",
+            "--activation", "tanh",
+            "--eta", "0.001",
+            "--eta", "-1",
+            "--epochs", "1",
+            "--batch-size", "8",
+            "--hidden", "4",
+            "--data-dir", str(tmp_path),
+            "--out", str(out_dir),
+        ]
+    )
+    assert code == 2
+    assert "eta" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_grad_check_cli_smoke(capsys):
     code = main(["grad-check", "--trials", "1"])
     out = capsys.readouterr().out
     assert code == 0
     assert "all passed" in out
     assert out.count("PASS") == 21
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_grad_check_without_trials_exits_2(trials, capsys):
+    code = main(["grad-check", "--trials", trials])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "all passed" not in captured.out
+    assert "--trials" in captured.err
 
 
 def test_determinism_through_cli(tmp_path):

@@ -218,6 +218,18 @@ def test_run_grid_rejects_empty_axes(tmp_path):
         run_grid([], ["tanh"], [1e-3], small_config(), tmp_path, dataset=synth_dataset(8, 8))
 
 
+def test_run_grid_validates_every_cell_before_running(tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(harness, "train", lambda config, **kw: ran.append(config))
+    out_dir = tmp_path / "grid"
+    for eta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            run_grid(["lstm6", "lstm4a"], ["tanh"], [1e-3, eta], small_config(), out_dir,
+                     dataset=synth_dataset(8, 8))
+    assert ran == []
+    assert not out_dir.exists()
+
+
 def test_run_grid_full_grid_completes(tmp_path):
     # the whole 6 x 3 x 3 protocol grid, shrunk to stay fast: 54 cells in,
     # 54 summary rows out, one metrics file per cell

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slimrnn.linalg import axpy, hadamard, matvec, matvec_transposed, outer
+from slimrnn.linalg import matvec, matvec_transposed
 
 
 def test_matvec_identity():
@@ -40,43 +40,6 @@ def test_matvec_transposed_dimension_mismatch():
         matvec_transposed(np.zeros((3, 2)), np.zeros(2))
 
 
-def test_hadamard_zero_annihilates():
-    assert np.array_equal(hadamard(np.array([1.0, 2.0]), np.zeros(2)), [0.0, 0.0])
-
-
-def test_hadamard_hand():
-    out = hadamard(np.array([2.0, 3.0]), np.array([4.0, 5.0]))
-    assert np.array_equal(out, [8.0, 15.0])
-
-
-def test_hadamard_length_mismatch():
-    with pytest.raises(ValueError):
-        hadamard(np.array([1.0]), np.array([1.0, 2.0]))
-
-
-def test_axpy_zero_scale():
-    assert np.array_equal(axpy(0.0, np.array([5.0, 5.0]), np.array([1.0, 2.0])), [1.0, 2.0])
-
-
-def test_axpy_hand():
-    assert np.array_equal(axpy(2.0, np.array([1.0, 1.0]), np.array([1.0, 0.0])), [3.0, 2.0])
-
-
-def test_axpy_length_mismatch():
-    with pytest.raises(ValueError):
-        axpy(1.0, np.zeros(2), np.zeros(3))
-
-
-def test_outer_hand():
-    assert np.array_equal(outer(np.array([1.0]), np.array([2.0, 3.0])), [[2.0, 3.0]])
-    got = outer(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    assert np.array_equal(got, [[1.0, 0.0], [0.0, 0.0]])
-
-
-def test_outer_zero_vector():
-    assert np.array_equal(outer(np.zeros(2), np.ones(2)), np.zeros((2, 2)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     rows=st.integers(1, 6),
@@ -94,23 +57,11 @@ def test_adjoint_identity(rows, cols, seed):
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(1, 8), seed=st.integers(0, 2**31))
-def test_hadamard_commutes(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(n)
-    b = rng.standard_normal(n)
-    assert np.array_equal(hadamard(a, b), hadamard(b, a))
-
-
 def test_operations_do_not_mutate():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     v = np.array([1.0, 1.0])
     m0, v0 = m.copy(), v.copy()
     matvec(m, v)
     matvec_transposed(m, v)
-    hadamard(v, v)
-    axpy(2.0, v, v)
-    outer(v, v)
     assert np.array_equal(m, m0)
     assert np.array_equal(v, v0)
