@@ -151,7 +151,7 @@ def train(
     )
 
     metrics: list[EpochMetrics] = []
-    out = _open_metrics(config.metrics_path)
+    out = None if config.metrics_path is None else _create_fresh(Path(config.metrics_path), METRICS_HEADER)
     try:
         for epoch in range(1, config.epochs + 1):
             n_seen = 0
@@ -190,13 +190,19 @@ def train(
     return metrics
 
 
-def _open_metrics(path: str | Path | None) -> IO[str] | None:
-    if path is None:
-        return None
-    path = Path(path)
+def _create_fresh(path: Path, header: str) -> IO[str]:
+    """Open ``path`` as a new file holding ``header``, replacing any file there.
+
+    The old file is unlinked, not truncated: on ext4 (``auto_da_alloc``)
+    truncating a non-empty file starts writeback at close, and the next
+    truncating open waits for the disk, tens of milliseconds per file.
+    A symlink's target is replaced and the link stays. Nothing is fsynced.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    f = open(path, "w")
-    f.write(METRICS_HEADER + "\n")
+    path = path.resolve()
+    path.unlink(missing_ok=True)
+    f = open(path, "x")
+    f.write(header + "\n")
     f.flush()
     return f
 
@@ -237,11 +243,8 @@ def run_grid(
         dataset = load_dataset(base.data_dir, base.train_limit, base.test_limit)
     n_in = dataset.train.sequences.shape[2]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w") as summary:
-        summary.write(SUMMARY_HEADER + "\n")
-        summary.flush()
+    with _create_fresh(summary_path, SUMMARY_HEADER) as summary:
         for config in cells:
             variant, activation, eta = config.variant, config.activation, config.eta
             n_params = param_count(VariantSpec.make(variant, activation), n_in, config.n_h, NUM_CLASSES)

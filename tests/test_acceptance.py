@@ -126,7 +126,7 @@ def test_criterion_3_desk_scale_learning(capsys):
 
 @needs_full
 @needs_mnist
-def test_criterion_4_full_reproduction(capsys):
+def test_criterion_4_full_reproduction(tmp_path, capsys):
     data = mnist_dir()
     report = []
     for variant, target in TABLE_TANH_1E3.items():
@@ -135,7 +135,7 @@ def test_criterion_4_full_reproduction(capsys):
             config = TrainConfig(
                 variant=variant, activation="tanh", eta=1e-3, epochs=100,
                 batch_size=32, n_h=100, seed=seed, data_dir=data,
-                metrics_path=f"full-repro-{variant}-seed{seed}.csv",
+                metrics_path=tmp_path / f"full-repro-{variant}-seed{seed}.csv",
             )
             achieved = max(achieved, best_of(train(config, verbose=True)).best_test)
             if abs(achieved - target) <= 0.010 or achieved > target:
@@ -148,7 +148,7 @@ def test_criterion_4_full_reproduction(capsys):
 
 @needs_full
 @needs_mnist
-def test_criterion_5_relu_instability(capsys):
+def test_criterion_5_relu_instability(tmp_path, capsys):
     data = mnist_dir()
     finals = {}
     bests = {}
@@ -156,7 +156,7 @@ def test_criterion_5_relu_instability(capsys):
         config = TrainConfig(
             variant=variant, activation="relu", eta=2e-3, epochs=100,
             batch_size=32, n_h=100, seed=0, data_dir=data,
-            metrics_path=f"relu-collapse-{variant}.csv",
+            metrics_path=tmp_path / f"relu-collapse-{variant}.csv",
         )
         metrics = train(config, verbose=True)
         finals[variant] = metrics[-1].test_accuracy

@@ -150,6 +150,62 @@ def test_grid_bad_eta_exits_2_before_any_cell(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def _tree_state(root):
+    # bytes and inode per file: a file replaced by an identical copy still shows
+    return {p.relative_to(root): (p.read_bytes(), p.stat().st_ino) for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize(("rejection", "code"), [("bad-eta", 2), ("missing-data", 3)])
+def test_rejected_grid_leaves_existing_out_dir_untouched(tmp_path, capsys, rejection, code):
+    write_mnist_dir(tmp_path, n_train=16, n_test=8)
+    out_dir = tmp_path / "grid"
+    args = [
+        "grid",
+        "--variant", "lstm6",
+        "--activation", "tanh",
+        "--eta", "0.001",
+        "--epochs", "1",
+        "--batch-size", "8",
+        "--hidden", "4",
+        "--data-dir", str(tmp_path),
+        "--out", str(out_dir),
+    ]
+    assert main(args) == 0
+    before = _tree_state(out_dir)
+    assert len(before) == 2
+    extra = {"bad-eta": ["--eta", "-1"], "missing-data": ["--data-dir", str(tmp_path / "missing")]}
+    assert main(args + extra[rejection]) == code
+    capsys.readouterr()
+    assert _tree_state(out_dir) == before
+
+
+@pytest.mark.parametrize("target_exists", [True, False], ids=["existing-target", "dangling"])
+def test_train_out_through_symlink_writes_target(tmp_path, target_exists):
+    write_mnist_dir(tmp_path, n_train=16, n_test=8)
+    target = tmp_path / "runs" / "m.csv"
+    target.parent.mkdir()
+    if target_exists:
+        target.write_text("an earlier run\n" * 10)
+    link = tmp_path / "latest.csv"
+    link.symlink_to(target)
+    assert main(
+        [
+            "train",
+            "--variant", "lstm6",
+            "--activation", "tanh",
+            "--epochs", "2",
+            "--batch-size", "8",
+            "--hidden", "4",
+            "--data-dir", str(tmp_path),
+            "--out", str(link),
+        ]
+    ) == 0
+    assert link.is_symlink() and link.readlink() == target
+    lines = target.read_text().strip().splitlines()
+    assert lines[0] == "epoch,train_acc,test_acc,train_loss,epoch_seconds"
+    assert len(lines) == 3
+
+
 def test_grad_check_cli_smoke(capsys):
     code = main(["grad-check", "--trials", "1"])
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 import math
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +229,36 @@ def test_run_grid_validates_every_cell_before_running(tmp_path, monkeypatch):
                      dataset=synth_dataset(8, 8))
     assert ran == []
     assert not out_dir.exists()
+
+
+def test_run_grid_rerun_replaces_files_without_truncating(tmp_path, monkeypatch):
+    # A re-run into the same out_dir must reproduce the same bytes (timing
+    # aside) and must never open an existing file for writing: truncating a
+    # non-empty file can stall on the disk, so the old file is unlinked and
+    # a new one created in its place.
+    ds = synth_dataset(16, 8)
+    config = small_config(epochs=2)
+    cell = tmp_path / "lstm6_tanh_eta0.001.csv"
+
+    def snapshot():
+        metrics = [line.rsplit(",", 1)[0] for line in cell.read_text().splitlines()]
+        return (tmp_path / "summary.csv").read_bytes(), metrics
+
+    run_grid(["lstm6"], ["tanh"], [1e-3], config, tmp_path, dataset=ds)
+    first = snapshot()
+
+    opened = []
+
+    def spy(file, mode="r", *args, **kwargs):
+        opened.append((Path(file), mode, Path(file).exists()))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "open", spy, raising=False)
+    run_grid(["lstm6"], ["tanh"], [1e-3], config, tmp_path, dataset=ds)
+    assert snapshot() == first
+    assert sorted(p.name for p, _, _ in opened) == [cell.name, "summary.csv"]
+    writes_over_existing = [(p, mode) for p, mode, existed in opened if existed and set(mode) & set("wax+")]
+    assert writes_over_existing == []
 
 
 def test_run_grid_full_grid_completes(tmp_path):
