@@ -21,33 +21,22 @@ The backward pass is hand-derived per variant. It walks the trace in
 reverse carrying dL/dh_t and dL/dc_t, writes each step's pre-activation
 deltas with one (n_h, k*n_h) @ (k*n_h, B) product per step, and then forms
 every weight gradient with one product over the stacked T*B deltas.
-Gradients are plain dicts keyed by the parameter field names of the
-variant plus the head.
+The parameters are one flat vector laid out in the same block order
+(``cells.Layout``), so the stacked W, U and biases are views into it, and
+the gradients are a ``cells.Params`` of the same layout: each stacked
+product is written straight into its view of one gradient vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .cells import (
-    GATE_NAMES,
-    CellParams,
-    GateSpec,
-    GateStyle,
-    OutputHead,
-    VariantSpec,
-    activation_derivative,
-    apply_activation,
-    param_field_names_from_params,
-    sigmoid,
+    GATE_NAMES, GateStyle, Layout, Params, VariantSpec, activation_derivative, apply_activation, sigmoid,
 )
-
-Gradients = dict[str, np.ndarray]
-
 
 class Step(NamedTuple):
     """One time step of a trace: candidate pre-activation and cell state, (n_h, B) each."""
@@ -89,43 +78,12 @@ class Trace:
         return (self[t] for t in range(len(self)))
 
 
-class _Layout:
-    """Block layout of one variant's pre-activations, and its gate values over a trace.
-
-    Built once per (spec, n_h) by ``_layout``.
-    """
-
-    def __init__(self, spec: VariantSpec, n_h: int) -> None:
-        learned = [(n, g) for n, g in zip(GATE_NAMES, spec.gates or ()) if g.style is not GateStyle.CONSTANT]
-        self.gates: list[tuple[str, GateSpec]] = sorted(learned, key=lambda ng: ng[1].style is GateStyle.DENSE)
-        self.pointwise = [n for n, g in self.gates if g.style is GateStyle.POINTWISE]
-        self.dense = [n for n, g in self.gates if g.style is GateStyle.DENSE] + ["c"]
-        self.n_h = n_h
-        self.gate_rows = len(self.gates) * n_h  # the candidate block starts here
-        self.dense_from = len(self.pointwise) * n_h
-        self.memory = spec.gates is not None
-        self.block = {n: slice(j * n_h, (j + 1) * n_h) for j, (n, _) in enumerate(self.gates)}
-        # Gates fixed at exactly 1 need no multiply: x * 1.0 == x.
-        self.unit = {n for n, g in zip(GATE_NAMES, spec.gates or ()) if g.const == 1.0}
-
-    def stacked(self, p: CellParams, kind: str) -> np.ndarray:
-        """W, U or b of the dense blocks stacked in block order: (k*n_h, ...)."""
-        arrays = [getattr(p, f"{kind}_{n}") for n in self.dense]
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-    def pointwise_stack(self, p: CellParams, kind: str) -> np.ndarray | None:
-        """u or b of the point-wise gates as a (pw, n_h, 1) stack; None if no gate has one."""
-        arrays = [getattr(p, f"{kind}_{n}") for n in self.pointwise]
-        if all(a is None for a in arrays):
-            return None
-        return np.stack([np.zeros(self.n_h) if a is None else a for a in arrays])[:, :, None]
-
-    def gate_values(self, spec: VariantSpec, act: np.ndarray) -> list[np.ndarray | float]:
-        """i, f, o over the trace: (T, n_h, B) views of ``act``, or the constant as a float."""
-        return [
-            gate.const if gate.style is GateStyle.CONSTANT else act[:, self.block[name]]
-            for name, gate in zip(GATE_NAMES, spec.gates)
-        ]
+def _gate_values(spec: VariantSpec, lay: Layout, act: np.ndarray) -> list[np.ndarray | float]:
+    """i, f, o over the trace: (T, n_h, B) views of ``act``, or the constant as a float."""
+    return [
+        gate.const if gate.style is GateStyle.CONSTANT else act[:, lay.block[name]]
+        for name, gate in zip(GATE_NAMES, spec.gates)
+    ]
 
 
 def _per_step(gate, T: int):
@@ -133,19 +91,20 @@ def _per_step(gate, T: int):
     return [gate] * T if isinstance(gate, float) else gate
 
 
-@lru_cache(maxsize=64)
-def _layout(spec: VariantSpec, n_h: int) -> _Layout:
-    return _Layout(spec, n_h)
+def _layout_of(spec: VariantSpec, p: Params) -> Layout:
+    if p.layout.variant is not spec.variant:
+        raise ValueError(f"parameters of {p.layout.variant.value} given for {spec.variant.value}")
+    return p.layout
 
 
-def forward_sequence(
-    spec: VariantSpec, p: CellParams, head: OutputHead, seq: np.ndarray
-) -> tuple[np.ndarray, Trace]:
+def forward_sequence(spec: VariantSpec, p: Params, head: Params, seq: np.ndarray) -> tuple[np.ndarray, Trace]:
     """Run the cell from a zero state over one sequence or a time-major batch.
 
-    ``seq`` is one sequence (T, n_in), or a list of T input vectors, or a
-    batch (T, B, n_in). Returns the head logits of the final hidden state,
-    (n_out,) or (B, n_out), and the Trace that the backward pass consumes.
+    The cell's arrays are read from ``p`` and the head's from ``head``
+    (``init_params`` returns one Params for both). ``seq`` is one sequence
+    (T, n_in), or a list of T input vectors, or a batch (T, B, n_in).
+    Returns the head logits of the final hidden state, (n_out,) or
+    (B, n_out), and the Trace that the backward pass consumes.
     """
     x = np.ascontiguousarray(seq, dtype=np.float64)
     single = x.ndim == 2
@@ -157,13 +116,13 @@ def forward_sequence(
         )
     T, B, n_in = x.shape
     n_h = p.n_h
-    lay = _layout(spec, n_h)
-    gr, d0 = lay.gate_rows, lay.dense_from
+    lay = _layout_of(spec, p)
+    gr, d0, b0 = lay.gate_rows, lay.dense_from, lay.bias_from
+    W, U, b = (p.stacks[k] for k in "WUb")
 
     pre = np.empty((T, gr + n_h, B))
-    proj = lay.stacked(p, "W") @ x.reshape(T * B, n_in).T
-    np.add(proj.reshape(-1, T, B).transpose(1, 0, 2), lay.stacked(p, "b")[:, None], out=pre[:, d0:])
-    U = lay.stacked(p, "U")
+    proj = W @ x.reshape(T * B, n_in).T
+    np.add(proj.reshape(-1, T, B).transpose(1, 0, 2), b[d0 - b0 :, None], out=pre[:, d0:])
 
     h = np.zeros((T + 1, n_h, B))
     if not lay.memory:
@@ -179,18 +138,18 @@ def forward_sequence(
         o_unit = "o" in lay.unit
         sig_c = h[1:] if o_unit else np.empty((T, n_h, B))
         i_unit = "i" in lay.unit
-        i, f, o = (_per_step(g, T) for g in lay.gate_values(spec, act_))
+        i, f, o = (_per_step(g, T) for g in _gate_values(spec, lay, act_))
         cand = act_[:, gr:]
-        u = lay.pointwise_stack(p, "u")
-        if u is not None:
-            b_pw = lay.pointwise_stack(p, "b")
+        if d0:  # point-wise gates: u_g * h_{t-1}, plus a bias on rows b0 .. d0
+            u = p.stacks["u"].reshape(-1, n_h, 1)
             pre_pw = pre[:, :d0].reshape(T, len(u), n_h, B)
+            b_pw = b[: d0 - b0, None]
         for t in range(T):
             pre[t, d0:] += U @ h[t]
-            if u is not None:
+            if d0:
                 np.multiply(u, h[t], out=pre_pw[t])
-                if b_pw is not None:
-                    pre_pw[t] += b_pw
+                if b0 < d0:
+                    pre[t, b0:d0] += b_pw
             if gr:
                 sigmoid(pre[t, :gr], out=act_[t, :gr])
             apply_activation(spec.activation, pre[t, gr:], out=cand[t])
@@ -200,7 +159,7 @@ def forward_sequence(
             if not o_unit:
                 np.multiply(o[t], sig_c[t], out=h[t + 1])
 
-    logits = (head.W_hy @ h[T]).T + head.b_y
+    logits = (head["W_hy"] @ h[T]).T + head["b_y"]
     trace = Trace(x=x, pre=pre, act=act_, h=h, c=c, sig_c=sig_c)
     return (logits[0] if single else logits), trace
 
@@ -231,18 +190,12 @@ def softmax_xent(logits: np.ndarray, label) -> tuple[float | np.ndarray, np.ndar
     return loss, dlogits
 
 
-def backward_sequence(
-    spec: VariantSpec,
-    p: CellParams,
-    head: OutputHead,
-    trace: Trace,
-    dlogits: np.ndarray,
-) -> Gradients:
+def backward_sequence(spec: VariantSpec, p: Params, head: Params, trace: Trace, dlogits: np.ndarray) -> Params:
     """Exact loss gradients for every trainable array, given a forward trace.
 
     ``dlogits`` is the loss gradient with respect to the logits, (n_out,)
     for a single sequence or (B, n_out) for a batch; the gradients are
-    summed over the batch rows.
+    summed over the batch rows and returned as a Params of ``p``'s layout.
     """
     if len(trace) == 0:
         raise ValueError("empty trace (was forward_sequence run?)")
@@ -254,12 +207,12 @@ def backward_sequence(
     if dl.shape != (B, head.n_out):
         raise ValueError(f"dlogits shape {np.shape(dlogits)} does not match {B} rows of the head")
 
-    lay = _layout(spec, n_h)
+    lay = _layout_of(spec, p)
     gr, d0 = lay.gate_rows, lay.dense_from
     pre, act_, h, c, sig_c = trace.pre, trace.act, trace.h, trace.c, trace.sig_c
     act = spec.activation
-    Ut = lay.stacked(p, "U").T
-    dh = head.W_hy.T @ dl.T
+    Ut = p.stacks["U"].T
+    dh = head["W_hy"].T @ dl.T
     dpre = np.empty_like(pre)
 
     if not lay.memory:  # srn: h_t = act(W_c x + U_c h_prev + b_c)
@@ -268,7 +221,7 @@ def backward_sequence(
             np.multiply(dh, dcand[t], out=dpre[t])
             dh = Ut @ dpre[t]
     else:
-        i, f, o = lay.gate_values(spec, act_)
+        i, f, o = _gate_values(spec, lay, act_)
         f_t = _per_step(f, T)
         cand = act_[:, gr:]
         gates = act_[:, :gr]
@@ -277,9 +230,8 @@ def backward_sequence(
         dc_from_dh = o * activation_derivative(act, c[1:], sig_c)
         dcand = i * activation_derivative(act, pre[:, gr:], cand)
         sl = lay.block
-        u = lay.pointwise_stack(p, "u")
-        if u is not None:
-            u = u[:, :, 0]
+        if d0:
+            u = p.stacks["u"].reshape(-1, n_h)
             dpre_pw = dpre[:, :d0].reshape(T, len(u), n_h, B)
         dc = np.zeros((n_h, B))
         for t in range(T - 1, -1, -1):
@@ -295,7 +247,7 @@ def backward_sequence(
                 d[:gr] *= dgates[t]
             np.multiply(dc, dcand[t], out=d[gr:])
             dh = Ut @ d[d0:]
-            if u is not None:
+            if d0:
                 dh += np.einsum("gnb,gn->nb", dpre_pw[t], u)
             dc *= f_t[t]
 
@@ -303,30 +255,19 @@ def backward_sequence(
     # states stacked in the same (t, b) order.
     deltas = dpre.transpose(1, 0, 2).reshape(len(pre[0]), T * B)
     h_prev = h[:T].transpose(1, 0, 2).reshape(n_h, T * B)
-    dW = deltas[d0:] @ trace.x.reshape(T * B, n_in)
-    dU = deltas[d0:] @ h_prev.T
-    db = deltas.sum(axis=1)
-    grads: Gradients = {}
-    for j, name in enumerate(lay.dense):
-        grads[f"W_{name}"] = dW[j * n_h : (j + 1) * n_h]
-        grads[f"U_{name}"] = dU[j * n_h : (j + 1) * n_h]
-    if lay.pointwise:
-        du = np.einsum("gnk,nk->gn", deltas[:d0].reshape(len(lay.pointwise), n_h, T * B), h_prev)
-        for j, name in enumerate(lay.pointwise):
-            grads[f"u_{name}"] = du[j]
-    for j, name in enumerate([n for n, _ in lay.gates] + ["c"]):
-        grads[f"b_{name}"] = db[j * n_h : (j + 1) * n_h]
-
-    # Canonical key order: cell fields first, then the head.
-    ordered = {name: grads[name] for name in param_field_names_from_params(p)}
-    ordered["W_hy"] = dl.T @ h[T].T
-    ordered["b_y"] = dl.sum(axis=0)
-    return ordered
+    grads = Params(lay)
+    g = grads.stacks
+    np.matmul(deltas[d0:], trace.x.reshape(T * B, n_in), out=g["W"])
+    np.matmul(deltas[d0:], h_prev.T, out=g["U"])
+    deltas[lay.bias_from :].sum(axis=1, out=g["b"])
+    if d0:
+        np.einsum("gnk,nk->gn", deltas[:d0].reshape(-1, n_h, T * B), h_prev, out=g["u"].reshape(-1, n_h))
+    np.matmul(dl.T, h[T].T, out=grads["W_hy"])
+    dl.sum(axis=0, out=grads["b_y"])
+    return grads
 
 
-def batch_loss_and_grads(
-    spec: VariantSpec, p: CellParams, head: OutputHead, batch
-) -> tuple[float, Gradients, int]:
+def batch_loss_and_grads(spec: VariantSpec, p: Params, head: Params, batch) -> tuple[float, Params, int]:
     """Mean loss and mean gradients over a batch, plus the correct count.
 
     The whole batch runs through one forward and one backward pass; the

@@ -1,4 +1,4 @@
-"""Recurrent cell variants: the gate table, parameters, counting and initialization.
+"""Recurrent cell variants: the gate table, the parameter layout, counting and initialization.
 
 Seven cells share one interface (their forward and backward passes are in
 ``bptt``). ``srn`` is the ungated baseline
@@ -24,12 +24,18 @@ activation and is applied both to the candidate and to the cell state on
 output. Fixed forget constants are strictly below one, which keeps the
 cell bounded-input bounded-output (the state of an undriven cell decays
 geometrically).
+
+All trainable scalars of a model, cell and output head, live in one flat
+float64 vector laid out from the gate table (``Layout``); ``Params`` gives
+named views into it, and gradients and optimizer state share its layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -89,33 +95,14 @@ GATE_NAMES = ("i", "f", "o")
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """A cell variant plus its activation and any fixed gate constants."""
+    """A cell variant plus its activation; ``gates`` reads the variant's row of the gate table."""
 
     variant: Variant
     activation: Activation
-    input_gate_const: float | None = None
-    forget_const: float | None = None
-    output_gate_const: float | None = None
-
-    def __post_init__(self) -> None:
-        gates = _GATES[self.variant]
-        expected = (None, None, None) if gates is None else tuple(g.const for g in gates)
-        got = (self.input_gate_const, self.forget_const, self.output_gate_const)
-        if got != expected:
-            raise ValueError(
-                f"{self.variant.value}: gate constants {got} do not match the "
-                f"variant definition {expected}"
-            )
-        if self.forget_const is not None and not abs(self.forget_const) < 1.0:
-            raise ValueError("fixed forget constant must satisfy |f| < 1")
 
     @classmethod
     def make(cls, variant: Variant | str, activation: Activation | str) -> "VariantSpec":
-        variant = Variant(variant)
-        activation = Activation(activation)
-        gates = _GATES[variant]
-        consts = (None, None, None) if gates is None else tuple(g.const for g in gates)
-        return cls(variant, activation, *consts)
+        return cls(Variant(variant), Activation(activation))
 
     @property
     def gates(self) -> tuple[GateSpec, GateSpec, GateSpec] | None:
@@ -158,114 +145,113 @@ def activation_derivative(act: Activation, pre: np.ndarray, out: np.ndarray) -> 
     return (pre > 0.0).astype(np.float64)
 
 
-@dataclass
-class CellParams:
-    """Trainable arrays of one cell; only the fields the variant uses are set.
+class Layout:
+    """Where each trainable array of one model sits in its flat parameter vector.
 
-    W_* are input-to-hidden (n_h, n_in), U_* recurrent (n_h, n_h), u_*
-    point-wise gate vectors (n_h,), b_* biases (n_h,). The srn reuses the
-    candidate slots W_c/U_c/b_c for its single affine map.
+    A step's pre-activations are row blocks of n_h (see ``bptt``): one per
+    learned gate, point-wise gates before dense ones, then the candidate.
+    Point-wise gates without a bias come before those with one, and dense
+    gates always have one, so the biased blocks and the k dense blocks
+    each form a run at the bottom. The vector follows the same order,
+    after the fused-RNN stacking of Appleyard, Kocisky & Blunsom (2016,
+    arXiv:1604.01946): the point-wise gate vectors ``u``, the biases ``b``
+    of the biased rows, the dense blocks' input maps ``W`` (k*n_h, n_in)
+    and recurrent maps ``U`` (k*n_h, n_h), then the head's W_hy (n_out,
+    n_h) and b_y (n_out,). ``stacks`` gives the (slice, shape) of u, b, W
+    and U in the vector, so the engine reads each as one array without
+    copying; ``fields`` gives the same for every named array (W_c, u_i,
+    b_y, ...), in initialization order: gates i, f, o, then the candidate,
+    W, U, u, b within each, the head last. ``size`` is the parameter count.
+    Built once per (variant, n_in, n_h, n_out) by ``layout``.
     """
 
-    W_c: np.ndarray
-    U_c: np.ndarray
-    b_c: np.ndarray
-    W_i: np.ndarray | None = None
-    U_i: np.ndarray | None = None
-    b_i: np.ndarray | None = None
-    W_f: np.ndarray | None = None
-    U_f: np.ndarray | None = None
-    b_f: np.ndarray | None = None
-    W_o: np.ndarray | None = None
-    U_o: np.ndarray | None = None
-    b_o: np.ndarray | None = None
-    u_i: np.ndarray | None = None
-    u_f: np.ndarray | None = None
-    u_o: np.ndarray | None = None
+    def __init__(self, variant: Variant, n_in: int, n_h: int, n_out: int) -> None:
+        if min(n_in, n_h, n_out) <= 0:
+            raise ValueError("dimensions must be positive")
+        self.variant, self.n_in, self.n_h, self.n_out = variant, n_in, n_h, n_out
+        gates = _GATES[variant] or ()
+        learned = [(n, g) for n, g in zip(GATE_NAMES, gates) if g.style is not GateStyle.CONSTANT]
+        self.gates = sorted(learned, key=lambda ng: (ng[1].style is GateStyle.DENSE, ng[1].bias))
+        self.pointwise = [n for n, g in self.gates if g.style is GateStyle.POINTWISE]
+        self.dense = [n for n, g in self.gates if g.style is GateStyle.DENSE] + ["c"]
+        biased = [n for n, g in self.gates if g.bias] + ["c"]
+        self.memory = bool(gates)
+        self.gate_rows = len(self.gates) * n_h  # the candidate block starts here
+        self.dense_from = len(self.pointwise) * n_h
+        self.bias_from = self.gate_rows + n_h - len(biased) * n_h
+        self.block = {n: slice(j * n_h, (j + 1) * n_h) for j, (n, _) in enumerate(self.gates)}
+        # Gates fixed at exactly 1 need no multiply: x * 1.0 == x.
+        self.unit = {n for n, g in zip(GATE_NAMES, gates) if g.const == 1.0}
 
-    @property
-    def n_in(self) -> int:
-        return self.W_c.shape[1]
+        self.size = 0
 
-    @property
-    def n_h(self) -> int:
-        return self.W_c.shape[0]
+        def take(shape: tuple[int, ...]) -> tuple[slice, tuple[int, ...]]:
+            start, self.size = self.size, self.size + int(np.prod(shape))
+            return slice(start, self.size), shape
+
+        self.stacks: dict[str, tuple[slice, tuple[int, ...]]] = {}
+        fields = {}
+        for kind, names, cols in (("u", self.pointwise, ()), ("b", biased, ()),
+                                  ("W", self.dense, (n_in,)), ("U", self.dense, (n_h,))):
+            start = self.size
+            for name in names:
+                fields[f"{kind}_{name}"] = take((n_h, *cols))
+            if names:
+                self.stacks[kind] = (slice(start, self.size), (len(names) * n_h, *cols))
+        fields["W_hy"] = take((n_out, n_h))
+        fields["b_y"] = take((n_out,))
+        order = [f"{kind}_{g}" for g in (*GATE_NAMES, "c") for kind in "WUub"] + ["W_hy", "b_y"]
+        self.fields = {name: fields[name] for name in order if name in fields}
+
+
+@lru_cache(maxsize=64)
+def layout(variant: Variant, n_in: int, n_h: int, n_out: int) -> Layout:
+    return Layout(variant, n_in, n_h, n_out)
+
+
+class Params(Mapping):
+    """A model's trainable arrays: named views into one flat float64 vector.
+
+    ``vec`` holds the cell and the output head in the order of ``layout``;
+    ``p["W_c"]`` is a view into it, and so is each of ``p.stacks`` (u, b,
+    W, U, as Layout describes them). Writing ``p[name] = values`` copies
+    into the vector. Gradients come back as a Params of the same layout.
+    """
+
+    def __init__(self, layout: Layout, vec: np.ndarray | None = None) -> None:
+        self.layout = layout
+        self.vec = np.zeros(layout.size) if vec is None else vec
+        self.n_in, self.n_h, self.n_out = layout.n_in, layout.n_h, layout.n_out
+        self.stacks = {k: self.vec[sl].reshape(shape) for k, (sl, shape) in layout.stacks.items()}
+        self._arrays = {k: self.vec[sl].reshape(shape) for k, (sl, shape) in layout.fields.items()}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._arrays[name]
+
+    def __setitem__(self, name: str, values) -> None:
+        self._arrays[name][...] = values
+
+    def __iter__(self):
+        return iter(self._arrays)
+
+    def __len__(self) -> int:
+        return len(self._arrays)
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Present trainable arrays, in canonical field order."""
-        out = {}
-        for name in param_field_names_from_params(self):
-            out[name] = getattr(self, name)
-        return out
+        """Name -> view into ``vec``, in layout order."""
+        return dict(self._arrays)
 
-    def with_arrays(self, arrays: dict[str, np.ndarray]) -> "CellParams":
-        """Copy of self with every present field replaced from ``arrays``."""
-        return replace(self, **{k: arrays[k] for k in self.arrays()})
-
-
-@dataclass
-class OutputHead:
-    """Affine readout h -> logits."""
-
-    W_hy: np.ndarray
-    b_y: np.ndarray
-
-    @property
-    def n_out(self) -> int:
-        return self.b_y.shape[0]
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {"W_hy": self.W_hy, "b_y": self.b_y}
-
-    def with_arrays(self, arrays: dict[str, np.ndarray]) -> "OutputHead":
-        return OutputHead(W_hy=arrays["W_hy"], b_y=arrays["b_y"])
-
-
-def param_field_names(variant: Variant | str) -> tuple[str, ...]:
-    """Ordered trainable cell fields demanded by a variant."""
-    variant = Variant(variant)
-    gates = _GATES[variant]
-    names: list[str] = []
-    if gates is not None:
-        for gname, gate in zip(GATE_NAMES, gates):
-            if gate.style is GateStyle.DENSE:
-                names += [f"W_{gname}", f"U_{gname}", f"b_{gname}"]
-            elif gate.style is GateStyle.POINTWISE:
-                names.append(f"u_{gname}")
-                if gate.bias:
-                    names.append(f"b_{gname}")
-    names += ["W_c", "U_c", "b_c"]
-    return tuple(names)
-
-
-def param_field_names_from_params(p: CellParams) -> tuple[str, ...]:
-    """Present fields of ``p``, in the same canonical order as param_field_names."""
-    canonical: list[str] = []
-    for gname in GATE_NAMES:
-        canonical += [f"W_{gname}", f"U_{gname}", f"u_{gname}", f"b_{gname}"]
-    canonical += ["W_c", "U_c", "b_c"]
-    return tuple(n for n in canonical if getattr(p, n) is not None)
+    def with_arrays(self, arrays: Mapping[str, np.ndarray]) -> "Params":
+        """A new Params of the same layout holding ``arrays[name]`` for each of its names."""
+        p = Params(self.layout)
+        for name in p:
+            p[name] = arrays[name]
+        return p
 
 
 def param_count(spec: VariantSpec, n_in: int, n_h: int, n_out: int) -> int:
     """Total trainable scalars of cell plus output head."""
-    if min(n_in, n_h, n_out) <= 0:
-        raise ValueError("dimensions must be positive")
-    shapes = _param_shapes(spec.variant, n_in, n_h)
-    total = sum(int(np.prod(s)) for s in shapes.values())
-    return total + n_h * n_out + n_out
-
-
-def _param_shapes(variant: Variant, n_in: int, n_h: int) -> dict[str, tuple[int, ...]]:
-    shapes: dict[str, tuple[int, ...]] = {}
-    for name in param_field_names(variant):
-        if name.startswith("W_"):
-            shapes[name] = (n_h, n_in)
-        elif name.startswith("U_"):
-            shapes[name] = (n_h, n_h)
-        else:  # u_* and b_* are per-unit vectors
-            shapes[name] = (n_h,)
-    return shapes
+    return layout(spec.variant, n_in, n_h, n_out).size
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -278,38 +264,28 @@ def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * d
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, int], fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def init_params(
-    spec: VariantSpec, n_in: int, n_h: int, n_out: int, seed: int
-) -> tuple[CellParams, OutputHead]:
+def init_params(spec: VariantSpec, n_in: int, n_h: int, n_out: int, seed: int) -> tuple[Params, Params]:
     """Deterministically initialize all trainable arrays for ``spec``.
 
-    Input-to-hidden matrices are Glorot-uniform, recurrent matrices
-    orthogonal, point-wise gate vectors uniform(-0.1, 0.1). Biases start
-    at zero except the dense-gate cell's forget bias, which starts at one
-    so the memory path is open early in training.
+    Input-to-hidden matrices and the head's W_hy are Glorot-uniform,
+    recurrent matrices orthogonal, point-wise gate vectors uniform(-0.1,
+    0.1), drawn in the order of ``Layout.fields``. Biases start at zero
+    except the dense-gate cell's forget bias, which starts at one so the
+    memory path is open early in training.
+
+    Returns the model as the (cell, head) pair the engine's functions
+    take; both are the same Params, whose vector holds cell and head.
     """
-    if min(n_in, n_h, n_out) <= 0:
-        raise ValueError("dimensions must be positive")
+    p = Params(layout(spec.variant, n_in, n_h, n_out))
     rng = stream(seed, TAG_INIT)
-    values: dict[str, np.ndarray] = {}
-    for name, shape in _param_shapes(spec.variant, n_in, n_h).items():
-        if name.startswith("W_"):
-            values[name] = _glorot(rng, shape, n_in, n_h)
+    for name, a in p.items():
+        if name.startswith("W_"):  # Glorot: fan-in plus fan-out is rows plus columns
+            limit = np.sqrt(6.0 / (a.shape[0] + a.shape[1]))
+            a[...] = rng.uniform(-limit, limit, size=a.shape)
         elif name.startswith("U_"):
-            values[name] = _orthogonal(rng, n_h)
+            a[...] = _orthogonal(rng, n_h)
         elif name.startswith("u_"):
-            values[name] = rng.uniform(-0.1, 0.1, size=shape)
-        elif name == "b_f" and spec.variant is Variant.LSTM:
-            values[name] = np.ones(shape)
-        else:
-            values[name] = np.zeros(shape)
-    head = OutputHead(
-        W_hy=_glorot(rng, (n_out, n_h), n_h, n_out),
-        b_y=np.zeros(n_out),
-    )
-    return CellParams(**values), head
+            a[...] = rng.uniform(-0.1, 0.1, size=a.shape)
+    if spec.variant is Variant.LSTM:
+        p["b_f"] = 1.0
+    return p, p

@@ -20,9 +20,10 @@ block-diagonal, so the logits hold R heads side by side. Every gate is
 per-unit or constant and the off-diagonal blocks are exact zeros, so no
 replica reads another's units: each computes its own cell, differing from
 a standalone forward pass only in the summation order of the matrix
-products. REPLICA_UNITS bounds the memory of a pass. The replicated base
-vector is laid out once; each pass writes its vectors' +/- eps entries in
-place and undoes them afterwards.
+products. REPLICA_UNITS bounds the memory of a pass. The replica cell is
+one Params of R*n_h units whose vector is laid out once per check; each
+pass writes its vectors' +/- eps entries into that vector in place and
+undoes them afterwards.
 
 relu has a kink at zero, where no finite difference is trustworthy. A
 coordinate is only compared when every relu input (candidate
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bptt import Trace, batch_loss_and_grads, forward_sequence, softmax_xent
-from .cells import Activation, CellParams, OutputHead, Variant, VariantSpec, init_params
+from .cells import Activation, Params, Variant, VariantSpec, init_params, layout
 from .data import SequenceBatch
 from .rng import TAG_GRADCHECK, stream
 
@@ -64,19 +65,6 @@ def relu_pattern(spec: VariantSpec, trace: Trace) -> np.ndarray | None:
     return np.concatenate([on, trace.c[1:] > 0.0])
 
 
-def _flatten(arrays: dict[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in arrays.values()])
-
-
-def _unflatten(flat: np.ndarray, template: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    out = {}
-    pos = 0
-    for name, a in template.items():
-        out[name] = flat[pos : pos + a.size].reshape(a.shape)
-        pos += a.size
-    return out
-
-
 def _replicate(name: str, blocks: np.ndarray) -> np.ndarray:
     """R copies (R, *shape) of one parameter array, laid out for a cell of R*n_h units."""
     if not (name.startswith("U_") or name == "W_hy"):
@@ -89,40 +77,31 @@ def _replicate(name: str, blocks: np.ndarray) -> np.ndarray:
 
 
 def sweep_losses(
-    spec: VariantSpec,
-    cell: CellParams,
-    head: OutputHead,
-    seqs: np.ndarray,
-    labels: np.ndarray,
-    eps: float = EPS,
+    spec: VariantSpec, params: Params, seqs: np.ndarray, labels: np.ndarray, eps: float = EPS
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean loss over the time-major batch ``seqs`` (T, B, n_in) at every vector of the sweep.
 
     Vector 0 is the unperturbed one; vectors 2j+1 and 2j+2 add +eps and
-    -eps to coordinate j of the flattened cell and head arrays. Also
+    -eps to coordinate j of the parameter vector ``params.vec``. Also
     returns, per vector, whether its relu pattern equals vector 0's.
     """
-    params = {**cell.arrays(), **head.arrays()}
-    base = _flatten(params)
+    lay, base = params.layout, params.vec
     P = base.size
-    R = min(max(1, REPLICA_UNITS // cell.n_h), 2 * P + 1)
+    R = min(max(1, REPLICA_UNITS // lay.n_h), 2 * P + 1)
 
     # Label entry j of copy r as r*P + j + 1 and lay the labels out like the
     # replica cell's arrays (0 marks an off-diagonal zero): ``where[r, j]``
-    # is then the position of copy r's coordinate j in the flat buffer.
+    # is then the position of copy r's coordinate j in the replica vector.
+    replica = Params(layout(lay.variant, lay.n_in, R * lay.n_h, R * lay.n_out))
     ids = np.arange(1, R * P + 1).reshape(R, P)
-    stacked, pos = {}, 0
-    for name, v in params.items():
-        stacked[name] = _replicate(name, ids[:, pos : pos + v.size].reshape(R, *v.shape))
-        pos += v.size
-    layout = _flatten(stacked)
-    filled = np.flatnonzero(layout)
+    for name, (sl, shape) in lay.fields.items():
+        replica[name] = _replicate(name, ids[:, sl].reshape(R, *shape))
+    work = replica.vec
+    filled = np.flatnonzero(work)
     where = np.empty((R, P), dtype=np.intp)
-    where.flat[layout[filled] - 1] = filled
-    work = np.zeros(layout.size)
+    where.flat[work[filled].astype(np.intp) - 1] = filled
+    work[:] = 0.0
     work[where] = base
-    views = _unflatten(work, stacked)
-    rcell, rhead = cell.with_arrays(views), head.with_arrays(views)
 
     n = 2 * P + 1
     coord = np.arange(-1, n - 1) // 2  # vector k > 0 moves coordinate (k-1)//2
@@ -136,7 +115,7 @@ def sweep_losses(
         moved = k[k > 0]
         slots = where[moved - lo, coord[moved]]
         work[slots] = value[moved]
-        logits, trace = forward_sequence(spec, rcell, rhead, seqs)
+        logits, trace = forward_sequence(spec, replica, replica, seqs)
         work[slots] = base[coord[moved]]
         xent, _ = softmax_xent(logits.reshape(B * R, -1), labels)
         losses[k] = xent.reshape(B, R)[:, : len(k)].sum(axis=0) / B
@@ -188,8 +167,8 @@ def check_gradients(
     seqs = np.ascontiguousarray(np.swapaxes(batch.inputs, 0, 1))
 
     _, grads, _ = batch_loss_and_grads(spec, cell, head, batch)
-    analytic = _flatten(grads)
-    losses, same = sweep_losses(spec, cell, head, seqs, batch.labels, eps)
+    analytic = grads.vec
+    losses, same = sweep_losses(spec, cell, seqs, batch.labels, eps)
     numeric = (losses[1::2] - losses[2::2]) / (2.0 * eps)
     compared = same[1::2] & same[2::2]
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), _ERR_FLOOR)

@@ -21,9 +21,9 @@ from typing import IO, Iterable
 import numpy as np
 
 from .bptt import batch_loss_and_grads, forward_sequence
-from .cells import Activation, CellParams, OutputHead, Variant, VariantSpec, init_params, param_count
+from .cells import Activation, Params, Variant, VariantSpec, init_params, param_count
 from .data import NUM_CLASSES, Dataset, Split, batches, load_dataset
-from .optim import DEFAULT_EPS, DEFAULT_RHO, init_rms_state, rmsprop_step
+from .optim import DEFAULT_EPS, DEFAULT_RHO, rmsprop_step
 
 METRICS_HEADER = "epoch,train_acc,test_acc,train_loss,epoch_seconds"
 SUMMARY_HEADER = "variant,activation,eta,best_train,best_test,params,best_test_epoch"
@@ -60,6 +60,10 @@ class TrainConfig:
             raise ConfigError(str(e)) from None
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ConfigError(f"eta must be positive and finite, got {self.eta}")
+        if not 0.0 < self.rho < 1.0:
+            raise ConfigError(f"rho must lie in (0, 1), got {self.rho}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
         if self.epochs < 1 or self.batch_size < 1 or self.n_h < 1:
             raise ConfigError("epochs, batch_size and hidden size must be at least 1")
         for name in ("train_limit", "test_limit"):
@@ -96,7 +100,7 @@ class BestResult:
     best_test_epoch: int
 
 
-def evaluate(spec: VariantSpec, params: CellParams, head: OutputHead, split: Split) -> float:
+def evaluate(spec: VariantSpec, params: Params, head: Params, split: Split) -> float:
     """Fraction of examples whose argmax logit hits the label (ties: lowest index).
 
     The split runs through the batched forward pass EVAL_CHUNK examples at
@@ -145,10 +149,8 @@ def train(
 
     spec = VariantSpec.make(config.variant, config.activation)
     n_in = dataset.train.sequences.shape[2]
-    cell, head = init_params(spec, n_in, config.n_h, NUM_CLASSES, config.seed)
-    state = init_rms_state(
-        {**cell.arrays(), **head.arrays()}, eta=config.eta, rho=config.rho, eps=config.eps
-    )
+    model, _ = init_params(spec, n_in, config.n_h, NUM_CLASSES, config.seed)  # cell and head in one Params
+    acc = np.zeros_like(model.vec)
 
     metrics: list[EpochMetrics] = []
     out = None if config.metrics_path is None else _create_fresh(Path(config.metrics_path), METRICS_HEADER)
@@ -158,18 +160,16 @@ def train(
             loss_sum = 0.0
             t0 = time.perf_counter()
             for batch in batches(dataset.train, config.batch_size, config.seed, epoch):
-                loss, grads, _ = batch_loss_and_grads(spec, cell, head, batch)
-                arrays, state = rmsprop_step(state, {**cell.arrays(), **head.arrays()}, grads)
-                cell = cell.with_arrays(arrays)
-                head = head.with_arrays(arrays)
+                loss, grads, _ = batch_loss_and_grads(spec, model, model, batch)
+                rmsprop_step(model.vec, grads.vec, acc, config.eta, config.rho, config.eps)
                 loss_sum += loss * len(batch)
                 n_seen += len(batch)
             seconds = time.perf_counter() - t0
 
             row = EpochMetrics(
                 epoch=epoch,
-                train_accuracy=evaluate(spec, cell, head, dataset.train),
-                test_accuracy=evaluate(spec, cell, head, dataset.test),
+                train_accuracy=evaluate(spec, model, model, dataset.train),
+                test_accuracy=evaluate(spec, model, model, dataset.test),
                 mean_train_loss=loss_sum / n_seen,
                 epoch_seconds=seconds,
             )

@@ -1,4 +1,4 @@
-"""RMSprop over dicts of named parameter arrays.
+"""RMSprop over one flat parameter vector, updated in place.
 
 Plain (uncentered, momentum-free) RMSprop: each coordinate keeps a decayed
 mean of squared gradients and divides its step by the root of it,
@@ -6,13 +6,13 @@ mean of squared gradients and divides its step by the root of it,
     r <- rho * r + (1 - rho) * g^2
     w <- w - eta * g / (sqrt(r) + eps)
 
-Nothing is updated in place; each step returns fresh parameter and state
-values. Defaults rho=0.9, eps=1e-7 are deliberate and overridable.
+The parameters, their gradient and the accumulators are vectors of one
+layout (``cells.Params.vec``); a step rewrites ``w`` and ``r`` in place.
+Defaults rho=0.9, eps=1e-7 are deliberate and overridable; the training
+configuration validates them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,51 +20,10 @@ DEFAULT_RHO = 0.9
 DEFAULT_EPS = 1e-7
 
 
-@dataclass
-class RmsState:
-    """Learning rate, decay constants, and one accumulator per parameter."""
-
-    eta: float
-    rho: float
-    eps: float
-    acc: dict[str, np.ndarray]
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (0, 1)")
-        if self.eps <= 0.0 or self.eta <= 0.0:
-            raise ValueError("eta and eps must be positive")
-
-
-def init_rms_state(
-    params: dict[str, np.ndarray],
-    eta: float,
-    rho: float = DEFAULT_RHO,
-    eps: float = DEFAULT_EPS,
-) -> RmsState:
-    """Zero accumulators shaped like ``params``."""
-    return RmsState(eta=eta, rho=rho, eps=eps,
-                    acc={k: np.zeros_like(v) for k, v in params.items()})
-
-
-def rmsprop_step(
-    state: RmsState,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-) -> tuple[dict[str, np.ndarray], RmsState]:
-    """One update over every array; returns (new_params, new_state)."""
-    if set(params) != set(grads) or set(params) != set(state.acc):
-        raise ValueError(
-            f"parameter/gradient/state keys differ: {sorted(params)} vs "
-            f"{sorted(grads)} vs {sorted(state.acc)}"
-        )
-    new_params: dict[str, np.ndarray] = {}
-    new_acc: dict[str, np.ndarray] = {}
-    for name, w in params.items():
-        g = grads[name]
-        if g.shape != w.shape or state.acc[name].shape != w.shape:
-            raise ValueError(f"shape mismatch for {name}")
-        r = state.rho * state.acc[name] + (1.0 - state.rho) * g * g
-        new_acc[name] = r
-        new_params[name] = w - state.eta * g / (np.sqrt(r) + state.eps)
-    return new_params, RmsState(eta=state.eta, rho=state.rho, eps=state.eps, acc=new_acc)
+def rmsprop_step(w: np.ndarray, g: np.ndarray, acc: np.ndarray, eta: float, rho: float, eps: float) -> None:
+    """One update of every coordinate of ``w`` and its accumulator ``acc``, given the gradient ``g``."""
+    if not w.shape == g.shape == acc.shape:
+        raise ValueError(f"shapes differ: parameters {w.shape}, gradient {g.shape}, accumulator {acc.shape}")
+    acc *= rho
+    acc += (1.0 - rho) * g * g
+    w -= eta * g / (np.sqrt(acc) + eps)

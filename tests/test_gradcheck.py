@@ -43,17 +43,6 @@ def sweep_setup(variant, activation, batch_size=3, n_in=3, n_h=5, n_out=4, T=4, 
     return spec, cell, head, seqs, labels
 
 
-def perturbed(params, j, delta):
-    """Copies of ``params`` with ``delta`` added to coordinate j of their flattened concatenation."""
-    out = {name: a.copy() for name, a in params.items()}
-    for a in out.values():
-        if j < a.size:
-            a.flat[j] = a.flat[j] + delta
-            return out
-        j -= a.size
-    raise IndexError("coordinate out of range")
-
-
 @pytest.mark.parametrize("replica_units", [gradcheck.REPLICA_UNITS, 5])
 @pytest.mark.parametrize("activation", list(Activation))
 @pytest.mark.parametrize("variant", list(Variant))
@@ -61,22 +50,23 @@ def test_replica_losses_match_standalone_forward(variant, activation, replica_un
     # n_h = 5: 32 replicas per pass at the default, one when n_h >= REPLICA_UNITS
     monkeypatch.setattr(gradcheck, "REPLICA_UNITS", replica_units)
     spec, cell, head, seqs, labels = sweep_setup(variant, activation)
-    params = {**cell.arrays(), **head.arrays()}
-    P = sum(a.size for a in params.values())
+    P = cell.vec.size
     R = max(1, replica_units // cell.n_h)
     assert R == 1 or (2 * P + 1) % R != 0  # the last pass is a partial one
 
     widths = []
     monkeypatch.setattr(gradcheck, "forward_sequence",
                         lambda s, p, h, x: widths.append(p.n_h) or forward_sequence(s, p, h, x))
-    losses, same = sweep_losses(spec, cell, head, seqs, labels)
+    losses, same = sweep_losses(spec, cell, seqs, labels)
     assert widths == [R * cell.n_h] * math.ceil((2 * P + 1) / R)
     assert losses.shape == same.shape == (2 * P + 1,)
 
     base_pattern = None
     for k in range(2 * P + 1):
-        arrays = params if k == 0 else perturbed(params, (k - 1) // 2, EPS if k % 2 else -EPS)
-        logits, trace = forward_sequence(spec, cell.with_arrays(arrays), head.with_arrays(arrays), seqs)
+        p = cell.with_arrays(cell)  # a copy; vector k > 0 moves coordinate (k-1)//2 of its vec
+        if k:
+            p.vec[(k - 1) // 2] += EPS if k % 2 else -EPS
+        logits, trace = forward_sequence(spec, p, p, seqs)
         xent, _ = softmax_xent(logits, labels)
         want = xent.sum() / len(labels)
         assert abs(losses[k] - want) <= 1e-12 * abs(want), k

@@ -1,3 +1,4 @@
+import json
 import math
 import statistics
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import slimrnn.harness as harness
-from slimrnn.cells import VariantSpec, param_count
+from slimrnn.cells import Activation, Variant, VariantSpec, param_count
 from slimrnn.data import Split
 from slimrnn.harness import (
     METRICS_HEADER,
@@ -20,6 +21,8 @@ from slimrnn.harness import (
 )
 
 from .conftest import synth_dataset
+from .fixtures.freeze_train_metrics import OUT as FROZEN_METRICS
+from .fixtures.freeze_train_metrics import metrics_text
 from .test_cells import zeroed_params
 
 
@@ -65,7 +68,7 @@ def test_evaluate_singleton_correct():
 def test_evaluate_constructed_two_of_three():
     # zero cell state makes logits equal b_y; argmax points at class 1
     spec, cell, head = zeroed_params("srn", "tanh", 4, 3, 3)
-    head.b_y[:] = [0.0, 1.0, 0.5]
+    head["b_y"] = [0.0, 1.0, 0.5]
     labels = np.array([1, 1, 2], dtype=np.int64)
     split = Split(sequences=np.zeros((3, 2, 4)), labels=labels)
     assert evaluate(spec, cell, head, split) == pytest.approx(2 / 3)
@@ -141,6 +144,18 @@ def test_train_is_deterministic():
         assert ra.train_accuracy == rb.train_accuracy
         assert ra.test_accuracy == rb.test_accuracy
         assert ra.mean_train_loss == rb.mean_train_loss
+
+
+def test_train_reproduces_frozen_trajectories():
+    # fixtures/train_metrics.json holds the metrics CSVs (timing aside) of
+    # 21 short runs as an earlier commit's code wrote them: any change to
+    # the initial draws, a gradient or the RMSprop update's floating-point
+    # order shows up as a changed byte
+    frozen = json.loads(FROZEN_METRICS.read_text())
+    assert len(frozen) == len(Variant) * len(Activation)
+    for v in Variant:
+        for a in Activation:
+            assert metrics_text(v, a) == frozen[f"{v.value}/{a.value}"], (v.value, a.value)
 
 
 def test_train_seed_changes_trajectory():
@@ -226,6 +241,10 @@ def test_run_grid_validates_every_cell_before_running(tmp_path, monkeypatch):
     for eta in (-1.0, math.nan, math.inf):
         with pytest.raises(ConfigError):
             run_grid(["lstm6", "lstm4a"], ["tanh"], [1e-3, eta], small_config(), out_dir,
+                     dataset=synth_dataset(8, 8))
+    for bad in [dict(rho=r) for r in (0.0, 1.0, math.nan)] + [dict(eps=e) for e in (0.0, math.nan, math.inf)]:
+        with pytest.raises(ConfigError):
+            run_grid(["lstm6", "lstm4a"], ["tanh"], [1e-3], small_config(**bad), out_dir,
                      dataset=synth_dataset(8, 8))
     assert ran == []
     assert not out_dir.exists()
