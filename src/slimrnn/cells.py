@@ -270,8 +270,8 @@ def init_params(spec: VariantSpec, n_in: int, n_h: int, n_out: int, seed: int) -
     Input-to-hidden matrices and the head's W_hy are Glorot-uniform,
     recurrent matrices orthogonal, point-wise gate vectors uniform(-0.1,
     0.1), drawn in the order of ``Layout.fields``. Biases start at zero
-    except the dense-gate cell's forget bias, which starts at one so the
-    memory path is open early in training.
+    except a dense forget gate's, which starts at one so the memory path
+    is open early in training.
 
     Returns the model as the (cell, head) pair the engine's functions
     take; both are the same Params, whose vector holds cell and head.
@@ -286,6 +286,6 @@ def init_params(spec: VariantSpec, n_in: int, n_h: int, n_out: int, seed: int) -
             a[...] = _orthogonal(rng, n_h)
         elif name.startswith("u_"):
             a[...] = rng.uniform(-0.1, 0.1, size=a.shape)
-    if spec.variant is Variant.LSTM:
+    if "f" in p.layout.dense:
         p["b_f"] = 1.0
     return p, p

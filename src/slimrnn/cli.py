@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cells import Variant, VariantSpec, param_count
+from .cells import Activation, Variant, VariantSpec, param_count
 from .data import NUM_CLASSES, DataError
 from .gradcheck import REL_TOL, check_all
 from .harness import DEFAULT_ETAS, ConfigError, TrainConfig, best_of, run_grid, train
@@ -16,7 +16,7 @@ from .harness import DEFAULT_ETAS, ConfigError, TrainConfig, best_of, run_grid, 
 MNIST_INPUT_DIM = 28
 
 VARIANT_CHOICES = [v.value for v in Variant]
-ACTIVATION_CHOICES = ["tanh", "sigmoid", "relu"]
+ACTIVATION_CHOICES = [a.value for a in Activation]
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -89,7 +89,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    variants = args.variant or [v.value for v in Variant if v is not Variant.SRN]
+    variants = args.variant or [v.value for v in Variant if VariantSpec.make(v, "tanh").gates is not None]
     activations = args.activation or ACTIVATION_CHOICES
     etas = args.eta or list(DEFAULT_ETAS)
     base = _config(args, variant=variants[0], activation=activations[0])

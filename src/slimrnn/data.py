@@ -159,31 +159,6 @@ def read_idx_labels(path: str | Path) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def write_idx_images(path: str | Path, images: np.ndarray) -> None:
-    """Inverse of read_idx_images, for fixtures; gzips when path ends in .gz."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise ValueError("images must have shape (count, rows, cols)")
-    header = b"".join(v.to_bytes(4, "big") for v in (IMAGE_MAGIC, *images.shape))
-    _write_bytes(path, header + images.tobytes())
-
-
-def write_idx_labels(path: str | Path, labels) -> None:
-    """Inverse of read_idx_labels, for fixtures; gzips when path ends in .gz."""
-    arr = np.asarray(labels)
-    header = LABEL_MAGIC.to_bytes(4, "big") + len(arr).to_bytes(4, "big")
-    _write_bytes(path, header + arr.astype(np.uint8).tobytes())
-
-
-def _write_bytes(path: str | Path, payload: bytes) -> None:
-    path = Path(path)
-    if path.suffix == ".gz":
-        with gzip.open(path, "wb") as f:
-            f.write(payload)
-    else:
-        path.write_bytes(payload)
-
-
 def to_sequences(images: np.ndarray, labels: np.ndarray, limit: int | None = None) -> Split:
     """Row-wise sequences: image row r becomes step r, pixels scaled by 1/255."""
     if len(images) != len(labels):

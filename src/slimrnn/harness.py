@@ -23,7 +23,7 @@ import numpy as np
 from .bptt import batch_loss_and_grads, forward_sequence
 from .cells import Activation, Params, Variant, VariantSpec, init_params, param_count
 from .data import NUM_CLASSES, Dataset, Split, batches, load_dataset
-from .optim import DEFAULT_EPS, DEFAULT_RHO, rmsprop_step
+from .optim import rmsprop_step
 
 METRICS_HEADER = "epoch,train_acc,test_acc,train_loss,epoch_seconds"
 SUMMARY_HEADER = "variant,activation,eta,best_train,best_test,params,best_test_epoch"
@@ -49,8 +49,6 @@ class TrainConfig:
     test_limit: int | None = None
     data_dir: str | Path = "data"
     metrics_path: str | Path | None = None
-    rho: float = DEFAULT_RHO
-    eps: float = DEFAULT_EPS
 
     def validate(self) -> "TrainConfig":
         try:
@@ -60,10 +58,8 @@ class TrainConfig:
             raise ConfigError(str(e)) from None
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ConfigError(f"eta must be positive and finite, got {self.eta}")
-        if not 0.0 < self.rho < 1.0:
-            raise ConfigError(f"rho must lie in (0, 1), got {self.rho}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
+        if self.metrics_path is not None and Path(self.metrics_path).is_dir():
+            raise ConfigError(f"metrics path {self.metrics_path} is a directory")
         if self.epochs < 1 or self.batch_size < 1 or self.n_h < 1:
             raise ConfigError("epochs, batch_size and hidden size must be at least 1")
         for name in ("train_limit", "test_limit"):
@@ -161,7 +157,7 @@ def train(
             t0 = time.perf_counter()
             for batch in batches(dataset.train, config.batch_size, config.seed, epoch):
                 loss, grads, _ = batch_loss_and_grads(spec, model, model, batch)
-                rmsprop_step(model.vec, grads.vec, acc, config.eta, config.rho, config.eps)
+                rmsprop_step(model.vec, grads.vec, acc, config.eta)
                 loss_sum += loss * len(batch)
                 n_seen += len(batch)
             seconds = time.perf_counter() - t0
@@ -223,9 +219,10 @@ def run_grid(
     """Train every (variant, activation, eta) cell; returns the summary path.
 
     Every cell's configuration is validated before the first cell runs, so
-    a bad one raises ConfigError without training anything. Each cell
-    writes its own metrics CSV into ``out_dir``. A cell that fails while
-    running is recorded with NaN accuracies and the grid keeps going.
+    a bad one, or two cells whose metrics files would share a name, raises
+    ConfigError without training anything. Each cell writes its own
+    metrics CSV into ``out_dir``. A cell that fails while running is
+    recorded with NaN accuracies and the grid keeps going.
     """
     out_dir = Path(out_dir)
     variants = [Variant(v) for v in variants]
@@ -239,6 +236,12 @@ def run_grid(
         for a in activations
         for eta in etas
     ]
+    paths = [config.metrics_path for config in cells]
+    shared = [p.name for i, p in enumerate(paths) if p in paths[:i]]
+    if shared:
+        raise ConfigError(f"grid cells would share a metrics file, e.g. {shared[0]}")
+    if out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"grid output {out_dir} is not a directory")
     if dataset is None:
         dataset = load_dataset(base.data_dir, base.train_limit, base.test_limit)
     n_in = dataset.train.sequences.shape[2]

@@ -1,17 +1,45 @@
+import gzip
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from slimrnn.data import (
+    IMAGE_MAGIC,
+    LABEL_MAGIC,
     TEST_IMAGES,
     TEST_LABELS,
     TRAIN_IMAGES,
     TRAIN_LABELS,
     Dataset,
     Split,
-    write_idx_images,
-    write_idx_labels,
 )
 from slimrnn.rng import TAG_SYNTH, stream
+
+
+def write_idx_images(path, images: np.ndarray) -> None:
+    """Inverse of read_idx_images; gzips when path ends in .gz."""
+    images = np.ascontiguousarray(images, dtype=np.uint8)
+    if images.ndim != 3:
+        raise ValueError("images must have shape (count, rows, cols)")
+    header = b"".join(v.to_bytes(4, "big") for v in (IMAGE_MAGIC, *images.shape))
+    _write_bytes(path, header + images.tobytes())
+
+
+def write_idx_labels(path, labels) -> None:
+    """Inverse of read_idx_labels; gzips when path ends in .gz."""
+    arr = np.asarray(labels)
+    header = LABEL_MAGIC.to_bytes(4, "big") + len(arr).to_bytes(4, "big")
+    _write_bytes(path, header + arr.astype(np.uint8).tobytes())
+
+
+def _write_bytes(path, payload: bytes) -> None:
+    path = Path(path)
+    if path.suffix == ".gz":
+        with gzip.open(path, "wb") as f:
+            f.write(payload)
+    else:
+        path.write_bytes(payload)
 
 
 def synth_images(n: int, seed: int, rows: int = 28, cols: int = 28) -> tuple[np.ndarray, np.ndarray]:

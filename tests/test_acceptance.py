@@ -20,14 +20,12 @@ from slimrnn.data import (
     load_dataset,
     read_idx_images,
     read_idx_labels,
-    write_idx_images,
-    write_idx_labels,
 )
 from slimrnn.data import Split
 from slimrnn.gradcheck import check_all
 from slimrnn.harness import TrainConfig, best_of, train
 
-from .conftest import synth_dataset, write_mnist_dir
+from .conftest import synth_dataset, write_idx_images, write_idx_labels, write_mnist_dir
 
 TABLE_COUNTS = {
     "lstm": 52610,

@@ -151,8 +151,9 @@ def test_grid_bad_eta_exits_2_before_any_cell(tmp_path, capsys):
 
 
 def _tree_state(root):
-    # bytes and inode per file: a file replaced by an identical copy still shows
-    return {p.relative_to(root): (p.read_bytes(), p.stat().st_ino) for p in sorted(root.rglob("*"))}
+    # bytes and inode per file (inode alone per directory): a file replaced
+    # by an identical copy still shows
+    return {p.relative_to(root): (p.is_file() and p.read_bytes(), p.stat().st_ino) for p in sorted(root.rglob("*"))}
 
 
 @pytest.mark.parametrize(("rejection", "code"), [("bad-eta", 2), ("missing-data", 3)])
@@ -177,6 +178,24 @@ def test_rejected_grid_leaves_existing_out_dir_untouched(tmp_path, capsys, rejec
     assert main(args + extra[rejection]) == code
     capsys.readouterr()
     assert _tree_state(out_dir) == before
+
+
+@pytest.mark.parametrize("case", ["train-dir", "grid-file"])
+def test_wrong_kind_out_exits_2_before_loading_data(tmp_path, capsys, case):
+    # train --out names a directory, grid --out a regular file: refused as a
+    # configuration error before the (missing) data is looked for
+    out = tmp_path / "out"
+    if case == "train-dir":
+        out.mkdir()
+        (out / "keep.csv").write_text("an earlier run\n")
+    else:
+        out.write_text("an earlier run\n")
+    before = _tree_state(tmp_path)
+    command = ["train", "--variant", "lstm6", "--activation", "tanh"] if case == "train-dir" else ["grid"]
+    code = main(command + ["--epochs", "1", "--data-dir", str(tmp_path / "missing"), "--out", str(out)])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert _tree_state(tmp_path) == before
 
 
 @pytest.mark.parametrize("target_exists", [True, False], ids=["existing-target", "dangling"])

@@ -13,11 +13,9 @@ from slimrnn.data import (
     read_idx_images,
     read_idx_labels,
     to_sequences,
-    write_idx_images,
-    write_idx_labels,
 )
 
-from .conftest import synth_images, write_mnist_dir
+from .conftest import synth_images, write_idx_images, write_idx_labels, write_mnist_dir
 
 
 @pytest.mark.parametrize("suffix", ["", ".gz"])
