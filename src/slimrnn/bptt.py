@@ -13,8 +13,15 @@ elementwise work. The k dense blocks sit together at the bottom, so
   single (k*n_h, n_h) @ (n_h, B) recurrent product;
 * point-wise gates add u_g * h_{t-1} per step, and constant gates are
   broadcast constants that produce no parameter gradients;
-* every step writes in place into arrays allocated once per call, which
+* every step writes in place into arrays taken once per call, which
   together form the Trace the backward pass reads.
+
+Those arrays, and the backward pass's own, come from a ``Workspace`` when
+the caller passes one: a flat buffer that grows to the largest call it
+has served and is then reused, so a training run stops asking the
+allocator (and the kernel) for fresh pages on every batch. A call
+without one takes fresh arrays. Either way the returned logits and
+gradients are fresh arrays the caller owns.
 
 Classification reads the final hidden state only: logits = W_hy h_T + b_y.
 The backward pass is hand-derived per variant. It walks the trace in
@@ -29,14 +36,47 @@ product is written straight into its view of one gradient vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .cells import (
-    GATE_NAMES, GateStyle, Layout, Params, VariantSpec, activation_derivative, apply_activation, sigmoid,
+    GATE_NAMES, Activation, GateStyle, Layout, Params, VariantSpec, activation_derivative, apply_activation,
+    sigmoid,
 )
+
+
+class Workspace:
+    """Scratch memory the engine reuses across calls: one flat float64 buffer.
+
+    ``forward_sequence`` starts it over and carves its trace from it, and
+    ``backward_sequence`` carves its own arrays after the trace. A request
+    that does not fit gets a fresh array; the next start then grows the
+    buffer to the total the last call asked for, so once a run has served
+    its largest batch every call reuses the same memory.
+    """
+
+    def __init__(self) -> None:
+        self._buf = np.empty(0)
+        self._used = 0
+
+    def restart(self):
+        """Start over, invalidating every array taken so far; returns ``take``."""
+        if self._used > len(self._buf):
+            self._buf = np.empty(self._used)
+        self._used = 0
+        return self.take
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """An uninitialized float64 array of ``shape``, valid until the next ``restart``."""
+        start = self._used
+        self._used += math.prod(shape)
+        if self._used > len(self._buf):
+            return np.empty(shape)
+        return self._buf[start : self._used].reshape(shape)
+
 
 class Step(NamedTuple):
     """One time step of a trace: candidate pre-activation and cell state, (n_h, B) each."""
@@ -57,6 +97,9 @@ class Trace:
     cell states from zero, and ``sig_c`` (T, n_h, B) = act(c_t), which is a
     view of ``h[1:]`` when the output gate is fixed at 1; both are None for
     the srn. Iterating yields one Step per time step.
+
+    A trace built in a Workspace lives in its buffer and stays valid only
+    until the next ``forward_sequence`` on that workspace.
     """
 
     x: np.ndarray
@@ -91,22 +134,42 @@ def _per_step(gate, T: int):
     return [gate] * T if isinstance(gate, float) else gate
 
 
+def _side_by_side(a: np.ndarray, alloc) -> np.ndarray:
+    """(T, r, B) as (r, T*B), column t*B + b holding a[t, :, b].
+
+    A view where reshaping gives one (B = 1), else a copy into ``alloc``'s
+    array. Copying the (F-ordered) view too would change the BLAS kernel
+    of the products that read it, and with it the rounding.
+    """
+    T, r, B = a.shape
+    v = a.transpose(1, 0, 2)
+    try:
+        return v.reshape(r, T * B, copy=False)
+    except ValueError:
+        out = alloc((r, T * B))
+        out.reshape(r, T, B)[...] = v
+        return out
+
+
 def _layout_of(spec: VariantSpec, p: Params) -> Layout:
     if p.layout.variant is not spec.variant:
         raise ValueError(f"parameters of {p.layout.variant.value} given for {spec.variant.value}")
     return p.layout
 
 
-def forward_sequence(spec: VariantSpec, p: Params, head: Params, seq: np.ndarray) -> tuple[np.ndarray, Trace]:
+def forward_sequence(
+    spec: VariantSpec, p: Params, head: Params, seq: np.ndarray, ws: Workspace | None = None
+) -> tuple[np.ndarray, Trace]:
     """Run the cell from a zero state over one sequence or a time-major batch.
 
     The cell's arrays are read from ``p`` and the head's from ``head``
     (``init_params`` returns one Params for both). ``seq`` is one sequence
     (T, n_in), or a list of T input vectors, or a batch (T, B, n_in).
     Returns the head logits of the final hidden state, (n_out,) or
-    (B, n_out), and the Trace that the backward pass consumes.
+    (B, n_out), and the Trace that the backward pass consumes. With a
+    workspace the trace is carved from it, which starts it over.
     """
-    x = np.ascontiguousarray(seq, dtype=np.float64)
+    x = np.asarray(seq, dtype=np.float64)
     single = x.ndim == 2
     if single:
         x = x[:, None, :]
@@ -114,17 +177,22 @@ def forward_sequence(spec: VariantSpec, p: Params, head: Params, seq: np.ndarray
         raise ValueError(
             f"inputs of shape {x.shape} are not a nonempty (T, [B,] n_in={p.n_in}) array"
         )
+    alloc = np.empty if ws is None else ws.restart()
+    if not x.flags.c_contiguous:  # e.g. a batch-major batch seen time-major
+        x_in, x = x, alloc(x.shape)
+        x[...] = x_in
     T, B, n_in = x.shape
     n_h = p.n_h
     lay = _layout_of(spec, p)
     gr, d0, b0 = lay.gate_rows, lay.dense_from, lay.bias_from
     W, U, b = (p.stacks[k] for k in "WUb")
 
-    pre = np.empty((T, gr + n_h, B))
-    proj = W @ x.reshape(T * B, n_in).T
+    pre = alloc((T, gr + n_h, B))
+    proj = np.matmul(W, x.reshape(T * B, n_in).T, out=alloc((len(W), T * B)))
     np.add(proj.reshape(-1, T, B).transpose(1, 0, 2), b[d0 - b0 :, None], out=pre[:, d0:])
 
-    h = np.zeros((T + 1, n_h, B))
+    h = alloc((T + 1, n_h, B))
+    h[0] = 0.0
     if not lay.memory:
         # The srn's only block is the candidate, whose value is h_t itself.
         act_ = h[1:]
@@ -133,10 +201,11 @@ def forward_sequence(spec: VariantSpec, p: Params, head: Params, seq: np.ndarray
             pre[t] += U @ h[t]
             apply_activation(spec.activation, pre[t], out=h[t + 1])
     else:
-        act_ = np.empty_like(pre)
-        c = np.zeros((T + 1, n_h, B))
+        act_ = alloc(pre.shape)
+        c = alloc(h.shape)
+        c[0] = 0.0
         o_unit = "o" in lay.unit
-        sig_c = h[1:] if o_unit else np.empty((T, n_h, B))
+        sig_c = h[1:] if o_unit else alloc((T, n_h, B))
         i_unit = "i" in lay.unit
         i, f, o = (_per_step(g, T) for g in _gate_values(spec, lay, act_))
         cand = act_[:, gr:]
@@ -190,12 +259,16 @@ def softmax_xent(logits: np.ndarray, label) -> tuple[float | np.ndarray, np.ndar
     return loss, dlogits
 
 
-def backward_sequence(spec: VariantSpec, p: Params, head: Params, trace: Trace, dlogits: np.ndarray) -> Params:
+def backward_sequence(
+    spec: VariantSpec, p: Params, head: Params, trace: Trace, dlogits: np.ndarray, ws: Workspace | None = None
+) -> Params:
     """Exact loss gradients for every trainable array, given a forward trace.
 
     ``dlogits`` is the loss gradient with respect to the logits, (n_out,)
     for a single sequence or (B, n_out) for a batch; the gradients are
     summed over the batch rows and returned as a Params of ``p``'s layout.
+    With a workspace (the one the trace was built in) the deltas are
+    carved from it after the trace.
     """
     if len(trace) == 0:
         raise ValueError("empty trace (was forward_sequence run?)")
@@ -213,10 +286,11 @@ def backward_sequence(spec: VariantSpec, p: Params, head: Params, trace: Trace, 
     act = spec.activation
     Ut = p.stacks["U"].T
     dh = head["W_hy"].T @ dl.T
-    dpre = np.empty_like(pre)
+    alloc = np.empty if ws is None else ws.take
+    dpre = alloc(pre.shape)
 
     if not lay.memory:  # srn: h_t = act(W_c x + U_c h_prev + b_c)
-        dcand = activation_derivative(act, pre, h[1:])
+        dcand = activation_derivative(act, pre, h[1:], alloc(pre.shape))
         for t in range(T - 1, -1, -1):
             np.multiply(dh, dcand[t], out=dpre[t])
             dh = Ut @ dpre[t]
@@ -225,15 +299,20 @@ def backward_sequence(spec: VariantSpec, p: Params, head: Params, trace: Trace, 
         f_t = _per_step(f, T)
         cand = act_[:, gr:]
         gates = act_[:, :gr]
-        dgates = gates * (1.0 - gates)
+        dgates = activation_derivative(Activation.SIGMOID, gates, gates, alloc(gates.shape))
         # dc_t picks up dh_t * o_t * act'(c_t); the candidate delta is dc_t * i_t * act'(a_c)
-        dc_from_dh = o * activation_derivative(act, c[1:], sig_c)
-        dcand = i * activation_derivative(act, pre[:, gr:], cand)
+        dc_from_dh = activation_derivative(act, c[1:], sig_c, alloc(sig_c.shape))
+        dcand = activation_derivative(act, pre[:, gr:], cand, alloc(cand.shape))
+        if "o" not in lay.unit:
+            dc_from_dh *= o
+        if "i" not in lay.unit:
+            dcand *= i
         sl = lay.block
         if d0:
             u = p.stacks["u"].reshape(-1, n_h)
             dpre_pw = dpre[:, :d0].reshape(T, len(u), n_h, B)
-        dc = np.zeros((n_h, B))
+        dc = alloc((n_h, B))
+        dc[...] = 0.0
         for t in range(T - 1, -1, -1):
             d = dpre[t]
             if "o" in sl:  # h_t = o * act(c_t)
@@ -253,8 +332,8 @@ def backward_sequence(spec: VariantSpec, p: Params, head: Params, trace: Trace, 
 
     # Every step's deltas side by side, (m, T*B), against inputs and hidden
     # states stacked in the same (t, b) order.
-    deltas = dpre.transpose(1, 0, 2).reshape(len(pre[0]), T * B)
-    h_prev = h[:T].transpose(1, 0, 2).reshape(n_h, T * B)
+    deltas = _side_by_side(dpre, alloc)
+    h_prev = _side_by_side(h[:T], alloc)
     grads = Params(lay)
     g = grads.stacks
     np.matmul(deltas[d0:], trace.x.reshape(T * B, n_in), out=g["W"])
@@ -267,7 +346,9 @@ def backward_sequence(spec: VariantSpec, p: Params, head: Params, trace: Trace, 
     return grads
 
 
-def batch_loss_and_grads(spec: VariantSpec, p: Params, head: Params, batch) -> tuple[float, Params, int]:
+def batch_loss_and_grads(
+    spec: VariantSpec, p: Params, head: Params, batch, ws: Workspace | None = None
+) -> tuple[float, Params, int]:
     """Mean loss and mean gradients over a batch, plus the correct count.
 
     The whole batch runs through one forward and one backward pass; the
@@ -275,14 +356,16 @@ def batch_loss_and_grads(spec: VariantSpec, p: Params, head: Params, batch) -> t
     backward pass, so every weight gradient is one product over the
     stacked T*B deltas. Results are bitwise reproducible for a given seed
     and batch size; they match a per-example reduction to rounding only.
-    Argmax ties resolve toward the lowest class index.
+    Argmax ties resolve toward the lowest class index. A workspace, if
+    given, holds the trace and the deltas; the results are bitwise those
+    of a call without one.
     """
     size = len(batch.labels)
     if size == 0:
         raise ValueError("empty batch")
-    logits, trace = forward_sequence(spec, p, head, np.swapaxes(batch.inputs, 0, 1))
+    logits, trace = forward_sequence(spec, p, head, np.swapaxes(batch.inputs, 0, 1), ws)
     labels = np.asarray(batch.labels)
     losses, dlogits = softmax_xent(logits, labels)
-    grads = backward_sequence(spec, p, head, trace, dlogits / size)
+    grads = backward_sequence(spec, p, head, trace, dlogits / size, ws)
     correct = int(np.count_nonzero(np.argmax(logits, axis=1) == labels))
     return float(losses.sum() / size), grads, correct

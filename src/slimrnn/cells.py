@@ -132,17 +132,19 @@ def apply_activation(act: Activation, v: np.ndarray, out: np.ndarray | None = No
     return np.maximum(v, 0.0, out=out)
 
 
-def activation_derivative(act: Activation, pre: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Derivative of ``act`` at ``pre``, given ``out = act(pre)``.
+def activation_derivative(act: Activation, pre: np.ndarray, value: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Derivative of ``act`` at ``pre``, given ``value = act(pre)``, written into ``out``.
 
     relu uses the pre-activation (derivative at exactly 0 is taken as 0);
     tanh and sigmoid are cheaper to differentiate from their outputs.
     """
     if act is Activation.TANH:
-        return 1.0 - out * out
+        np.multiply(value, value, out=out)
+        return np.subtract(1.0, out, out=out)
     if act is Activation.SIGMOID:
-        return out * (1.0 - out)
-    return (pre > 0.0).astype(np.float64)
+        np.subtract(1.0, value, out=out)
+        return np.multiply(value, out, out=out)
+    return np.greater(pre, 0.0, out=out)
 
 
 class Layout:

@@ -1,4 +1,5 @@
 import gzip
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,21 @@ def synth_split(n: int, seed: int, rows: int = 28, cols: int = 28) -> Split:
 
 def synth_dataset(n_train: int, n_test: int, seed: int = 0) -> Dataset:
     return Dataset(train=synth_split(n_train, seed), test=synth_split(n_test, seed + 1))
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak memory ``fn()`` allocates above what was live before it, in MB.
+
+    numpy reports its array buffers to tracemalloc, so this counts them
+    (it does not time anything).
+    """
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def write_mnist_dir(directory, n_train: int, n_test: int, seed: int = 0) -> None:

@@ -1,14 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from slimrnn.bptt import backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
+from slimrnn.bptt import Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
 from slimrnn.cells import Activation, Variant, VariantSpec, init_params
-from slimrnn.data import SequenceBatch
+from slimrnn.data import SequenceBatch, Split
 from slimrnn.gradcheck import check_gradients
+from slimrnn.harness import evaluate
 from slimrnn.rng import TAG_GRADCHECK, stream
 
+from .conftest import traced_peak_mb
+from .fixtures import freeze_batch_digests as digests
 from .fixtures.freeze_batch_grads import BATCH_SIZES, N_H, N_IN, N_OUT, OUT, fixed_batch
 from .test_cells import zeroed_params
 
@@ -16,6 +20,7 @@ ALL_VARIANTS = list(Variant)
 ALL_ACTIVATIONS = list(Activation)
 with np.load(OUT) as frozen:
     FROZEN = dict(frozen)
+FROZEN_DIGESTS = json.loads(digests.OUT.read_text())
 
 
 def rel_err(got, want) -> float:
@@ -253,3 +258,45 @@ def test_batch_correct_count_ties_to_lowest_class():
 def test_empty_batch_is_rejected_at_construction():
     with pytest.raises(ValueError):
         SequenceBatch(inputs=np.zeros((0, 2, 3)), labels=np.zeros(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("activation", ALL_ACTIVATIONS)
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_workspace_reuse_is_bitwise_neutral(variant, activation):
+    # A workspace grown by a larger batch and then filled with NaN must give
+    # what fresh arrays give, bit for bit: an array the engine reads before
+    # writing shows up as NaN. Both must match the bits frozen from the
+    # engine before it took a workspace (fixtures/batch_digests.json).
+    spec = VariantSpec.make(variant, activation)
+    p = digests.digest_params(spec)
+    ws = Workspace()
+    batch_loss_and_grads(spec, p, p, digests.digest_batch(16), ws)
+    ws.restart()  # grows the buffer to what that call took
+    for size in digests.BATCH_SIZES:
+        batch = digests.digest_batch(size)
+        fresh = batch_loss_and_grads(spec, p, p, batch)
+        ws._buf.fill(np.nan)
+        loss, grads, correct = batch_loss_and_grads(spec, p, p, batch, ws)
+        assert not np.isnan(ws._buf).all(), "the call did not use the workspace"
+        assert (loss, correct) == (fresh[0], fresh[2]) and np.array_equal(grads.vec, fresh[1].vec), size
+        assert digests.digest(*fresh) == FROZEN_DIGESTS[f"{spec.variant.value}/{spec.activation.value}/{size}"]
+
+    batch = digests.digest_batch(40)  # two evaluation chunks, the second one short
+    split = Split(sequences=batch.inputs, labels=batch.labels)
+    ws._buf.fill(np.nan)
+    assert evaluate(spec, p, p, split, ws) == evaluate(spec, p, p, split)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_workspace_batch_allocates_under_2mb(variant):
+    # At the paper's shapes a reused workspace leaves the returned gradients,
+    # logits and per-step temporaries; with fresh arrays a batch allocates
+    # 4.7 MB (srn) to 18.7 MB (lstm).
+    spec = VariantSpec.make(variant, "tanh")
+    p, _ = init_params(spec, 28, 100, 10, seed=0)
+    rng = np.random.default_rng(1)
+    batch = SequenceBatch(inputs=rng.uniform(0.0, 1.0, size=(32, 28, 28)), labels=rng.integers(0, 10, size=32))
+    ws = Workspace()
+    batch_loss_and_grads(spec, p, p, batch, ws)
+    ws.restart()  # grows the buffer to what that call took
+    assert traced_peak_mb(lambda: batch_loss_and_grads(spec, p, p, batch, ws)) <= 2.0

@@ -180,18 +180,21 @@ def test_rejected_grid_leaves_existing_out_dir_untouched(tmp_path, capsys, rejec
     assert _tree_state(out_dir) == before
 
 
-@pytest.mark.parametrize("case", ["train-dir", "grid-file"])
+@pytest.mark.parametrize("case", ["train-dir", "grid-file", "train-parent-file", "grid-parent-file"])
 def test_wrong_kind_out_exits_2_before_loading_data(tmp_path, capsys, case):
-    # train --out names a directory, grid --out a regular file: refused as a
-    # configuration error before the (missing) data is looked for
+    # train --out names a directory, grid --out a regular file, or either
+    # lies under a regular file: refused as a configuration error before
+    # the (missing) data is looked for
     out = tmp_path / "out"
     if case == "train-dir":
         out.mkdir()
         (out / "keep.csv").write_text("an earlier run\n")
     else:
         out.write_text("an earlier run\n")
+    if case.endswith("parent-file"):
+        out = out / "sub" / "m.csv"
     before = _tree_state(tmp_path)
-    command = ["train", "--variant", "lstm6", "--activation", "tanh"] if case == "train-dir" else ["grid"]
+    command = ["train", "--variant", "lstm6", "--activation", "tanh"] if case.startswith("train") else ["grid"]
     code = main(command + ["--epochs", "1", "--data-dir", str(tmp_path / "missing"), "--out", str(out)])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import slimrnn.harness as harness
-from slimrnn.cells import Activation, Variant, VariantSpec, param_count
+from slimrnn.bptt import Workspace
+from slimrnn.cells import Activation, Variant, VariantSpec, init_params, param_count
 from slimrnn.data import Split
 from slimrnn.harness import (
     METRICS_HEADER,
@@ -20,7 +21,7 @@ from slimrnn.harness import (
     train,
 )
 
-from .conftest import synth_dataset
+from .conftest import synth_dataset, synth_split, traced_peak_mb
 from .fixtures.freeze_train_metrics import OUT as FROZEN_METRICS
 from .fixtures.freeze_train_metrics import metrics_text
 from .test_cells import zeroed_params
@@ -72,6 +73,33 @@ def test_evaluate_constructed_two_of_three():
     labels = np.array([1, 1, 2], dtype=np.int64)
     split = Split(sequences=np.zeros((3, 2, 4)), labels=labels)
     assert evaluate(spec, cell, head, split) == pytest.approx(2 / 3)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_evaluate_with_workspace_allocates_under_half_a_mb(variant):
+    # 100 examples at the paper's shapes; the first call sizes and grows the
+    # workspace. With fresh arrays an evaluation in chunks of 128 allocated
+    # 7.5 MB (srn) to 34.7 MB (lstm).
+    spec = VariantSpec.make(variant, "tanh")
+    p, _ = init_params(spec, 28, 100, 10, seed=0)
+    split = synth_split(100, seed=2)
+    ws = Workspace()
+    evaluate(spec, p, p, split, ws)
+    assert traced_peak_mb(lambda: evaluate(spec, p, p, split, ws)) <= 0.5
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_evaluate_accuracy_does_not_depend_on_chunking(monkeypatch, variant):
+    # Accuracies, not logits: OpenBLAS rounds the remainder columns of a
+    # chunk of 1, 7 or 100 examples differently, by up to ~4e-12 per logit.
+    spec = VariantSpec.make(variant, "relu")
+    p, _ = init_params(spec, 28, 8, 10, seed=1)
+    split = synth_split(100, seed=4)
+    accuracies = set()
+    for chunk in (1, 32, 128):
+        monkeypatch.setattr(harness, "EVAL_CHUNK", chunk)
+        accuracies.add(evaluate(spec, p, p, split, Workspace()))
+    assert len(accuracies) == 1
 
 
 def test_evaluate_rejects_empty_split():
