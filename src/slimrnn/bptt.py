@@ -62,12 +62,11 @@ class Workspace:
         self._buf = np.empty(0)
         self._used = 0
 
-    def restart(self):
-        """Start over, invalidating every array taken so far; returns ``take``."""
+    def restart(self) -> None:
+        """Start over, invalidating every array taken so far."""
         if self._used > len(self._buf):
             self._buf = np.empty(self._used)
         self._used = 0
-        return self.take
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray:
         """An uninitialized float64 array of ``shape``, valid until the next ``restart``."""
@@ -137,18 +136,18 @@ def _per_step(gate, T: int):
 def _side_by_side(a: np.ndarray, alloc) -> np.ndarray:
     """(T, r, B) as (r, T*B), column t*B + b holding a[t, :, b].
 
-    A view where reshaping gives one (B = 1), else a copy into ``alloc``'s
-    array. Copying the (F-ordered) view too would change the BLAS kernel
-    of the products that read it, and with it the rounding.
+    For a C-contiguous ``a`` this is a view when T, r or B is 1, else a
+    copy into ``alloc``'s array. Copying the B = 1 view (F-ordered) too
+    would change the BLAS kernel of the products that read it, and with
+    it the rounding.
     """
     T, r, B = a.shape
     v = a.transpose(1, 0, 2)
-    try:
-        return v.reshape(r, T * B, copy=False)
-    except ValueError:
-        out = alloc((r, T * B))
-        out.reshape(r, T, B)[...] = v
-        return out
+    if 1 in (T, r, B):
+        return v.reshape(r, T * B)
+    out = alloc((r, T * B))
+    out.reshape(r, T, B)[...] = v
+    return out
 
 
 def _layout_of(spec: VariantSpec, p: Params) -> Layout:
@@ -177,7 +176,9 @@ def forward_sequence(
         raise ValueError(
             f"inputs of shape {x.shape} are not a nonempty (T, [B,] n_in={p.n_in}) array"
         )
-    alloc = np.empty if ws is None else ws.restart()
+    if ws is not None:
+        ws.restart()
+    alloc = np.empty if ws is None else ws.take
     if not x.flags.c_contiguous:  # e.g. a batch-major batch seen time-major
         x_in, x = x, alloc(x.shape)
         x[...] = x_in
