@@ -11,7 +11,7 @@ elementwise work. The k dense blocks sit together at the bottom, so
 * the forward computes every input projection and bias before the time
   loop as one (T*B, n_in) @ (n_in, k*n_h) product, and each step adds a
   single (k*n_h, n_h) @ (n_h, B) recurrent product;
-* point-wise gates add u_g * h_{t-1} per step, and constant gates are
+* point-wise gates add u_g * h_{t-1} per step, and fixed gates are
   broadcast constants that produce no parameter gradients;
 * every step writes in place into arrays taken once per call, which
   together form the Trace the backward pass reads.
@@ -24,14 +24,19 @@ without one takes fresh arrays. Either way the returned logits and
 gradients are fresh arrays the caller owns.
 
 Classification reads the final hidden state only: logits = W_hy h_T + b_y.
-The backward pass is hand-derived per variant. It walks the trace in
-reverse carrying dL/dh_t and dL/dc_t, writes each step's pre-activation
-deltas with one (n_h, k*n_h) @ (k*n_h, B) product per step, and then forms
-every weight gradient with one product over the stacked T*B deltas.
+The backward pass is hand-derived. It walks the trace in reverse carrying
+dL/dh_t and dL/dc_t, writes each step's pre-activation deltas with one
+(n_h, k*n_h) @ (k*n_h, B) product per step, and then forms every weight
+gradient with one product over the stacked T*B deltas.
 The parameters are one flat vector laid out in the same block order
 (``cells.Layout``), so the stacked W, U and biases are views into it, and
 the gradients are a ``cells.Params`` of the same layout: each stacked
 product is written straight into its view of one gradient vector.
+
+All seven cells run the same time loop in each direction. The srn is the
+cell without a cell state: its only block is the candidate, whose value
+is h_t itself, the loops skip the cell-state lines, and its candidate
+delta takes dL/dh_t directly.
 """
 
 from __future__ import annotations
@@ -43,8 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cells import (
-    GATE_NAMES, Activation, GateStyle, Layout, Params, VariantSpec, activation_derivative, apply_activation,
-    sigmoid,
+    GATE_NAMES, Activation, Layout, Params, VariantSpec, activation_derivative, apply_activation, sigmoid,
 )
 
 
@@ -120,12 +124,9 @@ class Trace:
         return (self[t] for t in range(len(self)))
 
 
-def _gate_values(spec: VariantSpec, lay: Layout, act: np.ndarray) -> list[np.ndarray | float]:
-    """i, f, o over the trace: (T, n_h, B) views of ``act``, or the constant as a float."""
-    return [
-        gate.const if gate.style is GateStyle.CONSTANT else act[:, lay.block[name]]
-        for name, gate in zip(GATE_NAMES, spec.gates)
-    ]
+def _gate_values(lay: Layout, act: np.ndarray) -> list[np.ndarray | float | None]:
+    """i, f, o over the trace: (T, n_h, B) views of ``act``, the fixed value, or None (srn)."""
+    return [act[:, lay.block[n]] if n in lay.block else lay.fixed.get(n) for n in GATE_NAMES]
 
 
 def _per_step(gate, T: int):
@@ -194,40 +195,37 @@ def forward_sequence(
 
     h = alloc((T + 1, n_h, B))
     h[0] = 0.0
-    if not lay.memory:
-        # The srn's only block is the candidate, whose value is h_t itself.
-        act_ = h[1:]
-        c = sig_c = None
-        for t in range(T):
-            pre[t] += U @ h[t]
-            apply_activation(spec.activation, pre[t], out=h[t + 1])
-    else:
+    if lay.memory:
         act_ = alloc(pre.shape)
         c = alloc(h.shape)
         c[0] = 0.0
-        o_unit = "o" in lay.unit
-        sig_c = h[1:] if o_unit else alloc((T, n_h, B))
-        i_unit = "i" in lay.unit
-        i, f, o = (_per_step(g, T) for g in _gate_values(spec, lay, act_))
-        cand = act_[:, gr:]
-        if d0:  # point-wise gates: u_g * h_{t-1}, plus a bias on rows b0 .. d0
-            u = p.stacks["u"].reshape(-1, n_h, 1)
-            pre_pw = pre[:, :d0].reshape(T, len(u), n_h, B)
-            b_pw = b[: d0 - b0, None]
-        for t in range(T):
-            pre[t, d0:] += U @ h[t]
-            if d0:
-                np.multiply(u, h[t], out=pre_pw[t])
-                if b0 < d0:
-                    pre[t, b0:d0] += b_pw
-            if gr:
-                sigmoid(pre[t, :gr], out=act_[t, :gr])
-            apply_activation(spec.activation, pre[t, gr:], out=cand[t])
-            np.multiply(f[t], c[t], out=c[t + 1])
-            c[t + 1] += cand[t] if i_unit else i[t] * cand[t]
-            apply_activation(spec.activation, c[t + 1], out=sig_c[t])
-            if not o_unit:
-                np.multiply(o[t], sig_c[t], out=h[t + 1])
+        sig_c = h[1:] if "o" in lay.unit else alloc((T, n_h, B))
+    else:  # the srn's only block is the candidate, whose value is h_t itself
+        act_ = h[1:]
+        c = sig_c = None
+    i_unit, o_unit = "i" in lay.unit, "o" in lay.unit
+    i, f, o = (_per_step(g, T) for g in _gate_values(lay, act_))
+    cand = act_[:, gr:]
+    if d0:  # point-wise gates: u_g * h_{t-1}, plus a bias on rows b0 .. d0
+        u = p.stacks["u"].reshape(-1, n_h, 1)
+        pre_pw = pre[:, :d0].reshape(T, len(u), n_h, B)
+        b_pw = b[: d0 - b0, None]
+    for t in range(T):
+        pre[t, d0:] += U @ h[t]
+        if d0:
+            np.multiply(u, h[t], out=pre_pw[t])
+            if b0 < d0:
+                pre[t, b0:d0] += b_pw
+        if gr:
+            sigmoid(pre[t, :gr], out=act_[t, :gr])
+        apply_activation(spec.activation, pre[t, gr:], out=cand[t])
+        if not lay.memory:
+            continue
+        np.multiply(f[t], c[t], out=c[t + 1])
+        c[t + 1] += cand[t] if i_unit else i[t] * cand[t]
+        apply_activation(spec.activation, c[t + 1], out=sig_c[t])
+        if not o_unit:
+            np.multiply(o[t], sig_c[t], out=h[t + 1])
 
     logits = (head["W_hy"] @ h[T]).T + head["b_y"]
     trace = Trace(x=x, pre=pre, act=act_, h=h, c=c, sig_c=sig_c)
@@ -290,45 +288,44 @@ def backward_sequence(
     alloc = np.empty if ws is None else ws.take
     dpre = alloc(pre.shape)
 
-    if not lay.memory:  # srn: h_t = act(W_c x + U_c h_prev + b_c)
-        dcand = activation_derivative(act, pre, h[1:], alloc(pre.shape))
-        for t in range(T - 1, -1, -1):
-            np.multiply(dh, dcand[t], out=dpre[t])
-            dh = Ut @ dpre[t]
-    else:
-        i, f, o = _gate_values(spec, lay, act_)
-        f_t = _per_step(f, T)
-        cand = act_[:, gr:]
-        gates = act_[:, :gr]
-        dgates = activation_derivative(Activation.SIGMOID, gates, gates, alloc(gates.shape))
-        # dc_t picks up dh_t * o_t * act'(c_t); the candidate delta is dc_t * i_t * act'(a_c)
+    i, f, o = _gate_values(lay, act_)
+    f_t = _per_step(f, T)
+    cand = act_[:, gr:]
+    gates = act_[:, :gr]
+    dgates = activation_derivative(Activation.SIGMOID, gates, gates, alloc(gates.shape))
+    if lay.memory:  # dc_t picks up dh_t * o_t * act'(c_t)
         dc_from_dh = activation_derivative(act, c[1:], sig_c, alloc(sig_c.shape))
-        dcand = activation_derivative(act, pre[:, gr:], cand, alloc(cand.shape))
         if "o" not in lay.unit:
             dc_from_dh *= o
-        if "i" not in lay.unit:
-            dcand *= i
-        sl = lay.block
-        if d0:
-            u = p.stacks["u"].reshape(-1, n_h)
-            dpre_pw = dpre[:, :d0].reshape(T, len(u), n_h, B)
         dc = alloc((n_h, B))
         dc[...] = 0.0
-        for t in range(T - 1, -1, -1):
-            d = dpre[t]
-            if "o" in sl:  # h_t = o * act(c_t)
-                np.multiply(dh, sig_c[t], out=d[sl["o"]])
+    # the candidate delta is dc_t * i_t * act'(a_c), and dc_t is dh_t for the srn
+    dcand = activation_derivative(act, pre[:, gr:], cand, alloc(cand.shape))
+    if lay.memory and "i" not in lay.unit:
+        dcand *= i
+    sl = lay.block
+    if d0:
+        u = p.stacks["u"].reshape(-1, n_h)
+        dpre_pw = dpre[:, :d0].reshape(T, len(u), n_h, B)
+    for t in range(T - 1, -1, -1):
+        d = dpre[t]
+        if "o" in sl:  # h_t = o * act(c_t)
+            np.multiply(dh, sig_c[t], out=d[sl["o"]])
+        if lay.memory:
             dc += dh * dc_from_dh[t]
-            if "f" in sl:  # c_t = f * c_prev + i * cand
-                np.multiply(dc, c[t], out=d[sl["f"]])
-            if "i" in sl:
-                np.multiply(dc, cand[t], out=d[sl["i"]])
-            if gr:
-                d[:gr] *= dgates[t]
-            np.multiply(dc, dcand[t], out=d[gr:])
-            dh = Ut @ d[d0:]
-            if d0:
-                dh += np.einsum("gnb,gn->nb", dpre_pw[t], u)
+        else:
+            dc = dh
+        if "f" in sl:  # c_t = f * c_prev + i * cand
+            np.multiply(dc, c[t], out=d[sl["f"]])
+        if "i" in sl:
+            np.multiply(dc, cand[t], out=d[sl["i"]])
+        if gr:
+            d[:gr] *= dgates[t]
+        np.multiply(dc, dcand[t], out=d[gr:])
+        dh = Ut @ d[d0:]
+        if d0:
+            dh += np.einsum("gnb,gn->nb", dpre_pw[t], u)
+        if lay.memory:
             dc *= f_t[t]
 
     # Every step's deltas side by side, (m, T*B), against inputs and hidden

@@ -1,4 +1,4 @@
-"""Recurrent cell variants: the gate table, the parameter layout, counting and initialization.
+"""Recurrent cell variants: the gate table, the parameter layout and initialization.
 
 Seven cells share one interface (their forward and backward passes are in
 ``bptt``). ``srn`` is the ungated baseline
@@ -10,24 +10,25 @@ and the remaining six are memory cells of the form
     c_t = f_t * c_{t-1} + i_t * cand_t,    cand_t = act(W_c x_t + U_c h_{t-1} + b_c)
     h_t = o_t * act(c_t)
 
-differing only in how the input/forget/output gates i, f, o are produced:
+differing only in how the input/forget/output gates i, f, o are produced.
+``GATES`` is the whole description of a variant: None for the srn, else an
+(i, f, o) triple whose entries are
 
-    lstm     dense gates   sigmoid(W_g x_t + U_g h_{t-1} + b_g)
-    lstm4    point-wise    sigmoid(u_g * h_{t-1})
-    lstm5    point-wise    sigmoid(u_g * h_{t-1} + b_g)
-    lstm4a   input gate as lstm4; f = 0.96, o = 1 fixed
-    lstm5a   input gate as lstm5; f = 0.96, o = 1 fixed
-    lstm6    all gates fixed: i = 1, f = 0.59, o = 1
+    "dense"   sigmoid(W_g x_t + U_g h_{t-1} + b_g)
+    "pw"      sigmoid(u_g * h_{t-1})            (point-wise)
+    "pw+b"    sigmoid(u_g * h_{t-1} + b_g)
+    a float   the gate's fixed value
 
 Gates always use the logistic sigmoid; ``act`` is the configurable cell
 activation and is applied both to the candidate and to the cell state on
-output. Fixed forget constants are strictly below one, which keeps the
+output. Fixed forget values are strictly below one, which keeps the
 cell bounded-input bounded-output (the state of an undriven cell decays
 geometrically).
 
 All trainable scalars of a model, cell and output head, live in one flat
-float64 vector laid out from the gate table (``Layout``); ``Params`` gives
-named views into it, and gradients and optimizer state share its layout.
+float64 vector laid out from the gate table (``Layout``, the table's only
+reader, whose ``size`` is the parameter count); ``Params`` gives named
+views into it, and gradients and optimizer state share its layout.
 """
 
 from __future__ import annotations
@@ -58,44 +59,25 @@ class Variant(str, Enum):
     LSTM6 = "lstm6"
 
 
-class GateStyle(Enum):
-    DENSE = "dense"          # sigmoid(W x + U h + b)
-    POINTWISE = "pointwise"  # sigmoid(u * h [+ b])
-    CONSTANT = "constant"
-
-
-@dataclass(frozen=True)
-class GateSpec:
-    style: GateStyle
-    bias: bool = False
-    const: float | None = None
-
-
-_DENSE = GateSpec(GateStyle.DENSE, bias=True)
-_PW = GateSpec(GateStyle.POINTWISE, bias=False)
-_PWB = GateSpec(GateStyle.POINTWISE, bias=True)
-
-# (input, forget, output) gate wiring per variant; None marks the ungated srn.
-_GATES: dict[Variant, tuple[GateSpec, GateSpec, GateSpec] | None] = {
+# The gate table of the module docstring: (i, f, o) per variant, None for the srn.
+GATES: dict[Variant, tuple[str | float, str | float, str | float] | None] = {
     Variant.SRN: None,
-    Variant.LSTM: (_DENSE, _DENSE, _DENSE),
-    Variant.LSTM4: (_PW, _PW, _PW),
-    Variant.LSTM5: (_PWB, _PWB, _PWB),
-    Variant.LSTM4A: (_PW, GateSpec(GateStyle.CONSTANT, const=0.96), GateSpec(GateStyle.CONSTANT, const=1.0)),
-    Variant.LSTM5A: (_PWB, GateSpec(GateStyle.CONSTANT, const=0.96), GateSpec(GateStyle.CONSTANT, const=1.0)),
-    Variant.LSTM6: (
-        GateSpec(GateStyle.CONSTANT, const=1.0),
-        GateSpec(GateStyle.CONSTANT, const=0.59),
-        GateSpec(GateStyle.CONSTANT, const=1.0),
-    ),
+    Variant.LSTM: ("dense", "dense", "dense"),
+    Variant.LSTM4: ("pw", "pw", "pw"),
+    Variant.LSTM5: ("pw+b", "pw+b", "pw+b"),
+    Variant.LSTM4A: ("pw", 0.96, 1.0),
+    Variant.LSTM5A: ("pw+b", 0.96, 1.0),
+    Variant.LSTM6: (1.0, 0.59, 1.0),
 }
+# Learned gate kinds in block order: point-wise before dense, unbiased first.
+_KINDS = ("pw", "pw+b", "dense")
 
 GATE_NAMES = ("i", "f", "o")
 
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """A cell variant plus its activation; ``gates`` reads the variant's row of the gate table."""
+    """A cell variant plus its activation."""
 
     variant: Variant
     activation: Activation
@@ -103,10 +85,6 @@ class VariantSpec:
     @classmethod
     def make(cls, variant: Variant | str, activation: Activation | str) -> "VariantSpec":
         return cls(Variant(variant), Activation(activation))
-
-    @property
-    def gates(self) -> tuple[GateSpec, GateSpec, GateSpec] | None:
-        return _GATES[self.variant]
 
 
 def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -164,26 +142,29 @@ class Layout:
     copying; ``fields`` gives the same for every named array (W_c, u_i,
     b_y, ...), in initialization order: gates i, f, o, then the candidate,
     W, U, u, b within each, the head last. ``size`` is the parameter count.
+    ``memory`` is False for the srn, which keeps no cell state; ``fixed``
+    maps each fixed gate to its value, and ``unit`` names those fixed at 1.
     Built once per (variant, n_in, n_h, n_out) by ``layout``.
     """
 
-    def __init__(self, variant: Variant, n_in: int, n_h: int, n_out: int) -> None:
+    def __init__(self, variant: Variant | str, n_in: int, n_h: int, n_out: int) -> None:
         if min(n_in, n_h, n_out) <= 0:
             raise ValueError("dimensions must be positive")
-        self.variant, self.n_in, self.n_h, self.n_out = variant, n_in, n_h, n_out
-        gates = _GATES[variant] or ()
-        learned = [(n, g) for n, g in zip(GATE_NAMES, gates) if g.style is not GateStyle.CONSTANT]
-        self.gates = sorted(learned, key=lambda ng: (ng[1].style is GateStyle.DENSE, ng[1].bias))
-        self.pointwise = [n for n, g in self.gates if g.style is GateStyle.POINTWISE]
-        self.dense = [n for n, g in self.gates if g.style is GateStyle.DENSE] + ["c"]
-        biased = [n for n, g in self.gates if g.bias] + ["c"]
-        self.memory = bool(gates)
+        self.variant, self.n_in, self.n_h, self.n_out = Variant(variant), n_in, n_h, n_out
+        row = GATES[self.variant]
+        self.memory = row is not None
+        wiring = dict(zip(GATE_NAMES, row or ()))
+        self.fixed = {n: g for n, g in wiring.items() if isinstance(g, float)}
+        self.gates = sorted((n for n in wiring if n not in self.fixed), key=lambda n: _KINDS.index(wiring[n]))
+        self.pointwise = [n for n in self.gates if wiring[n] != "dense"]
+        self.dense = [n for n in self.gates if wiring[n] == "dense"] + ["c"]
+        biased = [n for n in self.gates if wiring[n] != "pw"] + ["c"]
         self.gate_rows = len(self.gates) * n_h  # the candidate block starts here
         self.dense_from = len(self.pointwise) * n_h
         self.bias_from = self.gate_rows + n_h - len(biased) * n_h
-        self.block = {n: slice(j * n_h, (j + 1) * n_h) for j, (n, _) in enumerate(self.gates)}
+        self.block = {n: slice(j * n_h, (j + 1) * n_h) for j, n in enumerate(self.gates)}
         # Gates fixed at exactly 1 need no multiply: x * 1.0 == x.
-        self.unit = {n for n, g in zip(GATE_NAMES, gates) if g.const == 1.0}
+        self.unit = {n for n, g in self.fixed.items() if g == 1.0}
 
         self.size = 0
 
@@ -207,7 +188,8 @@ class Layout:
 
 
 @lru_cache(maxsize=64)
-def layout(variant: Variant, n_in: int, n_h: int, n_out: int) -> Layout:
+def layout(variant: Variant | str, n_in: int, n_h: int, n_out: int) -> Layout:
+    """The Layout of ``variant`` (a Variant or its name) at these dimensions, cached."""
     return Layout(variant, n_in, n_h, n_out)
 
 
@@ -249,11 +231,6 @@ class Params(Mapping):
         for name in p:
             p[name] = arrays[name]
         return p
-
-
-def param_count(spec: VariantSpec, n_in: int, n_h: int, n_out: int) -> int:
-    """Total trainable scalars of cell plus output head."""
-    return layout(spec.variant, n_in, n_h, n_out).size
 
 
 def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -6,9 +6,10 @@ Exit codes: 0 success, 1 failed check, 2 bad configuration, 3 data problems.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from .cells import Activation, Variant, VariantSpec, param_count
+from .cells import GATES, Activation, Variant, layout
 from .data import NUM_CLASSES, DataError
 from .gradcheck import REL_TOL, check_all
 from .harness import DEFAULT_ETAS, ConfigError, TrainConfig, best_of, run_grid, train
@@ -17,16 +18,18 @@ MNIST_INPUT_DIM = 28
 
 VARIANT_CHOICES = [v.value for v in Variant]
 ACTIVATION_CHOICES = [a.value for a in Activation]
+GRID_VARIANTS = [v.value for v in Variant if GATES[v] is not None]
+DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--hidden", type=int, default=100, help="hidden units")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--train-limit", type=int, default=None)
-    p.add_argument("--test-limit", type=int, default=None)
-    p.add_argument("--data-dir", default="data", help="directory with the MNIST IDX files")
+    p.add_argument("--epochs", type=int, default=DEFAULTS["epochs"])
+    p.add_argument("--batch-size", type=int, default=DEFAULTS["batch_size"])
+    p.add_argument("--hidden", type=int, default=DEFAULTS["n_h"], help="hidden units")
+    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+    p.add_argument("--train-limit", type=int, default=DEFAULTS["train_limit"])
+    p.add_argument("--test-limit", type=int, default=DEFAULTS["test_limit"])
+    p.add_argument("--data-dir", default=DEFAULTS["data_dir"], help="directory with the MNIST IDX files")
 
 
 def _config(args: argparse.Namespace, **fields) -> TrainConfig:
@@ -53,23 +56,23 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one variant and stream per-epoch metrics")
     p.add_argument("--variant", required=True, choices=VARIANT_CHOICES)
     p.add_argument("--activation", required=True, choices=ACTIVATION_CHOICES)
-    p.add_argument("--eta", type=float, default=1e-3, help="learning rate")
+    p.add_argument("--eta", type=float, default=DEFAULTS["eta"], help="learning rate")
     _add_common(p)
     p.add_argument("--out", default=None, help="metrics CSV path")
 
     p = sub.add_parser("grid", help="train a variant x activation x eta grid")
     p.add_argument("--variant", action="append", choices=VARIANT_CHOICES,
-                   help="repeatable; default: the six gated variants")
+                   help=f"repeatable; default: {', '.join(GRID_VARIANTS)}")
     p.add_argument("--activation", action="append", choices=ACTIVATION_CHOICES,
-                   help="repeatable; default: tanh, sigmoid, relu")
+                   help=f"repeatable; default: {', '.join(ACTIVATION_CHOICES)}")
     p.add_argument("--eta", action="append", type=float,
-                   help="repeatable; default: 1e-4, 1e-3, 2e-3")
+                   help=f"repeatable; default: {', '.join(f'{eta:g}' for eta in DEFAULT_ETAS)}")
     _add_common(p)
     p.add_argument("--out", default="grid-out", help="output directory")
 
     p = sub.add_parser("count-params", help="trainable parameter counts per variant")
     p.add_argument("--variant", choices=VARIANT_CHOICES, default=None)
-    p.add_argument("--hidden", type=int, default=100)
+    p.add_argument("--hidden", type=int, default=DEFAULTS["n_h"])
 
     p = sub.add_parser("grad-check", help="verify BPTT gradients against finite differences")
     p.add_argument("--seed", type=int, default=0, help="first of --trials consecutive seeds")
@@ -89,7 +92,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    variants = args.variant or [v.value for v in Variant if VariantSpec.make(v, "tanh").gates is not None]
+    variants = args.variant or GRID_VARIANTS
     activations = args.activation or ACTIVATION_CHOICES
     etas = args.eta or list(DEFAULT_ETAS)
     base = _config(args, variant=variants[0], activation=activations[0])
@@ -103,9 +106,7 @@ def _cmd_count_params(args: argparse.Namespace) -> int:
         raise ConfigError("--hidden must be at least 1")
     wanted = [Variant(args.variant)] if args.variant else list(Variant)
     for variant in wanted:
-        spec = VariantSpec.make(variant, "tanh")
-        n = param_count(spec, MNIST_INPUT_DIM, args.hidden, NUM_CLASSES)
-        print(f"{variant.value} {n}")
+        print(f"{variant.value} {layout(variant, MNIST_INPUT_DIM, args.hidden, NUM_CLASSES).size}")
     return 0
 
 

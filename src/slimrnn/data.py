@@ -92,10 +92,17 @@ class Dataset:
 
 @contextmanager
 def _open_idx(path: str | Path) -> Iterator[BinaryIO]:
-    """Binary reader of an IDX file, gzipped or not; a bad gzip stream is an IdxFormatError."""
+    """Binary reader of an IDX file, gzipped or not.
+
+    A path that cannot be opened (a directory, no permission) is a
+    DataError; a bad gzip stream is an IdxFormatError.
+    """
     path = Path(path)
-    with open(path, "rb") as f:
-        gzipped = f.read(2) == b"\x1f\x8b"
+    try:
+        with open(path, "rb") as f:
+            gzipped = f.read(2) == b"\x1f\x8b"
+    except OSError as e:
+        raise DataError(f"{path}: cannot read: {e.strerror or e}") from e
     if not gzipped:
         with open(path, "rb") as f:
             yield f
@@ -207,9 +214,21 @@ def load_dataset(
     train_limit: int | None = None,
     test_limit: int | None = None,
 ) -> Dataset:
-    """Load the four standard MNIST files from a directory."""
+    """Load the four standard MNIST files from a directory.
+
+    Both splits must hold at least one image of nonzero size, and their
+    images must have the same shape; otherwise this raises DataError.
+    """
     directory = Path(data_dir)
-    return Dataset(
+    dataset = Dataset(
         train=load_split(_resolve(directory, TRAIN_IMAGES), _resolve(directory, TRAIN_LABELS), train_limit),
         test=load_split(_resolve(directory, TEST_IMAGES), _resolve(directory, TEST_LABELS), test_limit),
     )
+    for name, split in (("train", dataset.train), ("test", dataset.test)):
+        if split.sequences.size == 0:
+            n, rows, cols = split.sequences.shape
+            raise DataError(f"the {name} split holds {n} images of {rows}x{cols} pixels: nothing to learn from")
+    if dataset.train.sequences.shape[1:] != dataset.test.sequences.shape[1:]:
+        shapes = ["x".join(map(str, s.sequences.shape[1:])) for s in (dataset.train, dataset.test)]
+        raise DataError(f"train images are {shapes[0]} pixels but test images {shapes[1]}")
+    return dataset

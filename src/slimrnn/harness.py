@@ -21,7 +21,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .bptt import Workspace, batch_loss_and_grads, forward_sequence
-from .cells import Activation, Params, Variant, VariantSpec, init_params, param_count
+from .cells import Activation, Params, Variant, VariantSpec, init_params, layout
 from .data import NUM_CLASSES, Dataset, Split, batches, load_dataset
 from .optim import rmsprop_step
 
@@ -260,7 +260,7 @@ def run_grid(
     with _create_fresh(summary_path, SUMMARY_HEADER) as summary:
         for config in cells:
             variant, activation, eta = config.variant, config.activation, config.eta
-            n_params = param_count(VariantSpec.make(variant, activation), n_in, config.n_h, NUM_CLASSES)
+            n_params = layout(variant, n_in, config.n_h, NUM_CLASSES).size
             if verbose:
                 print(f"=== {variant.value} {activation.value} eta={eta:g}", flush=True)
             try:

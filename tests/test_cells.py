@@ -3,14 +3,13 @@ import pytest
 
 from slimrnn.bptt import forward_sequence
 from slimrnn.cells import (
+    GATES,
     Activation,
-    GateStyle,
     Variant,
     VariantSpec,
     apply_activation,
     init_params,
     layout,
-    param_count,
 )
 
 ALL_VARIANTS = list(Variant)
@@ -44,13 +43,12 @@ def test_activations():
     ],
 )
 def test_param_count_reference_sizes(variant, expected):
-    spec = VariantSpec.make(variant, "tanh")
-    assert param_count(spec, 28, 100, 10) == expected
+    assert layout(variant, 28, 100, 10).size == expected
 
 
 def test_param_count_scalar_cell():
     # lstm6 at n=1: W_c, U_c, b_c plus a 1x1 head and its bias.
-    assert param_count(VariantSpec.make("lstm6", "tanh"), 1, 1, 1) == 5
+    assert layout("lstm6", 1, 1, 1).size == 5
 
 
 def test_param_count_matches_allocation():
@@ -59,33 +57,66 @@ def test_param_count_matches_allocation():
             spec = VariantSpec.make(variant, "sigmoid")
             cell, head = init_params(spec, *dims, seed=3)
             allocated = sum(a.size for a in {**cell.arrays(), **head.arrays()}.values())
-            assert param_count(spec, *dims) == allocated == cell.vec.size, variant
+            assert layout(variant, *dims).size == allocated == cell.vec.size, variant
 
 
 def test_param_count_rejects_bad_dims():
     with pytest.raises(ValueError):
-        param_count(VariantSpec.make("lstm", "tanh"), 0, 1, 1)
+        layout("lstm", 0, 1, 1)
 
 
 def test_variant_spec_constants():
-    # (input, forget, output) constants, as the gate table fixes them
+    # (input, forget, output) fixed values, as the gate table gives them
     def consts(variant):
-        return tuple(g.const for g in VariantSpec.make(variant, "tanh").gates)
+        return tuple(g if isinstance(g, float) else None for g in GATES[variant])
 
     assert consts("lstm4a") == consts("lstm5a") == (None, 0.96, 1.0)
     assert consts("lstm6") == (1.0, 0.59, 1.0)
     assert consts("lstm") == consts("lstm4") == consts("lstm5") == (None, None, None)
-    assert VariantSpec.make("srn", "relu").gates is None
+    assert GATES["srn"] is None
 
 
 def test_variant_spec_rejects_wrong_constants():
-    # every fixed forget constant is below 1 (the cell stays BIBO), and a
-    # gate has a constant exactly when it is fixed
+    # every gate is a learned kind or a fixed value a sigmoid can take, and
+    # every fixed forget value is below 1 (the cell stays BIBO)
     for variant in GATED:
-        for gate in VariantSpec.make(variant, "tanh").gates:
-            assert (gate.const is not None) == (gate.style is GateStyle.CONSTANT), variant
-        forget = VariantSpec.make(variant, "tanh").gates[1]
-        assert forget.const is None or 0.0 < forget.const < 1.0, variant
+        for gate in GATES[variant]:
+            assert gate in ("dense", "pw", "pw+b") or (isinstance(gate, float) and 0.0 < gate <= 1.0), variant
+        forget = GATES[variant][1]
+        assert not isinstance(forget, float) or 0.0 < forget < 1.0, variant
+
+
+# Each variant's wiring, worked out by hand from the gate table at n_h = 5:
+# learned gate blocks in row order, gate_rows, dense_from, bias_from, the
+# gates fixed at 1, the fixed values, and whether the cell keeps a state.
+WIRING = {
+    "srn": ([], 0, 0, 0, set(), {}, False),
+    "lstm": (["i", "f", "o"], 15, 0, 0, set(), {}, True),
+    "lstm4": (["i", "f", "o"], 15, 15, 15, set(), {}, True),
+    "lstm5": (["i", "f", "o"], 15, 15, 0, set(), {}, True),
+    "lstm4a": (["i"], 5, 5, 5, {"o"}, {"f": 0.96, "o": 1.0}, True),
+    "lstm5a": (["i"], 5, 5, 0, {"o"}, {"f": 0.96, "o": 1.0}, True),
+    "lstm6": ([], 0, 0, 0, {"i", "o"}, {"i": 1.0, "f": 0.59, "o": 1.0}, True),
+}
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_layout_wiring_per_variant(variant):
+    lay = layout(variant, 3, 5, 4)
+    blocks = [(n, slice(5 * j, 5 * j + 5)) for j, n in enumerate(WIRING[variant][0])]
+    assert (list(lay.block.items()), lay.gate_rows, lay.dense_from, lay.bias_from, lay.unit, lay.fixed,
+            lay.memory) == (blocks, *WIRING[variant][1:])
+
+
+def test_layout_cache_accepts_variant_names():
+    # "lstm6" and Variant.LSTM6 are equal and hash alike, so they share one
+    # cache slot: a Layout first built from the name must still hold the Variant
+    layout.cache_clear()
+    assert layout("lstm6", 3, 7, 11).variant is Variant.LSTM6
+    spec = VariantSpec.make("lstm6", "tanh")
+    cell, head = init_params(spec, 3, 7, 11, seed=0)
+    logits, _ = forward_sequence(spec, cell, head, np.zeros((2, 1, 3)))
+    assert logits.shape == (1, 11)
 
 
 def test_init_is_deterministic():
@@ -192,7 +223,7 @@ def test_bibo_decay_with_zero_weights(variant):
     # driven by the first input only, then undriven: |c_t| <= f^(t-1) |c_1|
     # elementwise, so the state dies out
     spec, cell, head = zeroed_params(variant, "tanh", 3, 6, 2)
-    f = spec.gates[1].const
+    f = GATES[variant][1]
     cell["W_c"] = np.random.default_rng(0).uniform(-2.0, 2.0, size=(6, 3))
     x = np.zeros((12, 3))
     x[0] = 1.0

@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
 
+import slimrnn.cli as cli
 from slimrnn.cli import main
+from slimrnn.data import TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES
+from slimrnn.harness import EpochMetrics, TrainConfig
 
-from .conftest import write_mnist_dir
+from .conftest import synth_images, write_idx_images, write_idx_labels, write_mnist_dir
 
 
 def test_count_params_reference_values(capsys):
@@ -58,6 +62,46 @@ def test_train_missing_data_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "curl" in capsys.readouterr().err
+
+
+def _spoil(directory, problem):
+    """Overwrite part of a valid MNIST directory so that its data cannot be used."""
+    if problem == "no-test-images":
+        write_idx_images(directory / TEST_IMAGES, np.zeros((0, 28, 28)))
+        write_idx_labels(directory / TEST_LABELS, [])
+    elif problem == "zero-size-images":
+        for name in (TRAIN_IMAGES, TEST_IMAGES):
+            write_idx_images(directory / name, np.zeros((8, 0, 0)))
+    elif problem == "test-shape-mismatch":
+        write_idx_images(directory / TEST_IMAGES, synth_images(8, 1, rows=28, cols=27)[0])
+    else:  # "directory": a data path names a directory, not a file
+        (directory / TRAIN_IMAGES).unlink()
+        (directory / TRAIN_IMAGES).mkdir()
+
+
+@pytest.mark.parametrize("command", ["train", "grid"])
+@pytest.mark.parametrize("problem", ["no-test-images", "zero-size-images", "test-shape-mismatch", "directory"])
+def test_unusable_data_exits_3(tmp_path, capsys, command, problem):
+    write_mnist_dir(tmp_path, n_train=8, n_test=8)
+    _spoil(tmp_path, problem)
+    out = tmp_path / "out"
+    variant = ["--variant", "lstm6", "--activation", "tanh"]
+    code = main([command, *variant, "--epochs", "1", "--hidden", "4", "--data-dir", str(tmp_path), "--out", str(out)])
+    assert code == 3
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_defaults_are_train_config_defaults(monkeypatch):
+    seen = []
+
+    def fake_train(config, verbose):
+        seen.append(config)
+        return [EpochMetrics(1, 0.0, 0.0, 0.0, 0.0)]
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    assert main(["train", "--variant", "lstm", "--activation", "tanh"]) == 0
+    assert seen == [TrainConfig("lstm", "tanh")]
 
 
 def test_train_bad_eta_exits_2(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 import slimrnn.harness as harness
 from slimrnn.bptt import Workspace
-from slimrnn.cells import Activation, Variant, VariantSpec, init_params, param_count
+from slimrnn.cells import Activation, Variant, VariantSpec, init_params, layout
 from slimrnn.data import Split
 from slimrnn.harness import (
     METRICS_HEADER,
@@ -222,7 +222,7 @@ def test_run_grid_structure(tmp_path):
     assert (tmp_path / "lstm4a_tanh_eta0.001.csv").exists()
     first = lines[1].split(",")
     assert first[0] == "lstm6"
-    expected = param_count(VariantSpec.make("lstm6", "tanh"), 28, 6, 10)
+    expected = layout("lstm6", 28, 6, 10).size
     assert first[5] == str(expected)
 
 
