@@ -214,16 +214,19 @@ def load_dataset(
     train_limit: int | None = None,
     test_limit: int | None = None,
 ) -> Dataset:
-    """Load the four standard MNIST files from a directory.
-
-    Both splits must hold at least one image of nonzero size, and their
-    images must have the same shape; otherwise this raises DataError.
-    """
+    """Load the four standard MNIST files from a directory, checked by ``check_dataset``."""
     directory = Path(data_dir)
     dataset = Dataset(
         train=load_split(_resolve(directory, TRAIN_IMAGES), _resolve(directory, TRAIN_LABELS), train_limit),
         test=load_split(_resolve(directory, TEST_IMAGES), _resolve(directory, TEST_LABELS), test_limit),
     )
+    check_dataset(dataset)
+    return dataset
+
+
+def check_dataset(dataset: Dataset) -> None:
+    """Raise DataError unless both splits hold at least one image of nonzero
+    size and their images have the same shape."""
     for name, split in (("train", dataset.train), ("test", dataset.test)):
         if split.sequences.size == 0:
             n, rows, cols = split.sequences.shape
@@ -231,4 +234,3 @@ def load_dataset(
     if dataset.train.sequences.shape[1:] != dataset.test.sequences.shape[1:]:
         shapes = ["x".join(map(str, s.sequences.shape[1:])) for s in (dataset.train, dataset.test)]
         raise DataError(f"train images are {shapes[0]} pixels but test images {shapes[1]}")
-    return dataset

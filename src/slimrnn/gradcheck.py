@@ -20,10 +20,11 @@ block-diagonal, so the logits hold R heads side by side. Every gate is
 per-unit or constant and the off-diagonal blocks are exact zeros, so no
 replica reads another's units: each computes its own cell, differing from
 a standalone forward pass only in the summation order of the matrix
-products. REPLICA_UNITS bounds the memory of a pass. The replica cell is
-one Params of R*n_h units whose vector is laid out once per check; each
-pass writes its vectors' +/- eps entries into that vector in place and
-undoes them afterwards.
+products. REPLICA_UNITS bounds the memory of a pass. The replica cell's
+layout and the map from each copy's coordinates to its vector are built
+once per (layout, R) and cached; each check fills a fresh zero vector
+through that map, and each pass writes its vectors' +/- eps entries into
+it in place and undoes them afterwards.
 
 relu has a kink at zero, where no finite difference is trustworthy. A
 coordinate is only compared when every relu input (candidate
@@ -41,11 +42,12 @@ below zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .bptt import Trace, batch_loss_and_grads, forward_sequence, softmax_xent
-from .cells import Activation, Params, Variant, VariantSpec, init_params, layout
+from .cells import Activation, Layout, Params, Variant, VariantSpec, init_params, layout
 from .data import SequenceBatch
 from .rng import TAG_GRADCHECK, stream
 
@@ -76,6 +78,27 @@ def _replicate(name: str, blocks: np.ndarray) -> np.ndarray:
     return out.reshape(R * rows, R * cols)
 
 
+@lru_cache(maxsize=64)
+def _replica_map(variant: Variant, n_in: int, n_h: int, n_out: int, R: int) -> tuple[Layout, np.ndarray]:
+    """The layout of R copies of a cell as one replica cell, and ``where``.
+
+    ``where[r, j]`` (read-only) is the position of copy r's coordinate j in
+    the replica cell's vector. Entry j of copy r is labelled r*P + j + 1 and
+    the labels are laid out like the replica cell's arrays (0 marks an
+    off-diagonal zero), so each label's position is its entry's.
+    """
+    lay = layout(variant, n_in, n_h, n_out)
+    replica = Params(layout(variant, n_in, R * n_h, R * n_out))
+    ids = np.arange(1, R * lay.size + 1).reshape(R, lay.size)
+    for name, (sl, shape) in lay.fields.items():
+        replica[name] = _replicate(name, ids[:, sl].reshape(R, *shape))
+    filled = np.flatnonzero(replica.vec)
+    where = np.empty((R, lay.size), dtype=np.intp)
+    where.flat[replica.vec[filled].astype(np.intp) - 1] = filled
+    where.flags.writeable = False
+    return replica.layout, where
+
+
 def sweep_losses(
     spec: VariantSpec, params: Params, seqs: np.ndarray, labels: np.ndarray, eps: float = EPS
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -88,19 +111,9 @@ def sweep_losses(
     lay, base = params.layout, params.vec
     P = base.size
     R = min(max(1, REPLICA_UNITS // lay.n_h), 2 * P + 1)
-
-    # Label entry j of copy r as r*P + j + 1 and lay the labels out like the
-    # replica cell's arrays (0 marks an off-diagonal zero): ``where[r, j]``
-    # is then the position of copy r's coordinate j in the replica vector.
-    replica = Params(layout(lay.variant, lay.n_in, R * lay.n_h, R * lay.n_out))
-    ids = np.arange(1, R * P + 1).reshape(R, P)
-    for name, (sl, shape) in lay.fields.items():
-        replica[name] = _replicate(name, ids[:, sl].reshape(R, *shape))
+    rep_layout, where = _replica_map(lay.variant, lay.n_in, lay.n_h, lay.n_out, R)
+    replica = Params(rep_layout)
     work = replica.vec
-    filled = np.flatnonzero(work)
-    where = np.empty((R, P), dtype=np.intp)
-    where.flat[work[filled].astype(np.intp) - 1] = filled
-    work[:] = 0.0
     work[where] = base
 
     n = 2 * P + 1

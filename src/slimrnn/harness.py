@@ -22,7 +22,7 @@ import numpy as np
 
 from .bptt import Workspace, batch_loss_and_grads, forward_sequence
 from .cells import Activation, Params, Variant, VariantSpec, init_params, layout
-from .data import NUM_CLASSES, Dataset, Split, batches, load_dataset
+from .data import NUM_CLASSES, Dataset, Split, batches, check_dataset, load_dataset
 from .optim import rmsprop_step
 
 METRICS_HEADER = "epoch,train_acc,test_acc,train_loss,epoch_seconds"
@@ -140,24 +140,27 @@ def train(
     config: TrainConfig,
     dataset: Dataset | None = None,
     verbose: bool = False,
+    ws: Workspace | None = None,
 ) -> list[EpochMetrics]:
     """Run the full protocol; returns one metrics row per epoch.
 
     ``dataset`` defaults to the MNIST files under ``config.data_dir`` and
-    may be injected directly (tests, synthetic data). Rows stream to
-    ``config.metrics_path`` as they are produced.
+    may be injected directly (tests, synthetic data); an unusable one
+    raises DataError. Rows stream to ``config.metrics_path`` as they are
+    produced. Every batch and evaluation chunk of the run reuses the
+    memory of ``ws``, a fresh Workspace when none is given.
     """
     config = config.validate()
     if dataset is None:
         dataset = load_dataset(config.data_dir, config.train_limit, config.test_limit)
-    if len(dataset.train) == 0 or len(dataset.test) == 0:
-        raise ValueError("dataset has an empty split")
+    else:
+        check_dataset(dataset)
 
     spec = VariantSpec.make(config.variant, config.activation)
     n_in = dataset.train.sequences.shape[2]
     model, _ = init_params(spec, n_in, config.n_h, NUM_CLASSES, config.seed)  # cell and head in one Params
     acc = np.zeros_like(model.vec)
-    ws = Workspace()  # every batch and evaluation chunk of the run reuses its memory
+    ws = Workspace() if ws is None else ws
 
     metrics: list[EpochMetrics] = []
     out = None if config.metrics_path is None else _create_fresh(Path(config.metrics_path), METRICS_HEADER)
@@ -232,9 +235,11 @@ def run_grid(
     Every cell's configuration is validated before the first cell runs, so
     a bad one (an ``out_dir`` that is, or lies under, a regular file among
     them), or two cells whose metrics files would share a name, raises
-    ConfigError without training anything. Each cell writes its own
-    metrics CSV into ``out_dir``. A cell that fails while running is
-    recorded with NaN accuracies and the grid keeps going.
+    ConfigError without training anything; an unusable dataset raises
+    DataError before ``out_dir`` is created. Each cell writes its own
+    metrics CSV into ``out_dir``, and all cells share one Workspace. A
+    cell that fails while running is recorded with NaN accuracies and the
+    grid keeps going.
     """
     out_dir = Path(out_dir)
     variants = [Variant(v) for v in variants]
@@ -254,7 +259,10 @@ def run_grid(
         raise ConfigError(f"grid cells would share a metrics file, e.g. {shared[0]}")
     if dataset is None:
         dataset = load_dataset(base.data_dir, base.train_limit, base.test_limit)
+    else:
+        check_dataset(dataset)
     n_in = dataset.train.sequences.shape[2]
+    ws = Workspace()
 
     summary_path = out_dir / "summary.csv"
     with _create_fresh(summary_path, SUMMARY_HEADER) as summary:
@@ -264,7 +272,7 @@ def run_grid(
             if verbose:
                 print(f"=== {variant.value} {activation.value} eta={eta:g}", flush=True)
             try:
-                best = best_of(train(config, dataset=dataset, verbose=verbose))
+                best = best_of(train(config, dataset=dataset, verbose=verbose, ws=ws))
             except Exception as e:  # any cell failure: record, move on
                 print(f"grid cell {variant.value}/{activation.value}/eta={eta:g} failed: {e}", file=sys.stderr)
                 best = BestResult(math.nan, math.nan, 0)

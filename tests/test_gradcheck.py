@@ -1,4 +1,4 @@
-"""The central-difference check: its replica passes, its counts, and that it catches a wrong gradient."""
+"""The central-difference check: its replica passes and their cached map, its counts, and that it catches a wrong gradient."""
 
 import json
 import math
@@ -8,7 +8,7 @@ import pytest
 
 from slimrnn import gradcheck
 from slimrnn.bptt import forward_sequence, softmax_xent
-from slimrnn.cells import Activation, Variant, VariantSpec, init_params
+from slimrnn.cells import Activation, Variant, VariantSpec, init_params, layout
 from slimrnn.gradcheck import EPS, REL_TOL, check_all, check_gradients, relu_pattern, sweep_losses
 from slimrnn.rng import TAG_GRADCHECK, stream
 
@@ -90,3 +90,47 @@ def test_check_fails_on_one_corrupted_analytic_coordinate(variant, batch_size, m
     result = check_gradients(variant, "tanh", seed=0, batch_size=batch_size)
     assert result.max_rel_err > REL_TOL
     assert not result.passed
+
+
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("variant", list(Variant))
+def test_sweep_is_bitwise_equal_with_cold_and_warm_replica_map(variant, batch_size):
+    spec, cell, _, seqs, labels = sweep_setup(variant, "relu", batch_size=batch_size)
+    gradcheck._replica_map.cache_clear()
+    cold = sweep_losses(spec, cell, seqs, labels)
+    assert gradcheck._replica_map.cache_info().misses == 1
+    warm = sweep_losses(spec, cell, seqs, labels)
+    assert gradcheck._replica_map.cache_info().hits == 1
+    for a, b in zip(cold, warm):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_interleaved_checks_match_fresh_ones():
+    # a check must not see the vector or trace of one at another layout
+    configs = [dict(variant="lstm"), dict(variant="lstm6", n_in=2, n_h=7, n_out=3), dict(variant="lstm")]
+    fresh = []
+    for config in configs:
+        gradcheck._replica_map.cache_clear()
+        fresh.append(check_gradients(activation="relu", batch_size=3, **config))
+    interleaved = [check_gradients(activation="relu", batch_size=3, **config) for config in configs]
+    assert interleaved == fresh
+    assert all(r.passed for r in fresh)
+
+
+def test_cached_replica_map_is_read_only():
+    replica, where = gradcheck._replica_map(Variant.LSTM, 3, 5, 4, 32)
+    assert replica.n_h == 32 * 5 and where.shape == (32, layout("lstm", 3, 5, 4).size)
+    assert not where.flags.writeable
+    with pytest.raises(ValueError):
+        where[0, 0] = 0
+
+
+def test_replica_map_is_cached_per_replica_count(monkeypatch):
+    spec, cell, _, seqs, labels = sweep_setup("lstm6", "tanh")
+    gradcheck._replica_map.cache_clear()
+    sweep_losses(spec, cell, seqs, labels)
+    monkeypatch.setattr(gradcheck, "REPLICA_UNITS", 5)
+    sweep_losses(spec, cell, seqs, labels)
+    sweep_losses(spec, cell, seqs, labels)
+    info = gradcheck._replica_map.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 1)

@@ -1,6 +1,7 @@
 import json
 import math
 import statistics
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import slimrnn.harness as harness
 from slimrnn.bptt import Workspace
 from slimrnn.cells import Activation, Variant, VariantSpec, init_params, layout
-from slimrnn.data import Split
+from slimrnn.data import DataError, Dataset, Split
 from slimrnn.harness import (
     METRICS_HEADER,
     ConfigError,
@@ -240,10 +241,10 @@ def test_run_grid_records_failures_and_continues(tmp_path, monkeypatch):
     ds = synth_dataset(16, 8)
     real_train = harness.train
 
-    def flaky(config, dataset=None, verbose=False):
+    def flaky(config, dataset=None, verbose=False, ws=None):
         if config.variant == "lstm4a":
             raise RuntimeError("boom")
-        return real_train(config, dataset=dataset, verbose=verbose)
+        return real_train(config, dataset=dataset, verbose=verbose, ws=ws)
 
     monkeypatch.setattr(harness, "train", flaky)
     summary = run_grid(
@@ -255,6 +256,49 @@ def test_run_grid_records_failures_and_continues(tmp_path, monkeypatch):
     bad = lines[2].split(",")
     assert good[0] == "lstm6" and float(good[4]) >= 0.0
     assert bad[0] == "lstm4a" and math.isnan(float(bad[4]))
+
+
+@pytest.mark.parametrize("empty", ["train", "test"])
+def test_injected_empty_split_raises_data_error(empty, tmp_path):
+    splits = {"train": synth_split(8, 0), "test": synth_split(8, 1)}
+    splits[empty] = Split(sequences=np.zeros((0, 28, 28)), labels=np.zeros(0, dtype=np.int64))
+    ds = Dataset(**splits)
+    out_dir = tmp_path / "grid"
+    with pytest.raises(DataError, match=empty):
+        run_grid(["lstm6"], ["tanh"], [1e-3], small_config(epochs=1), out_dir, dataset=ds)
+    assert not out_dir.exists()
+    with pytest.raises(DataError, match=empty):
+        train(small_config(epochs=1), dataset=ds)
+
+
+def test_run_grid_shares_one_workspace(tmp_path, monkeypatch):
+    made = []
+
+    class Counted(Workspace):
+        def __init__(self):
+            made.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(harness, "Workspace", Counted)
+    run_grid(["lstm6", "srn"], ["tanh", "relu"], [1e-3], small_config(epochs=1), tmp_path, dataset=synth_dataset(16, 8))
+    assert len(made) == 1
+
+
+def test_run_grid_cells_match_separate_train_runs(tmp_path):
+    # one workspace serves cells of three layouts in turn; no cell may see another's memory
+    ds = synth_dataset(24, 8)
+    base = small_config(epochs=2)
+    variants, activations = ["lstm", "lstm6", "srn"], ["tanh", "relu"]
+    run_grid(variants, activations, [base.eta], base, tmp_path / "grid", dataset=ds)
+
+    def without_seconds(path):
+        return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+    for v in variants:
+        for a in activations:
+            name = f"{v}_{a}_eta{base.eta:g}.csv"
+            train(replace(base, variant=v, activation=a, metrics_path=tmp_path / name), dataset=ds)
+            assert without_seconds(tmp_path / "grid" / name) == without_seconds(tmp_path / name), name
 
 
 def test_run_grid_rejects_empty_axes(tmp_path):
