@@ -16,11 +16,11 @@ elementwise work. The k dense blocks sit together at the bottom, so
 * every step writes in place into arrays taken once per call, which
   together form the Trace the backward pass reads.
 
-Those arrays, and the backward pass's own, come from a ``Workspace`` when
-the caller passes one: a flat buffer that grows to the largest call it
-has served and is then reused, so a training run stops asking the
-allocator (and the kernel) for fresh pages on every batch. A call
-without one takes fresh arrays. Either way the returned logits and
+Those arrays, and the backward pass's own, come from a ``Workspace``: a
+flat buffer that grows to the largest call it has served and is then
+reused, so a training run stops asking the allocator (and the kernel) for
+fresh pages on every batch; a call without one uses a private fresh one.
+The trace holds its own copy of the inputs, and the returned logits and
 gradients are fresh arrays the caller owns.
 
 Classification reads the final hidden state only: logits = W_hy h_T + b_y.
@@ -59,7 +59,8 @@ class Workspace:
     ``backward_sequence`` carves its own arrays after the trace. A request
     that does not fit gets a fresh array; the next start then grows the
     buffer to the total the last call asked for, so once a run has served
-    its largest batch every call reuses the same memory.
+    its largest batch every call reuses the same memory. A new one hands
+    out fresh arrays only.
     """
 
     def __init__(self) -> None:
@@ -92,7 +93,7 @@ class Step(NamedTuple):
 class Trace:
     """Forward intermediates of one batch, kept for the backward pass.
 
-    ``x`` (T, B, n_in) holds the inputs. ``pre`` and ``act`` (T, m, B) hold
+    ``x`` (T, B, n_in) copies the inputs. ``pre`` and ``act`` (T, m, B) hold
     the pre-activations in the block layout of the module docstring and
     their values: the sigmoid for gate blocks, the cell activation for the
     candidate block. ``h`` (T+1, n_h, B) holds the hidden states from the
@@ -101,8 +102,8 @@ class Trace:
     view of ``h[1:]`` when the output gate is fixed at 1; both are None for
     the srn. Iterating yields one Step per time step.
 
-    A trace built in a Workspace lives in its buffer and stays valid only
-    until the next ``forward_sequence`` on that workspace.
+    A trace lives in its Workspace's buffer and stays valid only until the
+    next ``forward_sequence`` on that workspace.
     """
 
     x: np.ndarray
@@ -134,11 +135,11 @@ def _per_step(gate, T: int):
     return [gate] * T if isinstance(gate, float) else gate
 
 
-def _side_by_side(a: np.ndarray, alloc) -> np.ndarray:
+def _side_by_side(a: np.ndarray, ws: Workspace) -> np.ndarray:
     """(T, r, B) as (r, T*B), column t*B + b holding a[t, :, b].
 
     For a C-contiguous ``a`` this is a view when T, r or B is 1, else a
-    copy into ``alloc``'s array. Copying the B = 1 view (F-ordered) too
+    copy into an array of ``ws``. Copying the B = 1 view (F-ordered) too
     would change the BLAS kernel of the products that read it, and with
     it the rounding.
     """
@@ -146,7 +147,7 @@ def _side_by_side(a: np.ndarray, alloc) -> np.ndarray:
     v = a.transpose(1, 0, 2)
     if 1 in (T, r, B):
         return v.reshape(r, T * B)
-    out = alloc((r, T * B))
+    out = ws.take((r, T * B))
     out.reshape(r, T, B)[...] = v
     return out
 
@@ -166,8 +167,9 @@ def forward_sequence(
     (``init_params`` returns one Params for both). ``seq`` is one sequence
     (T, n_in), or a list of T input vectors, or a batch (T, B, n_in).
     Returns the head logits of the final hidden state, (n_out,) or
-    (B, n_out), and the Trace that the backward pass consumes. With a
-    workspace the trace is carved from it, which starts it over.
+    (B, n_out), and the Trace that the backward pass consumes. The trace
+    and its copy of the inputs are carved from ``ws`` (starting it over)
+    or from a private fresh Workspace.
     """
     x = np.asarray(seq, dtype=np.float64)
     single = x.ndim == 2
@@ -177,29 +179,27 @@ def forward_sequence(
         raise ValueError(
             f"inputs of shape {x.shape} are not a nonempty (T, [B,] n_in={p.n_in}) array"
         )
-    if ws is not None:
-        ws.restart()
-    alloc = np.empty if ws is None else ws.take
-    if not x.flags.c_contiguous:  # e.g. a batch-major batch seen time-major
-        x_in, x = x, alloc(x.shape)
-        x[...] = x_in
+    ws = Workspace() if ws is None else ws
+    ws.restart()
+    x_in, x = x, ws.take(x.shape)
+    x[...] = x_in
     T, B, n_in = x.shape
     n_h = p.n_h
     lay = _layout_of(spec, p)
     gr, d0, b0 = lay.gate_rows, lay.dense_from, lay.bias_from
     W, U, b = (p.stacks[k] for k in "WUb")
 
-    pre = alloc((T, gr + n_h, B))
-    proj = np.matmul(W, x.reshape(T * B, n_in).T, out=alloc((len(W), T * B)))
+    pre = ws.take((T, gr + n_h, B))
+    proj = np.matmul(W, x.reshape(T * B, n_in).T, out=ws.take((len(W), T * B)))
     np.add(proj.reshape(-1, T, B).transpose(1, 0, 2), b[d0 - b0 :, None], out=pre[:, d0:])
 
-    h = alloc((T + 1, n_h, B))
+    h = ws.take((T + 1, n_h, B))
     h[0] = 0.0
     if lay.memory:
-        act_ = alloc(pre.shape)
-        c = alloc(h.shape)
+        act_ = ws.take(pre.shape)
+        c = ws.take(h.shape)
         c[0] = 0.0
-        sig_c = h[1:] if "o" in lay.unit else alloc((T, n_h, B))
+        sig_c = h[1:] if "o" in lay.unit else ws.take((T, n_h, B))
     else:  # the srn's only block is the candidate, whose value is h_t itself
         act_ = h[1:]
         c = sig_c = None
@@ -266,8 +266,8 @@ def backward_sequence(
     ``dlogits`` is the loss gradient with respect to the logits, (n_out,)
     for a single sequence or (B, n_out) for a batch; the gradients are
     summed over the batch rows and returned as a Params of ``p``'s layout.
-    With a workspace (the one the trace was built in) the deltas are
-    carved from it after the trace.
+    The deltas are carved from ``ws`` (the trace's) after the trace, or
+    from a private fresh Workspace.
     """
     if len(trace) == 0:
         raise ValueError("empty trace (was forward_sequence run?)")
@@ -285,22 +285,22 @@ def backward_sequence(
     act = spec.activation
     Ut = p.stacks["U"].T
     dh = head["W_hy"].T @ dl.T
-    alloc = np.empty if ws is None else ws.take
-    dpre = alloc(pre.shape)
+    ws = Workspace() if ws is None else ws
+    dpre = ws.take(pre.shape)
 
     i, f, o = _gate_values(lay, act_)
     f_t = _per_step(f, T)
     cand = act_[:, gr:]
     gates = act_[:, :gr]
-    dgates = activation_derivative(Activation.SIGMOID, gates, gates, alloc(gates.shape))
+    dgates = activation_derivative(Activation.SIGMOID, gates, gates, ws.take(gates.shape))
     if lay.memory:  # dc_t picks up dh_t * o_t * act'(c_t)
-        dc_from_dh = activation_derivative(act, c[1:], sig_c, alloc(sig_c.shape))
+        dc_from_dh = activation_derivative(act, c[1:], sig_c, ws.take(sig_c.shape))
         if "o" not in lay.unit:
             dc_from_dh *= o
-        dc = alloc((n_h, B))
+        dc = ws.take((n_h, B))
         dc[...] = 0.0
     # the candidate delta is dc_t * i_t * act'(a_c), and dc_t is dh_t for the srn
-    dcand = activation_derivative(act, pre[:, gr:], cand, alloc(cand.shape))
+    dcand = activation_derivative(act, pre[:, gr:], cand, ws.take(cand.shape))
     if lay.memory and "i" not in lay.unit:
         dcand *= i
     sl = lay.block
@@ -330,8 +330,8 @@ def backward_sequence(
 
     # Every step's deltas side by side, (m, T*B), against inputs and hidden
     # states stacked in the same (t, b) order.
-    deltas = _side_by_side(dpre, alloc)
-    h_prev = _side_by_side(h[:T], alloc)
+    deltas = _side_by_side(dpre, ws)
+    h_prev = _side_by_side(h[:T], ws)
     grads = Params(lay)
     g = grads.stacks
     np.matmul(deltas[d0:], trace.x.reshape(T * B, n_in), out=g["W"])

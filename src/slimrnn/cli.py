@@ -25,7 +25,7 @@ DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epochs", type=int, default=DEFAULTS["epochs"])
     p.add_argument("--batch-size", type=int, default=DEFAULTS["batch_size"])
-    p.add_argument("--hidden", type=int, default=DEFAULTS["n_h"], help="hidden units")
+    p.add_argument("--hidden", dest="n_h", metavar="HIDDEN", type=int, default=DEFAULTS["n_h"], help="hidden units")
     p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p.add_argument("--train-limit", type=int, default=DEFAULTS["train_limit"])
     p.add_argument("--test-limit", type=int, default=DEFAULTS["test_limit"])
@@ -33,17 +33,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _config(args: argparse.Namespace, **fields) -> TrainConfig:
-    """TrainConfig from the options of _add_common, plus ``fields``."""
-    return TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        n_h=args.hidden,
-        seed=args.seed,
-        train_limit=args.train_limit,
-        test_limit=args.test_limit,
-        data_dir=args.data_dir,
-        **fields,
-    )
+    """TrainConfig from the options whose dest is one of its fields, plus ``fields``."""
+    return TrainConfig(**{k: v for k, v in vars(args).items() if k in DEFAULTS}, **fields)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -58,21 +49,21 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--activation", required=True, choices=ACTIVATION_CHOICES)
     p.add_argument("--eta", type=float, default=DEFAULTS["eta"], help="learning rate")
     _add_common(p)
-    p.add_argument("--out", default=None, help="metrics CSV path")
+    p.add_argument("--out", dest="metrics_path", metavar="OUT", default=None, help="metrics CSV path")
 
     p = sub.add_parser("grid", help="train a variant x activation x eta grid")
-    p.add_argument("--variant", action="append", choices=VARIANT_CHOICES,
+    p.add_argument("--variant", dest="variants", action="append", choices=VARIANT_CHOICES,
                    help=f"repeatable; default: {', '.join(GRID_VARIANTS)}")
-    p.add_argument("--activation", action="append", choices=ACTIVATION_CHOICES,
+    p.add_argument("--activation", dest="activations", action="append", choices=ACTIVATION_CHOICES,
                    help=f"repeatable; default: {', '.join(ACTIVATION_CHOICES)}")
-    p.add_argument("--eta", action="append", type=float,
+    p.add_argument("--eta", dest="etas", metavar="ETA", action="append", type=float,
                    help=f"repeatable; default: {', '.join(f'{eta:g}' for eta in DEFAULT_ETAS)}")
     _add_common(p)
     p.add_argument("--out", default="grid-out", help="output directory")
 
     p = sub.add_parser("count-params", help="trainable parameter counts per variant")
     p.add_argument("--variant", choices=VARIANT_CHOICES, default=None)
-    p.add_argument("--hidden", type=int, default=DEFAULTS["n_h"])
+    p.add_argument("--hidden", dest="n_h", metavar="HIDDEN", type=int, default=DEFAULTS["n_h"])
 
     p = sub.add_parser("grad-check", help="verify BPTT gradients against finite differences")
     p.add_argument("--seed", type=int, default=0, help="first of --trials consecutive seeds")
@@ -82,9 +73,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    config = _config(args, variant=args.variant, activation=args.activation, eta=args.eta,
-                     metrics_path=args.out)
-    metrics = train(config, verbose=True)
+    metrics = train(_config(args), verbose=True)
     best = best_of(metrics)
     print(f"best train_acc={best.best_train:.4f}  "
           f"best test_acc={best.best_test:.4f} (epoch {best.best_test_epoch})")
@@ -92,9 +81,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    variants = args.variant or GRID_VARIANTS
-    activations = args.activation or ACTIVATION_CHOICES
-    etas = args.eta or list(DEFAULT_ETAS)
+    variants = args.variants or GRID_VARIANTS
+    activations = args.activations or ACTIVATION_CHOICES
+    etas = args.etas or list(DEFAULT_ETAS)
     base = _config(args, variant=variants[0], activation=activations[0])
     summary = run_grid(variants, activations, etas, base, args.out, verbose=True)
     print(f"summary written to {summary}")
@@ -102,11 +91,11 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_count_params(args: argparse.Namespace) -> int:
-    if args.hidden < 1:
+    if args.n_h < 1:
         raise ConfigError("--hidden must be at least 1")
     wanted = [Variant(args.variant)] if args.variant else list(Variant)
     for variant in wanted:
-        print(f"{variant.value} {layout(variant, MNIST_INPUT_DIM, args.hidden, NUM_CLASSES).size}")
+        print(f"{variant.value} {layout(variant, MNIST_INPUT_DIM, args.n_h, NUM_CLASSES).size}")
     return 0
 
 

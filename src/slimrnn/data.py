@@ -125,9 +125,13 @@ def _read_payload(f: BinaryIO, size: int, header_size: int, path) -> np.ndarray:
     """The ``size`` bytes after the header as a new uint8 array; the file must end there.
 
     Bytes go straight into the array READ_CHUNK at a time, so the file's
-    contents never also sit in memory as one bytes object.
+    contents never also sit in memory as one bytes object. A size numpy
+    cannot or this machine will not allocate is an IdxFormatError.
     """
-    out = np.empty(size, dtype=np.uint8)
+    try:
+        out = np.empty(size, dtype=np.uint8)
+    except (ValueError, MemoryError) as e:
+        raise IdxFormatError(f"{path}: header claims {size} payload bytes: {e}") from e
     view = memoryview(out)
     filled = 0
     while filled < size:

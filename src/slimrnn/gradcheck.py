@@ -1,13 +1,13 @@
 """Central finite-difference verification of the hand-derived gradients.
 
-For every trainable coordinate the loss is evaluated at +/- eps and the
-central difference is compared against the analytic gradient. The
-comparison is relative:
+For every trainable coordinate the loss is evaluated at +/- EPS, the one
+step (a module constant), and the central difference is compared against
+the analytic gradient. The comparison is relative:
 
     err = |analytic - numeric| / max(|analytic|, |numeric|, 1e-4)
 
 The 1e-4 floor keeps coordinates whose gradient vanishes from dividing
-finite-difference roundoff (~1e-10 at eps=1e-5) by zero; real errors are
+finite-difference roundoff (~1e-10 at EPS=1e-5) by zero; real errors are
 proportional to the gradient itself and still surface.
 
 The 2P + 1 loss evaluations (P parameters) run as replica passes:
@@ -23,14 +23,14 @@ a standalone forward pass only in the summation order of the matrix
 products. REPLICA_UNITS bounds the memory of a pass. The replica cell's
 layout and the map from each copy's coordinates to its vector are built
 once per (layout, R) and cached; each check fills a fresh zero vector
-through that map, and each pass writes its vectors' +/- eps entries into
+through that map, and each pass writes its vectors' +/- EPS entries into
 it in place and undoes them afterwards.
 
 relu has a kink at zero, where no finite difference is trustworthy. A
 coordinate is only compared when every relu input (candidate
 pre-activations and cell states fed to the output activation, at every
 step of every example) lies on the same side of the kink in the
-unperturbed evaluation and in both perturbed ones: the +/- eps evaluations
+unperturbed evaluation and in both perturbed ones: the +/- EPS evaluations
 then lie on one smooth piece of the loss, so the central difference is
 as accurate there as for tanh or sigmoid. Inputs that are exactly zero
 count as off: a relu cell pins many values at 0.0 by construction
@@ -100,12 +100,12 @@ def _replica_map(variant: Variant, n_in: int, n_h: int, n_out: int, R: int) -> t
 
 
 def sweep_losses(
-    spec: VariantSpec, params: Params, seqs: np.ndarray, labels: np.ndarray, eps: float = EPS
+    spec: VariantSpec, params: Params, seqs: np.ndarray, labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean loss over the time-major batch ``seqs`` (T, B, n_in) at every vector of the sweep.
 
-    Vector 0 is the unperturbed one; vectors 2j+1 and 2j+2 add +eps and
-    -eps to coordinate j of the parameter vector ``params.vec``. Also
+    Vector 0 is the unperturbed one; vectors 2j+1 and 2j+2 add +EPS and
+    -EPS to coordinate j of the parameter vector ``params.vec``. Also
     returns, per vector, whether its relu pattern equals vector 0's.
     """
     lay, base = params.layout, params.vec
@@ -118,7 +118,7 @@ def sweep_losses(
 
     n = 2 * P + 1
     coord = np.arange(-1, n - 1) // 2  # vector k > 0 moves coordinate (k-1)//2
-    value = base[coord] + np.where(np.arange(n) % 2, eps, -eps)
+    value = base[coord] + np.where(np.arange(n) % 2, EPS, -EPS)
     B = len(labels)
     labels = np.repeat(labels, R)  # logits row b*R + r is example b under replica r
     losses = np.empty(n)
@@ -162,7 +162,6 @@ def check_gradients(
     n_out: int = 4,
     T: int = 4,
     seed: int = 0,
-    eps: float = EPS,
     batch_size: int = 1,
 ) -> CheckResult:
     """Compare batch BPTT gradients against central differences for one config.
@@ -177,12 +176,11 @@ def check_gradients(
         inputs=rng.uniform(0.0, 1.0, size=(batch_size, T, n_in)),
         labels=rng.integers(0, n_out, size=batch_size),
     )
-    seqs = np.ascontiguousarray(np.swapaxes(batch.inputs, 0, 1))
 
     _, grads, _ = batch_loss_and_grads(spec, cell, head, batch)
     analytic = grads.vec
-    losses, same = sweep_losses(spec, cell, seqs, batch.labels, eps)
-    numeric = (losses[1::2] - losses[2::2]) / (2.0 * eps)
+    losses, same = sweep_losses(spec, cell, np.swapaxes(batch.inputs, 0, 1), batch.labels)
+    numeric = (losses[1::2] - losses[2::2]) / (2.0 * EPS)
     compared = same[1::2] & same[2::2]
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), _ERR_FLOOR)
     err = np.abs(analytic - numeric)[compared] / scale[compared]

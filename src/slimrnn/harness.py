@@ -233,17 +233,20 @@ def run_grid(
     """Train every (variant, activation, eta) cell; returns the summary path.
 
     Every cell's configuration is validated before the first cell runs, so
-    a bad one (an ``out_dir`` that is, or lies under, a regular file among
-    them), or two cells whose metrics files would share a name, raises
-    ConfigError without training anything; an unusable dataset raises
-    DataError before ``out_dir`` is created. Each cell writes its own
-    metrics CSV into ``out_dir``, and all cells share one Workspace. A
-    cell that fails while running is recorded with NaN accuracies and the
-    grid keeps going.
+    a bad one (an unknown variant or activation, or an ``out_dir`` that is,
+    or lies under, a regular file among them), or two cells whose metrics
+    files would share a name, raises ConfigError without training
+    anything; an unusable dataset raises DataError before ``out_dir`` is
+    created. Each cell writes its own metrics CSV into ``out_dir``, and
+    all cells share one Workspace. A cell that fails while running is
+    recorded with NaN accuracies and the grid keeps going.
     """
     out_dir = Path(out_dir)
-    variants = [Variant(v) for v in variants]
-    activations = [Activation(a) for a in activations]
+    try:
+        variants = [Variant(v) for v in variants]
+        activations = [Activation(a) for a in activations]
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     etas = list(etas)
     if not variants or not activations or not etas:
         raise ConfigError("grid axes must be nonempty")

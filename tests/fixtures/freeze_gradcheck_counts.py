@@ -6,10 +6,10 @@ n_in=3, n_h=5, n_out=4, T=4) at batch sizes 1 and 3, this writes what
 this script: under the key ``<variant>/<activation>/<seed>/<B>``, the pair
 ``[compared, skipped]``. At eps=1e-5 no relu input of that matrix comes
 near the kink, so every count has skipped == 0; the relu rows are written
-once more at the coarse step eps=0.03 (keys ending in ``/eps=0.03``),
-where the perturbations flip relu inputs and the kink rule skips
-coordinates. Those coarse checks do not pass (the step is far too large
-for the tolerance); only their counts are a reference.
+once more with ``gradcheck.EPS`` set to the coarse step 0.03 (keys ending
+in ``/eps=0.03``), where the perturbations flip relu inputs and the kink
+rule skips coordinates. Those coarse checks do not pass (the step is far
+too large for the tolerance); only their counts are a reference.
 
 The committed file was written by the one-coordinate-per-forward-pass
 check that preceded the replica passes (commit c7a187b), so
@@ -25,7 +25,9 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
+from slimrnn import gradcheck
 from slimrnn.gradcheck import check_all
 
 SEEDS = (0, 1, 2)
@@ -42,7 +44,9 @@ def freeze() -> dict[str, list[int]]:
             if not r.passed:
                 raise SystemExit(f"{r} does not pass; refusing to freeze its counts")
             out[f"{r.variant.value}/{r.activation.value}/{r.seed}/{size}"] = [r.compared, r.skipped]
-        for r in check_all(seeds=SEEDS, activations=("relu",), batch_size=size, eps=COARSE_EPS, **DIMS):
+        with mock.patch.object(gradcheck, "EPS", COARSE_EPS):
+            coarse = check_all(seeds=SEEDS, activations=("relu",), batch_size=size, **DIMS)
+        for r in coarse:
             out[f"{r.variant.value}/relu/{r.seed}/{size}/eps={COARSE_EPS:g}"] = [r.compared, r.skipped]
     return out
 

@@ -260,6 +260,20 @@ def test_empty_batch_is_rejected_at_construction():
         SequenceBatch(inputs=np.zeros((0, 2, 3)), labels=np.zeros(0, dtype=np.int64))
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_trace_owns_its_input(variant):
+    # a C-contiguous time-major batch is copied too, so the caller may
+    # overwrite its array between the forward and the backward pass
+    spec, cell, head, _, _ = random_setup(variant, "tanh")
+    x = stream(1, TAG_GRADCHECK).uniform(0.0, 1.0, size=(4, 3, 3))
+    logits, trace = forward_sequence(spec, cell, head, x)
+    assert not np.shares_memory(trace.x, x)
+    _, dlogits = softmax_xent(logits, np.array([0, 1, 3]))
+    want = backward_sequence(spec, cell, head, trace, dlogits).vec
+    x[...] = 0.0
+    assert np.array_equal(backward_sequence(spec, cell, head, trace, dlogits).vec, want)
+
+
 @pytest.mark.parametrize("activation", ALL_ACTIVATIONS)
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_workspace_reuse_is_bitwise_neutral(variant, activation):

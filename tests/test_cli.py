@@ -3,7 +3,7 @@ import pytest
 
 import slimrnn.cli as cli
 from slimrnn.cli import main
-from slimrnn.data import TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES
+from slimrnn.data import IMAGE_MAGIC, TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES
 from slimrnn.harness import EpochMetrics, TrainConfig
 
 from .conftest import synth_images, write_idx_images, write_idx_labels, write_mnist_dir
@@ -72,6 +72,9 @@ def _spoil(directory, problem):
     elif problem == "zero-size-images":
         for name in (TRAIN_IMAGES, TEST_IMAGES):
             write_idx_images(directory / name, np.zeros((8, 0, 0)))
+    elif problem == "huge-header":  # a claim numpy refuses without allocating anything
+        header = (IMAGE_MAGIC, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF)
+        (directory / TRAIN_IMAGES).write_bytes(b"".join(v.to_bytes(4, "big") for v in header))
     elif problem == "test-shape-mismatch":
         write_idx_images(directory / TEST_IMAGES, synth_images(8, 1, rows=28, cols=27)[0])
     else:  # "directory": a data path names a directory, not a file
@@ -80,7 +83,9 @@ def _spoil(directory, problem):
 
 
 @pytest.mark.parametrize("command", ["train", "grid"])
-@pytest.mark.parametrize("problem", ["no-test-images", "zero-size-images", "test-shape-mismatch", "directory"])
+@pytest.mark.parametrize(
+    "problem", ["no-test-images", "zero-size-images", "huge-header", "test-shape-mismatch", "directory"]
+)
 def test_unusable_data_exits_3(tmp_path, capsys, command, problem):
     write_mnist_dir(tmp_path, n_train=8, n_test=8)
     _spoil(tmp_path, problem)

@@ -18,7 +18,7 @@ FROZEN = json.loads(OUT.read_text())
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-def test_counts_match_frozen_one_coordinate_check(batch_size):
+def test_counts_match_frozen_one_coordinate_check(batch_size, monkeypatch):
     # fixtures/gradcheck_counts.json holds what the check counted with one
     # forward pass per perturbed coordinate
     seen = 0
@@ -27,7 +27,8 @@ def test_counts_match_frozen_one_coordinate_check(batch_size):
         assert [r.compared, r.skipped] == FROZEN[key], key
         assert r.passed, (key, r.max_rel_err)
         seen += 1
-    for r in check_all(seeds=SEEDS, activations=("relu",), batch_size=batch_size, eps=COARSE_EPS, **DIMS):
+    monkeypatch.setattr(gradcheck, "EPS", COARSE_EPS)
+    for r in check_all(seeds=SEEDS, activations=("relu",), batch_size=batch_size, **DIMS):
         key = f"{r.variant.value}/relu/{r.seed}/{batch_size}/eps={COARSE_EPS:g}"
         assert [r.compared, r.skipped] == FROZEN[key], key
         seen += 1

@@ -306,6 +306,14 @@ def test_run_grid_rejects_empty_axes(tmp_path):
         run_grid([], ["tanh"], [1e-3], small_config(), tmp_path, dataset=synth_dataset(8, 8))
 
 
+@pytest.mark.parametrize("axes", [(["bogus"], ["tanh"]), (["lstm6"], ["bogus"])])
+def test_run_grid_rejects_unknown_names_as_config_error(tmp_path, axes):
+    out_dir = tmp_path / "grid"
+    with pytest.raises(ConfigError, match="bogus"):
+        run_grid(*axes, [1e-3], small_config(), out_dir, dataset=synth_dataset(8, 8))
+    assert not out_dir.exists()
+
+
 def test_run_grid_validates_every_cell_before_running(tmp_path, monkeypatch):
     ran = []
     monkeypatch.setattr(harness, "train", lambda config, **kw: ran.append(config))
