@@ -113,16 +113,9 @@ class Trace:
     c: np.ndarray | None
     sig_c: np.ndarray | None
 
-    def __len__(self) -> int:
-        return len(self.pre)
-
-    def __getitem__(self, t: int) -> Step:
-        t = range(len(self))[t]
-        n_h = self.h.shape[1]
-        return Step(self.pre[t, -n_h:], None if self.c is None else self.c[t + 1])
-
     def __iter__(self):
-        return (self[t] for t in range(len(self)))
+        cell_states = [None] * len(self.pre) if self.c is None else self.c[1:]
+        return map(Step, self.pre[:, -self.h.shape[1] :], cell_states)
 
 
 def _gate_values(lay: Layout, act: np.ndarray) -> list[np.ndarray | float | None]:
@@ -269,7 +262,7 @@ def backward_sequence(
     The deltas are carved from ``ws`` (the trace's) after the trace, or
     from a private fresh Workspace.
     """
-    if len(trace) == 0:
+    if len(trace.pre) == 0:
         raise ValueError("empty trace (was forward_sequence run?)")
     T, B, n_in = trace.x.shape
     n_h = p.n_h
@@ -359,8 +352,6 @@ def batch_loss_and_grads(
     of a call without one.
     """
     size = len(batch.labels)
-    if size == 0:
-        raise ValueError("empty batch")
     logits, trace = forward_sequence(spec, p, head, np.swapaxes(batch.inputs, 0, 1), ws)
     labels = np.asarray(batch.labels)
     losses, dlogits = softmax_xent(logits, labels)

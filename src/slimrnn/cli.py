@@ -1,13 +1,24 @@
 """Command-line harness: train, grid, count-params, grad-check.
 
 Exit codes: 0 success, 1 failed check, 2 bad configuration, 3 data problems.
+
+Before any work, ``main`` sets the OpenBLAS bundled with numpy (found in
+``numpy.libs`` next to the numpy package) to one thread. A GEMM's rounding
+depends on how many threads split it, so this makes every command
+reproduce bit for bit at any ``OPENBLAS_NUM_THREADS``. A BLAS that exports
+none of ``BLAS_SET_THREADS`` runs unpinned, with one line on stderr saying
+so. Python callers of ``harness.train`` keep their own thread setting.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import sys
+from pathlib import Path
+
+import numpy as np
 
 from .cells import GATES, Activation, Variant, layout
 from .data import NUM_CLASSES, DataError
@@ -20,6 +31,25 @@ VARIANT_CHOICES = [v.value for v in Variant]
 ACTIVATION_CHOICES = [a.value for a in Activation]
 GRID_VARIANTS = [v.value for v in Variant if GATES[v] is not None]
 DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+# thread-count setters of the ILP64 OpenBLAS that numpy wheels bundle: numpy >= 2.0, then 1.22-1.26
+BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
+
+
+def _pin_blas() -> None:
+    """Set numpy's bundled OpenBLAS to one thread, or say on stderr that it stays unpinned."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            blas = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in BLAS_SET_THREADS:
+            if hasattr(blas, name):
+                set_threads = getattr(blas, name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                return
+    print("note: numpy's BLAS exports no known thread setter; it runs unpinned, "
+          "so results may differ between thread counts", file=sys.stderr)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -116,6 +146,7 @@ def _cmd_grad_check(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    _pin_blas()
     handlers = {
         "train": _cmd_train,
         "grid": _cmd_grid,

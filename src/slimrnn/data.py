@@ -2,7 +2,8 @@
 
 Image files are the big-endian IDX container: magic 0x00000803, three
 uint32 dims (count, rows, cols), then unsigned bytes. Label files use
-magic 0x00000801 and one uint32 count. Files whose first two bytes are
+magic 0x00000801 and one uint32 count; the magic's low byte is the number
+of dims, so one parser reads both. Files whose first two bytes are
 the gzip signature 0x1f 0x8b are decompressed transparently. Nothing here
 touches the network; when files are missing the error carries download
 instructions.
@@ -15,6 +16,7 @@ counter-based stream keyed by (seed, epoch); test order is never shuffled.
 from __future__ import annotations
 
 import gzip
+import math
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -34,6 +36,7 @@ TRAIN_IMAGES = "train-images-idx3-ubyte"
 TRAIN_LABELS = "train-labels-idx1-ubyte"
 TEST_IMAGES = "t10k-images-idx3-ubyte"
 TEST_LABELS = "t10k-labels-idx1-ubyte"
+_FILES = (TRAIN_IMAGES, TRAIN_LABELS, TEST_IMAGES, TEST_LABELS)
 
 FETCH_HINT = """\
 Expected the four MNIST IDX files (optionally gzipped) under {directory}:
@@ -114,13 +117,6 @@ def _open_idx(path: str | Path) -> Iterator[BinaryIO]:
         raise IdxFormatError(f"{path}: cannot decompress: {e}") from e
 
 
-def _header_fields(f: BinaryIO, n: int, path) -> tuple[int, ...]:
-    raw = f.read(4 * n)
-    if len(raw) < 4 * n:
-        raise IdxFormatError(f"{path}: truncated header, file ends at byte {len(raw)}")
-    return tuple(int.from_bytes(raw[4 * i : 4 * i + 4], "big") for i in range(n))
-
-
 def _read_payload(f: BinaryIO, size: int, header_size: int, path) -> np.ndarray:
     """The ``size`` bytes after the header as a new uint8 array; the file must end there.
 
@@ -148,22 +144,27 @@ def _read_payload(f: BinaryIO, size: int, header_size: int, path) -> np.ndarray:
     return out
 
 
+def _read_idx(path: str | Path, magic: int, kind: str) -> np.ndarray:
+    """The uint8 array of an IDX file whose header is ``magic``, then as many dims as its low byte."""
+    with _open_idx(path) as f:
+        header_size = 4 * (1 + (magic & 0xFF))
+        raw = f.read(header_size)
+        if len(raw) < header_size:
+            raise IdxFormatError(f"{path}: truncated header, file ends at byte {len(raw)}")
+        found, *dims = (int.from_bytes(raw[i : i + 4], "big") for i in range(0, header_size, 4))
+        if found != magic:
+            raise IdxFormatError(f"{path}: magic {found} is not an IDX {kind} file ({magic})")
+        return _read_payload(f, math.prod(dims), header_size, path).reshape(dims)
+
+
 def read_idx_images(path: str | Path) -> np.ndarray:
     """Parse an IDX image file into a uint8 array of shape (count, rows, cols)."""
-    with _open_idx(path) as f:
-        magic, count, rows, cols = _header_fields(f, 4, path)
-        if magic != IMAGE_MAGIC:
-            raise IdxFormatError(f"{path}: magic {magic} is not an IDX image file ({IMAGE_MAGIC})")
-        return _read_payload(f, count * rows * cols, 16, path).reshape(count, rows, cols)
+    return _read_idx(path, IMAGE_MAGIC, "image")
 
 
 def read_idx_labels(path: str | Path) -> np.ndarray:
     """Parse an IDX label file into an int64 array; labels must be below 10."""
-    with _open_idx(path) as f:
-        magic, count = _header_fields(f, 2, path)
-        if magic != LABEL_MAGIC:
-            raise IdxFormatError(f"{path}: magic {magic} is not an IDX label file ({LABEL_MAGIC})")
-        labels = _read_payload(f, count, 8, path)
+    labels = _read_idx(path, LABEL_MAGIC, "label")
     if labels.size and int(labels.max()) >= NUM_CLASSES:
         bad = int(np.argmax(labels >= NUM_CLASSES))
         raise IdxFormatError(f"{path}: label {int(labels[bad])} at index {bad} is out of range")
@@ -202,15 +203,8 @@ def _resolve(directory: Path, stem: str) -> Path:
             return candidate
     raise MissingDataError(
         f"{directory / stem}[.gz] not found.\n"
-        + FETCH_HINT.format(
-            directory=directory,
-            names=", ".join((TRAIN_IMAGES, TRAIN_LABELS, TEST_IMAGES, TEST_LABELS)),
-        )
+        + FETCH_HINT.format(directory=directory, names=", ".join(_FILES))
     )
-
-
-def load_split(images_path: str | Path, labels_path: str | Path, limit: int | None = None) -> Split:
-    return to_sequences(read_idx_images(images_path), read_idx_labels(labels_path), limit)
 
 
 def load_dataset(
@@ -219,10 +213,10 @@ def load_dataset(
     test_limit: int | None = None,
 ) -> Dataset:
     """Load the four standard MNIST files from a directory, checked by ``check_dataset``."""
-    directory = Path(data_dir)
+    train_images, train_labels, test_images, test_labels = (_resolve(Path(data_dir), stem) for stem in _FILES)
     dataset = Dataset(
-        train=load_split(_resolve(directory, TRAIN_IMAGES), _resolve(directory, TRAIN_LABELS), train_limit),
-        test=load_split(_resolve(directory, TEST_IMAGES), _resolve(directory, TEST_LABELS), test_limit),
+        train=to_sequences(read_idx_images(train_images), read_idx_labels(train_labels), train_limit),
+        test=to_sequences(read_idx_images(test_images), read_idx_labels(test_labels), test_limit),
     )
     check_dataset(dataset)
     return dataset

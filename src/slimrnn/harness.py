@@ -11,6 +11,7 @@ training simply continues; divergence is data, not an error.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import time
@@ -105,7 +106,7 @@ class BestResult:
     best_test_epoch: int
 
 
-def evaluate(spec: VariantSpec, params: Params, head: Params, split: Split, ws: Workspace | None = None) -> float:
+def evaluate(spec: VariantSpec, model: Params, split: Split, ws: Workspace | None = None) -> float:
     """Fraction of examples whose argmax logit hits the label (ties: lowest index).
 
     The split runs through the batched forward pass EVAL_CHUNK examples at
@@ -117,7 +118,7 @@ def evaluate(spec: VariantSpec, params: Params, head: Params, split: Split, ws: 
     correct = 0
     for start in range(0, len(split), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
-        logits, _ = forward_sequence(spec, params, head, np.swapaxes(split.sequences[chunk], 0, 1), ws)
+        logits, _ = forward_sequence(spec, model, model, np.swapaxes(split.sequences[chunk], 0, 1), ws)
         correct += int(np.count_nonzero(np.argmax(logits, axis=1) == split.labels[chunk]))
     return correct / len(split)
 
@@ -178,8 +179,8 @@ def train(
 
             row = EpochMetrics(
                 epoch=epoch,
-                train_accuracy=evaluate(spec, model, model, dataset.train, ws),
-                test_accuracy=evaluate(spec, model, model, dataset.test, ws),
+                train_accuracy=evaluate(spec, model, dataset.train, ws),
+                test_accuracy=evaluate(spec, model, dataset.test, ws),
                 mean_train_loss=loss_sum / n_seen,
                 epoch_seconds=seconds,
             )
@@ -217,8 +218,8 @@ def _create_fresh(path: Path, header: str) -> IO[str]:
     return f
 
 
-def _cell_name(variant: Variant, activation: Activation, eta: float) -> str:
-    return f"{variant.value}_{activation.value}_eta{eta:g}.csv"
+def _cell_name(config: TrainConfig) -> str:
+    return f"{config.variant.value}_{config.activation.value}_eta{config.eta:g}.csv"
 
 
 def run_grid(
@@ -242,20 +243,13 @@ def run_grid(
     recorded with NaN accuracies and the grid keeps going.
     """
     out_dir = Path(out_dir)
-    try:
-        variants = [Variant(v) for v in variants]
-        activations = [Activation(a) for a in activations]
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
-    etas = list(etas)
-    if not variants or not activations or not etas:
-        raise ConfigError("grid axes must be nonempty")
     cells = [
-        replace(base, variant=v, activation=a, eta=eta, metrics_path=out_dir / _cell_name(v, a, eta)).validate()
-        for v in variants
-        for a in activations
-        for eta in etas
+        replace(base, variant=v, activation=a, eta=eta, metrics_path=None).validate()
+        for v, a, eta in itertools.product(variants, activations, etas)
     ]
+    if not cells:
+        raise ConfigError("grid axes must be nonempty")
+    cells = [replace(config, metrics_path=out_dir / _cell_name(config)).validate() for config in cells]
     paths = [config.metrics_path for config in cells]
     shared = [p.name for i, p in enumerate(paths) if p in paths[:i]]
     if shared:

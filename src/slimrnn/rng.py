@@ -15,7 +15,6 @@ import numpy as np
 TAG_INIT = 1
 TAG_SHUFFLE = 2
 TAG_GRADCHECK = 3
-TAG_SYNTH = 4
 
 _MASK64 = (1 << 64) - 1
 _EPOCH_MASK = (1 << 48) - 1

@@ -15,7 +15,9 @@ from slimrnn.data import (
     Dataset,
     Split,
 )
-from slimrnn.rng import TAG_SYNTH, stream
+from slimrnn.rng import stream
+
+TAG_SYNTH = 4  # the synthetic datasets' purpose tag, apart from every tag in slimrnn.rng
 
 
 def write_idx_images(path, images: np.ndarray) -> None:

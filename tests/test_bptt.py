@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from slimrnn.bptt import Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
+from slimrnn.bptt import Trace, Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
 from slimrnn.cells import Activation, Variant, VariantSpec, init_params
 from slimrnn.data import SequenceBatch, Split
 from slimrnn.gradcheck import check_gradients
@@ -41,25 +41,27 @@ def random_setup(variant, activation, n_in=3, n_h=5, n_out=4, T=4, seed=0):
 def test_forward_zero_params_gives_bias_logits():
     spec, cell, head = zeroed_params("lstm", "tanh", 3, 4, 2)
     head["b_y"] = [0.5, -1.5]
-    logits, caches = forward_sequence(spec, cell, head, np.zeros((1, 3)))
+    logits, trace = forward_sequence(spec, cell, head, np.zeros((1, 3)))
     assert np.array_equal(logits, [0.5, -1.5])
-    assert len(caches) == 1
+    assert len(trace.pre) == 1
 
 
 def test_forward_scalar_chain_lstm6_two_steps():
     spec, cell, head = zeroed_params("lstm6", "tanh", 1, 1, 1)
     cell["b_c"] = 0.5
     head["W_hy"] = 1.0
-    logits, caches = forward_sequence(spec, cell, head, np.zeros((2, 1)))
+    logits, trace = forward_sequence(spec, cell, head, np.zeros((2, 1)))
     # independently computed: c2 = 0.59*tanh(0.5) + tanh(0.5), h2 = tanh(c2)
-    assert caches[1].c[0] == pytest.approx(0.7347662800434155, abs=1e-12)
+    assert trace.c[2, 0, 0] == pytest.approx(0.7347662800434155, abs=1e-12)
     assert logits[0] == pytest.approx(0.6259726541420974, abs=1e-12)
 
 
 def test_forward_cache_length_matches_sequence():
     spec, cell, head, seq, _ = random_setup("lstm5", "sigmoid", T=7)
-    _, caches = forward_sequence(spec, cell, head, seq)
-    assert len(caches) == 7
+    _, trace = forward_sequence(spec, cell, head, seq)
+    steps = list(trace)
+    assert len(steps) == 7
+    assert np.array_equal(steps[-1].c, trace.c[7]) and np.array_equal(steps[-1].a_c, trace.pre[6, -5:])
 
 
 def test_forward_accepts_list_of_vectors():
@@ -143,9 +145,12 @@ def test_backward_is_linear_in_cotangent(variant):
 
 
 def test_backward_rejects_empty_caches():
-    spec, cell, head, _, _ = random_setup("lstm", "tanh")
-    with pytest.raises(ValueError):
-        backward_sequence(spec, cell, head, [], np.zeros(4))
+    spec, cell, head, seq, _ = random_setup("lstm", "tanh")
+    _, trace = forward_sequence(spec, cell, head, seq)
+    empty = Trace(x=trace.x[:0], pre=trace.pre[:0], act=trace.act[:0], h=trace.h[:1], c=trace.c[:1],
+                  sig_c=trace.sig_c[:0])
+    with pytest.raises(ValueError, match="empty trace"):
+        backward_sequence(spec, cell, head, empty, np.zeros(4))
 
 
 def test_backward_rejects_mismatched_caches():
@@ -298,7 +303,7 @@ def test_workspace_reuse_is_bitwise_neutral(variant, activation):
     batch = digests.digest_batch(40)  # two evaluation chunks, the second one short
     split = Split(sequences=batch.inputs, labels=batch.labels)
     ws._buf.fill(np.nan)
-    assert evaluate(spec, p, p, split, ws) == evaluate(spec, p, p, split)
+    assert evaluate(spec, p, split, ws) == evaluate(spec, p, split)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -321,9 +326,6 @@ def test_determinism_through_cli(tmp_path):
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "slimrnn", "count-params", "--hidden", "100"],
         capture_output=True,
@@ -331,3 +333,50 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "lstm 52610" in proc.stdout
+
+
+# After main has run a command, one gradient digest per variant for a
+# B = 32, n_h = 100 batch: large enough that OpenBLAS splits the backward
+# pass's GEMMs between threads when it has more than one.
+DIGESTS_AFTER_MAIN = """
+import contextlib, hashlib, io
+import numpy as np
+from slimrnn.bptt import batch_loss_and_grads
+from slimrnn.cells import Variant, VariantSpec, init_params
+from slimrnn.cli import main
+from slimrnn.data import SequenceBatch
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["count-params"])
+rng = np.random.default_rng(0)
+batch = SequenceBatch(inputs=rng.uniform(size=(32, 28, 28)), labels=rng.integers(0, 10, size=32))
+for variant in Variant:
+    spec = VariantSpec.make(variant, "tanh")
+    p, _ = init_params(spec, 28, 100, 10, seed=0)
+    print(variant.value, hashlib.sha256(batch_loss_and_grads(spec, p, p, batch)[1].vec.tobytes()).hexdigest())
+"""
+
+
+def test_cli_runs_reproduce_bits_at_any_blas_thread_count():
+    # Unpinned, 2 threads round the U gradient of every variant differently.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    procs = [
+        subprocess.Popen([sys.executable, "-c", DIGESTS_AFTER_MAIN], stdout=subprocess.PIPE, text=True,
+                         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+        for threads in ("1", "2")
+    ]
+    try:
+        outs = [proc.communicate(timeout=60)[0] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert len(outs[0].splitlines()) == 7
+    assert outs[0] == outs[1]
+
+
+def test_unpinnable_blas_runs_with_a_note(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "BLAS_SET_THREADS", ())
+    assert main(["count-params", "--variant", "lstm6"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "lstm6 13910\n"
+    assert len(captured.err.splitlines()) == 1 and "unpinned" in captured.err

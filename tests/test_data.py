@@ -1,4 +1,5 @@
 import gzip
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,30 @@ def test_out_of_range_label_rejected(tmp_path):
     write_idx_labels(path, np.array([1, 10, 2], dtype=np.uint8))
     with pytest.raises(IdxFormatError, match="label 10"):
         read_idx_labels(path)
+
+
+# (reader, file the reader is given, how its bytes are cut or padded, the error's wording)
+IDX_FORMAT_ERRORS = {
+    "image-header-truncated": (read_idx_images, "images", lambda b: b[:10], "truncated header, file ends at byte 10"),
+    "label-header-truncated": (read_idx_labels, "labels", lambda b: b[:5], "truncated header, file ends at byte 5"),
+    "labels-given-as-images": (read_idx_images, "labels", lambda b: b,
+                               r"magic 2049 is not an IDX image file \(2051\)"),
+    "images-given-as-labels": (read_idx_labels, "images", lambda b: b,
+                               r"magic 2051 is not an IDX label file \(2049\)"),
+    "label-payload-truncated": (read_idx_labels, "labels", lambda b: b[:-3], "truncated at byte 15, expected 18 bytes"),
+    "label-trailing-bytes": (read_idx_labels, "labels", lambda b: b + b"\0\0", "2 trailing bytes after payload"),
+}
+
+
+@pytest.mark.parametrize("case", IDX_FORMAT_ERRORS)
+def test_idx_format_errors_keep_their_wording(tmp_path, case):
+    reader, name, cut, wording = IDX_FORMAT_ERRORS[case]
+    write_idx_images(tmp_path / "images", np.zeros((2, 3, 3), dtype=np.uint8))  # 16 + 18 bytes
+    write_idx_labels(tmp_path / "labels", np.arange(10, dtype=np.uint8))  # 8 + 10 bytes
+    path = tmp_path / name
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(IdxFormatError, match=re.escape(f"{path}: ") + wording + "$"):
+        reader(path)
 
 
 def test_to_sequences_count_mismatch():

@@ -55,25 +55,25 @@ def test_config_validation():
 
 
 def test_evaluate_zero_logits_tie_breaks_to_class_zero():
-    spec, cell, head = zeroed_params("lstm6", "tanh", 4, 3, 10)
+    spec, model, _ = zeroed_params("lstm6", "tanh", 4, 3, 10)
     labels = np.array([0, 0, 1, 2, 0], dtype=np.int64)
     split = Split(sequences=np.zeros((5, 2, 4)), labels=labels)
-    assert evaluate(spec, cell, head, split) == pytest.approx(3 / 5)
+    assert evaluate(spec, model, split) == pytest.approx(3 / 5)
 
 
 def test_evaluate_singleton_correct():
-    spec, cell, head = zeroed_params("lstm6", "tanh", 4, 3, 10)
+    spec, model, _ = zeroed_params("lstm6", "tanh", 4, 3, 10)
     split = Split(sequences=np.zeros((1, 2, 4)), labels=np.array([0], dtype=np.int64))
-    assert evaluate(spec, cell, head, split) == 1.0
+    assert evaluate(spec, model, split) == 1.0
 
 
 def test_evaluate_constructed_two_of_three():
     # zero cell state makes logits equal b_y; argmax points at class 1
-    spec, cell, head = zeroed_params("srn", "tanh", 4, 3, 3)
-    head["b_y"] = [0.0, 1.0, 0.5]
+    spec, model, _ = zeroed_params("srn", "tanh", 4, 3, 3)
+    model["b_y"] = [0.0, 1.0, 0.5]
     labels = np.array([1, 1, 2], dtype=np.int64)
     split = Split(sequences=np.zeros((3, 2, 4)), labels=labels)
-    assert evaluate(spec, cell, head, split) == pytest.approx(2 / 3)
+    assert evaluate(spec, model, split) == pytest.approx(2 / 3)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -85,8 +85,8 @@ def test_evaluate_with_workspace_allocates_under_half_a_mb(variant):
     p, _ = init_params(spec, 28, 100, 10, seed=0)
     split = synth_split(100, seed=2)
     ws = Workspace()
-    evaluate(spec, p, p, split, ws)
-    assert traced_peak_mb(lambda: evaluate(spec, p, p, split, ws)) <= 0.5
+    evaluate(spec, p, split, ws)
+    assert traced_peak_mb(lambda: evaluate(spec, p, split, ws)) <= 0.5
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -99,15 +99,15 @@ def test_evaluate_accuracy_does_not_depend_on_chunking(monkeypatch, variant):
     accuracies = set()
     for chunk in (1, 32, 128):
         monkeypatch.setattr(harness, "EVAL_CHUNK", chunk)
-        accuracies.add(evaluate(spec, p, p, split, Workspace()))
+        accuracies.add(evaluate(spec, p, split, Workspace()))
     assert len(accuracies) == 1
 
 
 def test_evaluate_rejects_empty_split():
-    spec, cell, head = zeroed_params("lstm6", "tanh", 4, 3, 10)
+    spec, model, _ = zeroed_params("lstm6", "tanh", 4, 3, 10)
     split = Split(sequences=np.zeros((0, 2, 4)), labels=np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError):
-        evaluate(spec, cell, head, split)
+        evaluate(spec, model, split)
 
 
 def row(epoch, train_acc, test_acc):

@@ -1,7 +1,9 @@
-"""Source hygiene of src/slimrnn, read with ast: no unused import, no orphaned private name.
+"""Source hygiene of src/slimrnn, read with ast: no unused import, no orphaned name.
 
 A deletion that leaves an import or a module-level ``_private`` helper or
-constant behind with no reader fails here.
+constant behind with no reader fails here, and so does a module-level
+public function, class or constant that only tests read: every one needs
+a reader in src/ or in the benchmark, perfbench/ (its own tests aside).
 """
 
 import ast
@@ -9,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 MODULES = sorted((SRC / "slimrnn").glob("*.py"))
 
 
@@ -29,16 +32,26 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [name for name in bound if name not in read]
 
 
-def private_definitions(tree: ast.Module) -> list[str]:
-    """Module-level functions and constants whose names start with one underscore."""
+def definitions(tree: ast.Module) -> list[str]:
+    """Names of the module-level functions, classes and constants."""
     names = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [t.id for t in targets if isinstance(t, ast.Name)]
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return names
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level definitions whose names start with one underscore."""
+    return [n for n in definitions(tree) if n.startswith("_") and not n.startswith("__")]
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """Module-level definitions whose names do not start with an underscore."""
+    return [n for n in definitions(tree) if not n.startswith("_")]
 
 
 def references(trees: list[ast.Module]) -> set[str]:
@@ -67,7 +80,16 @@ def test_every_private_name_has_a_reader():
     assert orphans == []
 
 
+def test_every_public_name_has_a_reader_outside_tests():
+    readers = [*SRC.rglob("*.py"), *(p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.parts)]
+    read = references([parse(path) for path in sorted(readers)])
+    orphans = [f"{path.stem}.{name}" for path in MODULES for name in public_definitions(parse(path)) if name not in read]
+    assert orphans == []
+
+
 def test_checks_flag_a_planted_orphan():
-    tree = ast.parse("import os\nfrom json import dumps\n_LIMIT = 3\n\ndef _helper():\n    return dumps\n")
+    tree = ast.parse("import os\nfrom json import dumps\n_LIMIT = 3\nTAG = 4\n\nclass Spare:\n    pass\n\n"
+                     "def _helper():\n    return dumps\n")
     assert unused_imports(tree) == ["os"]
     assert [n for n in private_definitions(tree) if n not in references([tree])] == ["_LIMIT", "_helper"]
+    assert [n for n in public_definitions(tree) if n not in references([tree])] == ["TAG", "Spare"]
