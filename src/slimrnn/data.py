@@ -4,9 +4,10 @@ Image files are the big-endian IDX container: magic 0x00000803, three
 uint32 dims (count, rows, cols), then unsigned bytes. Label files use
 magic 0x00000801 and one uint32 count; the magic's low byte is the number
 of dims, so one parser reads both. Files whose first two bytes are
-the gzip signature 0x1f 0x8b are decompressed transparently. Nothing here
-touches the network; when files are missing the error carries download
-instructions.
+the gzip signature 0x1f 0x8b are decompressed transparently. Under a
+limit only the kept prefix of images is held; the whole stream is still
+read and checked. Nothing here touches the network; when files are
+missing the error carries download instructions.
 
 Each 28x28 image becomes a 28-step sequence of 28-dimensional rows (top to
 bottom), scaled to [0, 1]. Training batches reshuffle every epoch from a
@@ -117,67 +118,68 @@ def _open_idx(path: str | Path) -> Iterator[BinaryIO]:
         raise IdxFormatError(f"{path}: cannot decompress: {e}") from e
 
 
-def _read_payload(f: BinaryIO, size: int, header_size: int, path) -> np.ndarray:
-    """The ``size`` bytes after the header as a new uint8 array; the file must end there.
+def _read_payload(f: BinaryIO, size: int, kept: int, header_size: int, path) -> np.ndarray:
+    """The first ``kept`` of the ``size`` bytes after the header as a new uint8 array; the file must end there.
 
     Bytes go straight into the array READ_CHUNK at a time, so the file's
-    contents never also sit in memory as one bytes object. A size numpy
-    cannot or this machine will not allocate is an IdxFormatError.
+    contents never also sit in memory as one bytes object; the bytes past
+    ``kept`` pass through one reused READ_CHUNK buffer, so they are checked
+    but never held. A size numpy cannot or this machine will not allocate
+    is an IdxFormatError.
     """
     try:
-        out = np.empty(size, dtype=np.uint8)
+        out = np.empty(kept, dtype=np.uint8)
     except (ValueError, MemoryError) as e:
         raise IdxFormatError(f"{path}: header claims {size} payload bytes: {e}") from e
-    view = memoryview(out)
+    view, spare = memoryview(out), memoryview(bytearray(READ_CHUNK))
     filled = 0
     while filled < size:
-        got = f.readinto(view[filled : filled + READ_CHUNK])
+        got = f.readinto(view[filled : filled + READ_CHUNK] if filled < kept else spare[: size - filled])
         if not got:
             expected = header_size + size
             raise IdxFormatError(f"{path}: truncated at byte {header_size + filled}, expected {expected} bytes")
         filled += got
     trailing = 0
-    while chunk := f.read(READ_CHUNK):
-        trailing += len(chunk)
+    while got := f.readinto(spare):
+        trailing += got
     if trailing:
         raise IdxFormatError(f"{path}: {trailing} trailing bytes after payload")
     return out
 
 
-def _read_idx(path: str | Path, magic: int, kind: str) -> np.ndarray:
-    """The uint8 array of an IDX file whose header is ``magic``, then as many dims as its low byte."""
+def _read_idx(path: str | Path, magic: int, kind: str, limit: int | None = None) -> tuple[np.ndarray, int]:
+    """The first ``limit`` entries (all when None) of an IDX file whose header is ``magic``,
+    then as many dims as its low byte, and the count its header claims."""
     with _open_idx(path) as f:
         header_size = 4 * (1 + (magic & 0xFF))
         raw = f.read(header_size)
         if len(raw) < header_size:
             raise IdxFormatError(f"{path}: truncated header, file ends at byte {len(raw)}")
-        found, *dims = (int.from_bytes(raw[i : i + 4], "big") for i in range(0, header_size, 4))
+        found, count, *shape = (int.from_bytes(raw[i : i + 4], "big") for i in range(0, header_size, 4))
         if found != magic:
             raise IdxFormatError(f"{path}: magic {found} is not an IDX {kind} file ({magic})")
-        return _read_payload(f, math.prod(dims), header_size, path).reshape(dims)
+        kept = count if limit is None else min(limit, count)
+        payload = _read_payload(f, count * math.prod(shape), kept * math.prod(shape), header_size, path)
+        return payload.reshape(kept, *shape), count
 
 
-def read_idx_images(path: str | Path) -> np.ndarray:
-    """Parse an IDX image file into a uint8 array of shape (count, rows, cols)."""
-    return _read_idx(path, IMAGE_MAGIC, "image")
+def read_idx_images(path: str | Path, limit: int | None = None) -> tuple[np.ndarray, int]:
+    """The first ``limit`` images (all when None) of an IDX image file as a uint8
+    array of shape (kept, rows, cols), and the image count its header claims."""
+    return _read_idx(path, IMAGE_MAGIC, "image", limit)
 
 
 def read_idx_labels(path: str | Path) -> np.ndarray:
     """Parse an IDX label file into an int64 array; labels must be below 10."""
-    labels = _read_idx(path, LABEL_MAGIC, "label")
+    labels, _ = _read_idx(path, LABEL_MAGIC, "label")
     if labels.size and int(labels.max()) >= NUM_CLASSES:
         bad = int(np.argmax(labels >= NUM_CLASSES))
         raise IdxFormatError(f"{path}: label {int(labels[bad])} at index {bad} is out of range")
     return labels.astype(np.int64)
 
 
-def to_sequences(images: np.ndarray, labels: np.ndarray, limit: int | None = None) -> Split:
+def to_sequences(images: np.ndarray, labels: np.ndarray) -> Split:
     """Row-wise sequences: image row r becomes step r, pixels scaled by 1/255."""
-    if len(images) != len(labels):
-        raise DataError(f"count mismatch: {len(images)} images vs {len(labels)} labels")
-    if limit is not None:
-        images = images[:limit]
-        labels = labels[:limit]
     return Split(
         sequences=images.astype(np.float64) / 255.0,
         labels=np.asarray(labels, dtype=np.int64).copy(),
@@ -207,6 +209,16 @@ def _resolve(directory: Path, stem: str) -> Path:
     )
 
 
+def _read_split(images_path: Path, labels_path: Path, limit: int | None) -> Split:
+    """The first ``limit`` examples (all when None) of an image and a label file
+    whose headers claim the same count."""
+    images, count = read_idx_images(images_path, limit)
+    labels = read_idx_labels(labels_path)
+    if count != len(labels):
+        raise DataError(f"count mismatch: {count} images vs {len(labels)} labels")
+    return to_sequences(images, labels[: len(images)])
+
+
 def load_dataset(
     data_dir: str | Path,
     train_limit: int | None = None,
@@ -215,8 +227,8 @@ def load_dataset(
     """Load the four standard MNIST files from a directory, checked by ``check_dataset``."""
     train_images, train_labels, test_images, test_labels = (_resolve(Path(data_dir), stem) for stem in _FILES)
     dataset = Dataset(
-        train=to_sequences(read_idx_images(train_images), read_idx_labels(train_labels), train_limit),
-        test=to_sequences(read_idx_images(test_images), read_idx_labels(test_labels), test_limit),
+        train=_read_split(train_images, train_labels, train_limit),
+        test=_read_split(test_images, test_labels, test_limit),
     )
     check_dataset(dataset)
     return dataset

@@ -238,7 +238,8 @@ def test_criterion_8_data_layer_properties(tmp_path, capsys):
         lpath = tmp_path / f"labels{suffix}"
         write_idx_images(ipath, images)
         write_idx_labels(lpath, labels)
-        assert np.array_equal(read_idx_images(ipath), images)
+        back, count = read_idx_images(ipath)
+        assert count == len(images) and np.array_equal(back, images)
         assert np.array_equal(read_idx_labels(lpath), labels)
 
     # per-epoch batch partition: every example exactly once

@@ -4,10 +4,16 @@ import re
 import numpy as np
 import pytest
 
+from slimrnn.cli import main
 from slimrnn.data import (
+    READ_CHUNK,
+    TEST_IMAGES,
+    TEST_LABELS,
+    TRAIN_IMAGES,
+    TRAIN_LABELS,
+    DataError,
     IdxFormatError,
     MissingDataError,
-    READ_CHUNK,
     Split,
     batches,
     load_dataset,
@@ -16,7 +22,7 @@ from slimrnn.data import (
     to_sequences,
 )
 
-from .conftest import synth_images, write_idx_images, write_idx_labels, write_mnist_dir
+from .conftest import traced_peak_mb, write_idx_images, write_idx_labels, write_mnist_dir
 
 
 @pytest.mark.parametrize("suffix", ["", ".gz"])
@@ -24,8 +30,9 @@ def test_idx_image_round_trip(tmp_path, suffix):
     images = np.arange(3 * 4 * 5, dtype=np.uint8).reshape(3, 4, 5)
     path = tmp_path / ("imgs" + suffix)
     write_idx_images(path, images)
-    back = read_idx_images(path)
+    back, count = read_idx_images(path)
     assert back.dtype == np.uint8
+    assert count == 3
     assert np.array_equal(back, images)
 
 
@@ -43,7 +50,7 @@ def test_gzip_detected_by_content_not_name(tmp_path):
     write_idx_images(plain, images)
     disguised = tmp_path / "no-extension"
     disguised.write_bytes(gzip.compress(plain.read_bytes()))
-    assert np.array_equal(read_idx_images(disguised), images)
+    assert np.array_equal(read_idx_images(disguised)[0], images)
 
 
 def test_corrupt_gzip_is_a_format_error(tmp_path):
@@ -57,13 +64,14 @@ def test_corrupt_gzip_is_a_format_error(tmp_path):
 def test_empty_image_file_is_valid(tmp_path):
     path = tmp_path / "empty"
     write_idx_images(path, np.zeros((0, 28, 28), dtype=np.uint8))
-    assert read_idx_images(path).shape == (0, 28, 28)
+    images, count = read_idx_images(path)
+    assert images.shape == (0, 28, 28) and count == 0
 
 
 def test_image_reader_rejects_label_magic(tmp_path):
     path = tmp_path / "labels"
-    write_idx_labels(path, np.array([1, 2], dtype=np.uint8))
-    with pytest.raises(IdxFormatError):
+    write_idx_labels(path, np.arange(8, dtype=np.uint8))  # 16 bytes: a whole image header
+    with pytest.raises(IdxFormatError, match="magic 2049 is not an IDX image file"):
         read_idx_images(path)
 
 
@@ -88,7 +96,10 @@ def test_image_file_longer_than_one_read_chunk(tmp_path, suffix):
     images = np.arange(3 * READ_CHUNK, dtype=np.uint64).astype(np.uint8).reshape(-1, 32, 32)
     path = tmp_path / ("imgs" + suffix)
     write_idx_images(path, images)
-    assert np.array_equal(read_idx_images(path), images)
+    assert np.array_equal(read_idx_images(path)[0], images)
+    for limit in (1, 100):  # the kept prefix ends inside the first and inside the second chunk
+        kept, count = read_idx_images(path, limit)
+        assert count == len(images) and np.array_equal(kept, images[:limit])
     if not suffix:
         path.write_bytes(path.read_bytes()[: 16 + READ_CHUNK + 7])
         with pytest.raises(IdxFormatError, match=rf"byte {16 + READ_CHUNK + 7}, expected {16 + images.size}"):
@@ -134,11 +145,6 @@ def test_idx_format_errors_keep_their_wording(tmp_path, case):
         reader(path)
 
 
-def test_to_sequences_count_mismatch():
-    with pytest.raises(Exception, match="count mismatch"):
-        to_sequences(np.zeros((2, 3, 3), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
-
-
 def test_to_sequences_normalization():
     images = np.zeros((1, 28, 28), dtype=np.uint8)
     images[0, 3, 5] = 128
@@ -150,14 +156,6 @@ def test_to_sequences_normalization():
     assert np.array_equal(full.sequences[0], np.ones((2, 2)))
     zero = to_sequences(np.zeros((1, 2, 2), dtype=np.uint8), np.array([0]))
     assert not np.any(zero.sequences)
-
-
-def test_to_sequences_limit_is_prefix():
-    images, labels = synth_images(10, seed=0, rows=4, cols=4)
-    split = to_sequences(images, labels, limit=4)
-    assert len(split) == 4
-    assert np.array_equal(split.labels, labels[:4])
-
 
 
 def test_batches_short_split_single_batch():
@@ -213,3 +211,68 @@ def test_load_dataset_from_directory(tmp_path):
 def test_load_dataset_missing_files_has_fetch_hint(tmp_path):
     with pytest.raises(MissingDataError, match="curl"):
         load_dataset(tmp_path / "nowhere")
+
+
+def _gzip_mnist_dir(directory) -> None:
+    """Replace the four plain MNIST files in ``directory`` by gzipped ones."""
+    for stem in (TRAIN_IMAGES, TRAIN_LABELS, TEST_IMAGES, TEST_LABELS):
+        (directory / (stem + ".gz")).write_bytes(gzip.compress((directory / stem).read_bytes()))
+        (directory / stem).unlink()
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+def test_load_dataset_limit_is_prefix(tmp_path, suffix):
+    write_mnist_dir(tmp_path, n_train=12, n_test=6)
+    if suffix:
+        _gzip_mnist_dir(tmp_path)
+    full = load_dataset(tmp_path)
+    for n, m in ((5, 2), (12, 6), (40, 9)):  # below, equal to and above each split's count
+        cut = load_dataset(tmp_path, n, m)
+        for got, whole, limit in ((cut.train, full.train, n), (cut.test, full.test, m)):
+            want = whole.sequences[:limit]
+            assert got.sequences.shape == want.shape and got.sequences.tobytes() == want.tobytes()
+            assert got.labels.dtype == np.int64 and np.array_equal(got.labels, whole.labels[:limit])
+    empty = tmp_path / ("empty" + suffix)
+    write_idx_images(empty, np.zeros((0, 28, 28)))
+    for limit in (None, 1):
+        images, count = read_idx_images(empty, limit)
+        assert images.shape == (0, 28, 28) and count == 0
+
+
+# fault past a limit of 2 -> (file it spoils, how its 8-example bytes are cut or padded, the error's wording)
+FAULTS_PAST_THE_LIMIT = {
+    "image-payload-truncated": (TRAIN_IMAGES, lambda b: b[:-5], "truncated at byte 6283, expected 6288 bytes"),
+    "image-trailing-bytes": (TRAIN_IMAGES, lambda b: b + b"\0", "1 trailing bytes after payload"),
+    "label-out-of-range": (TRAIN_LABELS, lambda b: b[:-1] + b"\x0a", "label 10 at index 7 is out of range"),
+    "count-mismatch": (TRAIN_LABELS, lambda b: b[:4] + (7).to_bytes(4, "big") + b[8:-1],
+                       "count mismatch: 8 images vs 7 labels"),
+}
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+@pytest.mark.parametrize("fault", FAULTS_PAST_THE_LIMIT)
+def test_faults_past_the_limit_fail_as_without_one(tmp_path, fault, suffix):
+    name, cut, wording = FAULTS_PAST_THE_LIMIT[fault]
+    write_mnist_dir(tmp_path, n_train=8, n_test=8)
+    path = tmp_path / name
+    path.write_bytes(cut(path.read_bytes()))
+    if suffix:
+        _gzip_mnist_dir(tmp_path)
+    errors = []
+    for limits in ((None, None), (2, 2)):
+        with pytest.raises(DataError) as raised:
+            load_dataset(tmp_path, *limits)
+        errors.append((type(raised.value), str(raised.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1].endswith(wording)
+    out = tmp_path / "out.csv"
+    args = ["--variant", "lstm6", "--activation", "tanh", "--epochs", "1", "--hidden", "4", "--train-limit", "2"]
+    assert main(["train", *args, "--data-dir", str(tmp_path), "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+def test_limited_load_allocates_only_the_kept_prefix(tmp_path):
+    write_mnist_dir(tmp_path, n_train=4000, n_test=8)  # a 3.1 MB train payload
+    _gzip_mnist_dir(tmp_path)
+    assert traced_peak_mb(lambda: load_dataset(tmp_path, 4, 4)) < 0.5
+    assert traced_peak_mb(lambda: load_dataset(tmp_path)) >= 4000 * 28 * 28 / 1e6
