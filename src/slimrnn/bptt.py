@@ -16,10 +16,11 @@ elementwise work. The k dense blocks sit together at the bottom, so
 * every step writes in place into arrays taken once per call, which
   together form the Trace the backward pass reads.
 
-Those arrays, and the backward pass's own, come from a ``Workspace``: a
-flat buffer that grows to the largest call it has served and is then
-reused, so a training run stops asking the allocator (and the kernel) for
-fresh pages on every batch; a call without one uses a private fresh one.
+Those arrays, and the backward pass's own, are carved from a ``Workspace``,
+one flat buffer sized up front from the list of their shapes (``_carved``),
+and never allocated apart from it. The forward pass reserves its backward
+pass's room too and a buffer only grows, so a training run allocates its
+pages once, at its first batch, and a call without a workspace once.
 The trace holds its own copy of the inputs, and the returned logits and
 gradients are fresh arrays the caller owns.
 
@@ -55,31 +56,51 @@ from .cells import (
 class Workspace:
     """Scratch memory the engine reuses across calls: one flat float64 buffer.
 
-    ``forward_sequence`` starts it over and carves its trace from it, and
-    ``backward_sequence`` carves its own arrays after the trace. A request
-    that does not fit gets a fresh array; the next start then grows the
-    buffer to the total the last call asked for, so once a run has served
-    its largest batch every call reuses the same memory. A new one hands
-    out fresh arrays only.
+    ``forward_sequence`` starts it over with room for itself and its
+    backward pass and carves its trace from it, and ``backward_sequence``
+    carves its own arrays after the trace. The buffer only ever grows, to
+    the largest call it has served, and every array it hands out lies
+    inside it: a request past the room reserved is an error, never a
+    fresh array.
     """
 
     def __init__(self) -> None:
         self._buf = np.empty(0)
         self._used = 0
+        self._room = (None, 0)  # the (layout, T, B) last started for, and the floats it takes
 
-    def restart(self) -> None:
-        """Start over, invalidating every array taken so far."""
-        if self._used > len(self._buf):
-            self._buf = np.empty(self._used)
+    def restart(self, lay: Layout, T: int, B: int) -> None:
+        """Start over with room for a forward and a backward pass of ``lay`` at (T, B),
+        invalidating every array taken so far."""
+        if self._room[0] != (lay, T, B):
+            self._room = (lay, T, B), sum(map(_floats, _carved(lay, T, B)))
+        if self._room[1] > len(self._buf):
+            self._buf = np.empty(self._room[1])
         self._used = 0
 
     def take(self, shape: tuple[int, ...]) -> np.ndarray:
         """An uninitialized float64 array of ``shape``, valid until the next ``restart``."""
-        start = self._used
-        self._used += math.prod(shape)
-        if self._used > len(self._buf):
-            return np.empty(shape)
-        return self._buf[start : self._used].reshape(shape)
+        start, end = self._used, self._used + math.prod(shape)
+        if end > len(self._buf):
+            raise ValueError(f"no room for a {shape} array in a workspace of {len(self._buf)} floats")
+        self._used = end
+        return self._buf[start:end].reshape(shape)
+
+
+def _carved(lay: Layout, T: int, B: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The shapes that a forward pass and then its backward pass take from a workspace, in carve order."""
+    n_h, gr, m = lay.n_h, lay.gate_rows, lay.gate_rows + lay.n_h
+    forward = [(T, B, lay.n_in), (T, m, B), (m - lay.dense_from, T * B), (T + 1, n_h, B)]
+    backward = [(T, m, B), (T, gr, B)]
+    if lay.memory:  # act, c and, unless o is fixed at 1, sig_c; dc_from_dh and dc
+        forward += [(T, m, B), (T + 1, n_h, B)] + ([] if "o" in lay.unit else [(T, n_h, B)])
+        backward += [(T, n_h, B), (n_h, B)]
+    backward += [(T, n_h, B)] + [(r, T * B) for r in (m, n_h) if 1 not in (T, r, B)]  # dcand, _side_by_side
+    return forward, backward
+
+
+def _floats(shapes: list[tuple[int, ...]]) -> int:
+    return sum(map(math.prod, shapes))
 
 
 class Step(NamedTuple):
@@ -161,8 +182,8 @@ def forward_sequence(
     (T, n_in), or a list of T input vectors, or a batch (T, B, n_in).
     Returns the head logits of the final hidden state, (n_out,) or
     (B, n_out), and the Trace that the backward pass consumes. The trace
-    and its copy of the inputs are carved from ``ws`` (starting it over)
-    or from a private fresh Workspace.
+    and its copy of the inputs are carved from ``ws`` (or a private one),
+    started over with room for this call and its backward pass.
     """
     x = np.asarray(seq, dtype=np.float64)
     single = x.ndim == 2
@@ -172,13 +193,13 @@ def forward_sequence(
         raise ValueError(
             f"inputs of shape {x.shape} are not a nonempty (T, [B,] n_in={p.n_in}) array"
         )
-    ws = Workspace() if ws is None else ws
-    ws.restart()
-    x_in, x = x, ws.take(x.shape)
-    x[...] = x_in
     T, B, n_in = x.shape
     n_h = p.n_h
     lay = _layout_of(spec, p)
+    ws = Workspace() if ws is None else ws
+    ws.restart(lay, T, B)
+    x_in, x = x, ws.take(x.shape)
+    x[...] = x_in
     gr, d0, b0 = lay.gate_rows, lay.dense_from, lay.bias_from
     W, U, b = (p.stacks[k] for k in "WUb")
 
@@ -260,7 +281,7 @@ def backward_sequence(
     for a single sequence or (B, n_out) for a batch; the gradients are
     summed over the batch rows and returned as a Params of ``p``'s layout.
     The deltas are carved from ``ws`` (the trace's) after the trace, or
-    from a private fresh Workspace.
+    from a private Workspace.
     """
     if len(trace.pre) == 0:
         raise ValueError("empty trace (was forward_sequence run?)")
@@ -278,7 +299,9 @@ def backward_sequence(
     act = spec.activation
     Ut = p.stacks["U"].T
     dh = head["W_hy"].T @ dl.T
-    ws = Workspace() if ws is None else ws
+    if ws is None:
+        ws = Workspace()
+        ws.restart(lay, T, B)
     dpre = ws.take(pre.shape)
 
     i, f, o = _gate_values(lay, act_)
@@ -348,10 +371,11 @@ def batch_loss_and_grads(
     stacked T*B deltas. Results are bitwise reproducible for a given seed
     and batch size; they match a per-example reduction to rounding only.
     Argmax ties resolve toward the lowest class index. A workspace, if
-    given, holds the trace and the deltas; the results are bitwise those
-    of a call without one.
+    given, holds the trace and the deltas, else a private one does; the
+    results are bitwise the same either way.
     """
     size = len(batch.labels)
+    ws = Workspace() if ws is None else ws
     logits, trace = forward_sequence(spec, p, head, np.swapaxes(batch.inputs, 0, 1), ws)
     labels = np.asarray(batch.labels)
     losses, dlogits = softmax_xent(logits, labels)

@@ -150,6 +150,8 @@ def _read_payload(f: BinaryIO, size: int, kept: int, header_size: int, path) -> 
 def _read_idx(path: str | Path, magic: int, kind: str, limit: int | None = None) -> tuple[np.ndarray, int]:
     """The first ``limit`` entries (all when None) of an IDX file whose header is ``magic``,
     then as many dims as its low byte, and the count its header claims."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit {limit} is negative: give a count of at least 0, or None for all")
     with _open_idx(path) as f:
         header_size = 4 * (1 + (magic & 0xFF))
         raw = f.read(header_size)

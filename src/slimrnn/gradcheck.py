@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bptt import Trace, batch_loss_and_grads, forward_sequence, softmax_xent
+from .bptt import Trace, Workspace, batch_loss_and_grads, forward_sequence, softmax_xent
 from .cells import Activation, Layout, Params, Variant, VariantSpec, init_params, layout
 from .data import SequenceBatch
 from .rng import TAG_GRADCHECK, stream
@@ -123,12 +123,13 @@ def sweep_losses(
     labels = np.repeat(labels, R)  # logits row b*R + r is example b under replica r
     losses = np.empty(n)
     same = np.ones(n, dtype=bool)
+    ws = Workspace()  # every pass's trace is read before the next pass starts it over
     for lo in range(0, n, R):
         k = np.arange(lo, min(lo + R, n))
         moved = k[k > 0]
         slots = where[moved - lo, coord[moved]]
         work[slots] = value[moved]
-        logits, trace = forward_sequence(spec, replica, replica, seqs)
+        logits, trace = forward_sequence(spec, replica, replica, seqs, ws)
         work[slots] = base[coord[moved]]
         xent, _ = softmax_xent(logits.reshape(B * R, -1), labels)
         losses[k] = xent.reshape(B, R)[:, : len(k)].sum(axis=0) / B

@@ -30,10 +30,10 @@ METRICS_HEADER = "epoch,train_acc,test_acc,train_loss,epoch_seconds"
 SUMMARY_HEADER = "variant,activation,eta,best_train,best_test,params,best_test_epoch"
 
 DEFAULT_ETAS = (1e-4, 1e-3, 2e-3)
-# Examples per evaluation forward pass: the paper's batch size, so a chunk's
-# trace fits in the workspace a training batch has grown (lstm at the paper's
-# shapes: 11 MB inside the batch's 21 MB). Chunks of 128 would grow it to
-# 44 MB for a ~5% faster evaluation (0.052 against 0.055 ms per example).
+# Examples per evaluation forward pass: the paper's batch size, so a chunk
+# fits in the room a training batch reserves in the workspace (lstm at the
+# paper's shapes: an 11 MB trace in 21 MB). Chunks of 128 would reserve 84 MB
+# for a ~5% faster evaluation (0.052 against 0.055 ms per example).
 EVAL_CHUNK = 32
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from slimrnn import bptt
 from slimrnn.bptt import Trace, Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
 from slimrnn.cells import Activation, Variant, VariantSpec, init_params
 from slimrnn.data import SequenceBatch, Split
@@ -282,15 +283,14 @@ def test_trace_owns_its_input(variant):
 @pytest.mark.parametrize("activation", ALL_ACTIVATIONS)
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_workspace_reuse_is_bitwise_neutral(variant, activation):
-    # A workspace grown by a larger batch and then filled with NaN must give
+    # A workspace sized by a larger batch and then filled with NaN must give
     # what fresh arrays give, bit for bit: an array the engine reads before
     # writing shows up as NaN. Both must match the bits frozen from the
     # engine before it took a workspace (fixtures/batch_digests.json).
     spec = VariantSpec.make(variant, activation)
     p = digests.digest_params(spec)
     ws = Workspace()
-    batch_loss_and_grads(spec, p, p, digests.digest_batch(16), ws)
-    ws.restart()  # grows the buffer to what that call took
+    batch_loss_and_grads(spec, p, p, digests.digest_batch(32), ws)  # room for an evaluation chunk too
     for size in digests.BATCH_SIZES:
         batch = digests.digest_batch(size)
         fresh = batch_loss_and_grads(spec, p, p, batch)
@@ -302,8 +302,10 @@ def test_workspace_reuse_is_bitwise_neutral(variant, activation):
 
     batch = digests.digest_batch(40)  # two evaluation chunks, the second one short
     split = Split(sequences=batch.inputs, labels=batch.labels)
-    ws._buf.fill(np.nan)
+    buf = ws._buf
+    buf.fill(np.nan)
     assert evaluate(spec, p, split, ws) == evaluate(spec, p, split)
+    assert ws._buf is buf, "evaluation grew the workspace, so it never read the NaN-filled buffer"
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -317,5 +319,46 @@ def test_workspace_batch_allocates_under_2mb(variant):
     batch = SequenceBatch(inputs=rng.uniform(0.0, 1.0, size=(32, 28, 28)), labels=rng.integers(0, 10, size=32))
     ws = Workspace()
     batch_loss_and_grads(spec, p, p, batch, ws)
-    ws.restart()  # grows the buffer to what that call took
     assert traced_peak_mb(lambda: batch_loss_and_grads(spec, p, p, batch, ws)) <= 2.0
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_batch_without_a_workspace_allocates_one_buffer(variant):
+    # the forward's private workspace has room for the backward's deltas, so
+    # the backward must carve them there instead of reserving them again
+    spec = VariantSpec.make(variant, "tanh")
+    p, _ = init_params(spec, 28, 100, 10, seed=0)
+    rng = np.random.default_rng(1)
+    batch = SequenceBatch(inputs=rng.uniform(0.0, 1.0, size=(32, 28, 28)), labels=rng.integers(0, 10, size=32))
+    buffer_mb = 8 * sum(map(bptt._floats, bptt._carved(p.layout, 28, 32))) / 1e6
+    assert traced_peak_mb(lambda: batch_loss_and_grads(spec, p, p, batch)) <= buffer_mb + 2.0
+
+
+@pytest.mark.parametrize("T", [1, 4])
+@pytest.mark.parametrize("n_h", [1, 5])
+@pytest.mark.parametrize("B", [1, 3, 32])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_workspace_is_sized_to_what_a_batch_takes(variant, B, n_h, T):
+    # T, the rows or B at 1 make _side_by_side return a view instead of taking a copy
+    spec = VariantSpec.make(variant, "relu")
+    p, _ = init_params(spec, 3, n_h, 4, seed=0)
+    rng = np.random.default_rng(2)
+    batch = SequenceBatch(inputs=rng.uniform(0.0, 1.0, size=(B, T, 3)), labels=rng.integers(0, 4, size=B))
+    forward, backward = bptt._carved(p.layout, T, B)
+    ws = Workspace()
+    forward_sequence(spec, p, p, np.swapaxes(batch.inputs, 0, 1), ws)
+    assert ws._used == bptt._floats(forward)
+    batch_loss_and_grads(spec, p, p, batch, ws)
+    assert ws._used == len(ws._buf) == bptt._floats(forward) + bptt._floats(backward)
+
+
+def test_workspace_refuses_to_hand_out_memory_past_its_buffer():
+    lay = init_params(VariantSpec.make("srn", "tanh"), 1, 1, 1, seed=0)[0].layout
+    ws = Workspace()
+    ws.restart(lay, 1, 1)  # x, pre, proj, h (2 floats), dpre, dcand: 7 floats
+    ws.take((2, 2))
+    with pytest.raises(ValueError, match=r"no room for a \(4,\) array in a workspace of 7 floats"):
+        ws.take((4,))
+    ws.restart(lay, 1, 2)  # 14 floats: the buffer grows
+    ws.restart(lay, 1, 1)  # a smaller call keeps it
+    assert len(ws._buf) == 14 and np.shares_memory(ws.take((8,)), ws._buf)

@@ -239,6 +239,22 @@ def test_load_dataset_limit_is_prefix(tmp_path, suffix):
         assert images.shape == (0, 28, 28) and count == 0
 
 
+@pytest.mark.parametrize("limits", [(-1, 5), (5, -1)])
+def test_negative_limit_is_rejected_before_the_file_is_read(tmp_path, limits):
+    write_mnist_dir(tmp_path, n_train=12, n_test=6)
+    with pytest.raises(ValueError, match="limit -1 is negative"):
+        load_dataset(tmp_path, *limits)
+    # a path that cannot be opened would raise DataError if it were tried
+    with pytest.raises(ValueError, match="limit -1 is negative"):
+        read_idx_images(tmp_path / "nowhere", -1)
+
+
+def test_limit_zero_keeps_no_image_and_reports_the_count(tmp_path):
+    write_mnist_dir(tmp_path, n_train=12, n_test=6)
+    images, count = read_idx_images(tmp_path / TRAIN_IMAGES, 0)
+    assert images.shape == (0, 28, 28) and images.dtype == np.uint8 and count == 12
+
+
 # fault past a limit of 2 -> (file it spoils, how its 8-example bytes are cut or padded, the error's wording)
 FAULTS_PAST_THE_LIMIT = {
     "image-payload-truncated": (TRAIN_IMAGES, lambda b: b[:-5], "truncated at byte 6283, expected 6288 bytes"),

@@ -57,7 +57,7 @@ def test_replica_losses_match_standalone_forward(variant, activation, replica_un
 
     widths = []
     monkeypatch.setattr(gradcheck, "forward_sequence",
-                        lambda s, p, h, x: widths.append(p.n_h) or forward_sequence(s, p, h, x))
+                        lambda s, p, h, x, ws: widths.append(p.n_h) or forward_sequence(s, p, h, x, ws))
     losses, same = sweep_losses(spec, cell, seqs, labels)
     assert widths == [R * cell.n_h] * math.ceil((2 * P + 1) / R)
     assert losses.shape == same.shape == (2 * P + 1,)

@@ -284,6 +284,23 @@ def test_run_grid_shares_one_workspace(tmp_path, monkeypatch):
     assert len(made) == 1
 
 
+def test_train_grows_its_workspace_once():
+    # The first batch sizes the buffer for every later batch, the short last
+    # batch and the evaluation chunks (EVAL_CHUNK = the batch size).
+    grown = []
+
+    class Counted(Workspace):
+        def restart(self, *args):
+            before = self._buf
+            super().restart(*args)
+            if self._buf is not before:
+                grown.append(len(self._buf))
+
+    config = small_config(variant="lstm", epochs=1, batch_size=32, n_h=100)
+    train(config, dataset=synth_dataset(40, 8), ws=Counted())
+    assert len(grown) == 1 and grown[0] * 8 > 20e6
+
+
 def test_run_grid_cells_match_separate_train_runs(tmp_path):
     # one workspace serves cells of three layouts in turn; no cell may see another's memory
     ds = synth_dataset(24, 8)

@@ -1,0 +1,45 @@
+"""The benchmark's view of the program: every perfbench workload verifies and runs clean.
+
+perfbench (``perfbench/run.py``) reaches into the engine to check each run's
+outputs: ``VariantSpec``, the ``(cell, head)`` pair of ``init_params``,
+``Params.arrays``/``with_arrays``, the single-sequence forward, iterating a
+trace into ``Step``s and the one-row ``softmax_xent``; it also re-runs
+``run_grid`` into the same directory and calls ``check_all``. A change that
+breaks any of these makes every benchmark op fail its checks, so each
+workload's verification and two rounds of its ops run here on a tiny
+injected dataset.
+"""
+
+import argparse
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from slimrnn import bptt, cells, cli, data, gradcheck, harness
+
+from .conftest import synth_dataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import bench  # noqa: E402
+import workloads  # noqa: E402
+
+PROGRAM = argparse.Namespace(bptt=bptt, cells=cells, cli=cli, data=data, gradcheck=gradcheck, harness=harness)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_verifies_and_runs_two_rounds_without_a_failure(name, tmp_path):
+    workload = workloads.WORKLOADS[name]
+    dataset = synth_dataset(8, 4)
+    # the first config, and the first relu one: only relu reads the trace step by step
+    checked = tuple(dict.fromkeys([workload.configs[0]] + [c for c in workload.configs if c[1] == "relu"][:1]))
+    found, _ = bench.verify_configs(PROGRAM, replace(workload, configs=checked), dataset, seed=0)
+    assert found == {config: [] for config in checked}
+
+    problems = {config: [] for config in workload.configs}
+    runner = bench.Runner(PROGRAM, workload, 0, tmp_path / "data", dataset, tmp_path / "work", problems)
+    results = runner.round() + runner.round()  # the second round re-runs into the same directories
+    assert len(results) == 2 * len(workload.configs)
+    assert runner.tally.failed == 0, runner.tally.reasons
+    assert runner.tally.attempted == sum(r.ops for r in results)
