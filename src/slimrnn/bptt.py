@@ -14,21 +14,27 @@ elementwise work. The k dense blocks sit together at the bottom, so
 * point-wise gates add u_g * h_{t-1} per step, and fixed gates are
   broadcast constants that produce no parameter gradients;
 * every step writes in place into arrays taken once per call, which
-  together form the Trace the backward pass reads.
+  together form the Trace the backward pass reads: each gate's sigmoid
+  overwrites its pre-activation, and only the candidate block keeps both.
 
 Those arrays, and the backward pass's own, are carved from a ``Workspace``,
 one flat buffer sized up front from the list of their shapes (``_carved``),
 and never allocated apart from it. The forward pass reserves its backward
 pass's room too and a buffer only grows, so a training run allocates its
-pages once, at its first batch, and a call without a workspace once.
+pages once, at its first batch, and a call without a workspace once. The
+input projection is dead before the time loop starts, so it lies in the
+backward pass's room, and the backward pass keeps only the live trace plus
+one step's scratch: every derivative factor is formed per step.
 The trace holds its own copy of the inputs, and the returned logits and
 gradients are fresh arrays the caller owns.
 
 Classification reads the final hidden state only: logits = W_hy h_T + b_y.
 The backward pass is hand-derived. It walks the trace in reverse carrying
-dL/dh_t and dL/dc_t, writes each step's pre-activation deltas with one
-(n_h, k*n_h) @ (k*n_h, B) product per step, and then forms every weight
-gradient with one product over the stacked T*B deltas.
+dL/dh_t and dL/dc_t, builds each step's pre-activation deltas in one
+(m, B) slab, carries them back with one (n_h, k*n_h) @ (k*n_h, B) product
+and copies them into an array laid out so that all T*B of them are side
+by side (``_stacked``); every weight gradient is then one product over
+them.
 The parameters are one flat vector laid out in the same block order
 (``cells.Layout``), so the stacked W, U and biases are views into it, and
 the gradients are a ``cells.Params`` of the same layout: each stacked
@@ -58,10 +64,11 @@ class Workspace:
 
     ``forward_sequence`` starts it over with room for itself and its
     backward pass and carves its trace from it, and ``backward_sequence``
-    carves its own arrays after the trace. The buffer only ever grows, to
-    the largest call it has served, and every array it hands out lies
-    inside it: a request past the room reserved is an error, never a
-    fresh array.
+    carves its own arrays after the trace. The forward's input projection
+    is ``peek``ed, in the room that the backward's first array takes again.
+    The buffer only ever grows, to the largest call it has served, and
+    every array it hands out lies inside it: a request past the room
+    reserved is an error, never a fresh array.
     """
 
     def __init__(self) -> None:
@@ -86,16 +93,25 @@ class Workspace:
         self._used = end
         return self._buf[start:end].reshape(shape)
 
+    def peek(self, shape: tuple[int, ...]) -> np.ndarray:
+        """Like ``take``, but the next ``take`` hands the same memory out again."""
+        out = self.take(shape)
+        self._used -= out.size
+        return out
+
 
 def _carved(lay: Layout, T: int, B: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The shapes that a forward pass and then its backward pass take from a workspace, in carve order."""
+    """The shapes that a forward pass and then its backward pass take from a workspace, in carve order.
+
+    The input projection, (k*n_h, T*B), is peeked in the room of the backward's deltas, (T, m, B).
+    """
     n_h, gr, m = lay.n_h, lay.gate_rows, lay.gate_rows + lay.n_h
-    forward = [(T, B, lay.n_in), (T, m, B), (m - lay.dense_from, T * B), (T + 1, n_h, B)]
-    backward = [(T, m, B), (T, gr, B)]
-    if lay.memory:  # act, c and, unless o is fixed at 1, sig_c; dc_from_dh and dc
-        forward += [(T, m, B), (T + 1, n_h, B)] + ([] if "o" in lay.unit else [(T, n_h, B)])
-        backward += [(T, n_h, B), (n_h, B)]
-    backward += [(T, n_h, B)] + [(r, T * B) for r in (m, n_h) if 1 not in (T, r, B)]  # dcand, _side_by_side
+    forward = [(T, B, lay.n_in), (T, m, B), (T + 1, n_h, B)]
+    backward = [(T, m, B), (m, B), (gr, B), (n_h, B)]  # deltas, then one step's: deltas, gate and act' factors
+    if lay.memory:  # act (the candidate's values), c and, unless o is fixed at 1, sig_c; dc
+        forward += [(T, n_h, B), (T + 1, n_h, B)] + ([] if "o" in lay.unit else [(T, n_h, B)])
+        backward += [(n_h, B)]
+    backward += [] if 1 in (T, n_h, B) else [(n_h, T * B)]  # _side_by_side(h)
     return forward, backward
 
 
@@ -114,10 +130,11 @@ class Step(NamedTuple):
 class Trace:
     """Forward intermediates of one batch, kept for the backward pass.
 
-    ``x`` (T, B, n_in) copies the inputs. ``pre`` and ``act`` (T, m, B) hold
-    the pre-activations in the block layout of the module docstring and
-    their values: the sigmoid for gate blocks, the cell activation for the
-    candidate block. ``h`` (T+1, n_h, B) holds the hidden states from the
+    ``x`` (T, B, n_in) copies the inputs. ``pre`` (T, m, B), in the block
+    layout of the module docstring, holds each gate block's value (its
+    sigmoid) and the candidate block's pre-activation; ``act`` (T, n_h, B)
+    holds the candidate's value, the cell activation of that
+    pre-activation. ``h`` (T+1, n_h, B) holds the hidden states from the
     zero state at index 0. Memory cells also keep ``c`` (T+1, n_h, B), the
     cell states from zero, and ``sig_c`` (T, n_h, B) = act(c_t), which is a
     view of ``h[1:]`` when the output gate is fixed at 1; both are None for
@@ -139,14 +156,23 @@ class Trace:
         return map(Step, self.pre[:, -self.h.shape[1] :], cell_states)
 
 
-def _gate_values(lay: Layout, act: np.ndarray) -> list[np.ndarray | float | None]:
-    """i, f, o over the trace: (T, n_h, B) views of ``act``, the fixed value, or None (srn)."""
-    return [act[:, lay.block[n]] if n in lay.block else lay.fixed.get(n) for n in GATE_NAMES]
+def _gate_values(lay: Layout, pre: np.ndarray, T: int) -> list[np.ndarray | list[float] | None]:
+    """i, f, o per step: (T, n_h, B) views of ``pre``'s gate rows, a fixed value repeated, or None (srn)."""
+    gates = [pre[:, lay.block[n]] if n in lay.block else lay.fixed.get(n) for n in GATE_NAMES]
+    return [[g] * T if isinstance(g, float) else g for g in gates]
 
 
-def _per_step(gate, T: int):
-    """A gate's value at each step: rows of its trace view, or its constant repeated."""
-    return [gate] * T if isinstance(gate, float) else gate
+def _stacked(ws: Workspace, T: int, r: int, B: int) -> tuple[np.ndarray, np.ndarray]:
+    """A (T, r, B) array of ``ws`` and, as a view, the same array as ``_side_by_side`` lays it out.
+
+    When T, r or B is 1 it is carved (T, r, B), the layout whose (r, T*B)
+    view ``_side_by_side`` returns, else (r, T, B) and returned transposed.
+    """
+    if 1 in (T, r, B):
+        a = ws.take((T, r, B))
+        return a, a.transpose(1, 0, 2).reshape(r, T * B)
+    a = ws.take((r, T, B))
+    return a.transpose(1, 0, 2), a.reshape(r, T * B)
 
 
 def _side_by_side(a: np.ndarray, ws: Workspace) -> np.ndarray:
@@ -204,22 +230,21 @@ def forward_sequence(
     W, U, b = (p.stacks[k] for k in "WUb")
 
     pre = ws.take((T, gr + n_h, B))
-    proj = np.matmul(W, x.reshape(T * B, n_in).T, out=ws.take((len(W), T * B)))
-    np.add(proj.reshape(-1, T, B).transpose(1, 0, 2), b[d0 - b0 :, None], out=pre[:, d0:])
-
     h = ws.take((T + 1, n_h, B))
     h[0] = 0.0
     if lay.memory:
-        act_ = ws.take(pre.shape)
+        cand = ws.take((T, n_h, B))
         c = ws.take(h.shape)
         c[0] = 0.0
         sig_c = h[1:] if "o" in lay.unit else ws.take((T, n_h, B))
     else:  # the srn's only block is the candidate, whose value is h_t itself
-        act_ = h[1:]
+        cand = h[1:]
         c = sig_c = None
+    proj = np.matmul(W, x.reshape(T * B, n_in).T, out=ws.peek((len(W), T * B)))
+    np.add(proj.reshape(-1, T, B).transpose(1, 0, 2), b[d0 - b0 :, None], out=pre[:, d0:])
+
     i_unit, o_unit = "i" in lay.unit, "o" in lay.unit
-    i, f, o = (_per_step(g, T) for g in _gate_values(lay, act_))
-    cand = act_[:, gr:]
+    i, f, o = _gate_values(lay, pre, T)
     if d0:  # point-wise gates: u_g * h_{t-1}, plus a bias on rows b0 .. d0
         u = p.stacks["u"].reshape(-1, n_h, 1)
         pre_pw = pre[:, :d0].reshape(T, len(u), n_h, B)
@@ -231,7 +256,7 @@ def forward_sequence(
             if b0 < d0:
                 pre[t, b0:d0] += b_pw
         if gr:
-            sigmoid(pre[t, :gr], out=act_[t, :gr])
+            sigmoid(pre[t, :gr], out=pre[t, :gr])
         apply_activation(spec.activation, pre[t, gr:], out=cand[t])
         if not lay.memory:
             continue
@@ -242,7 +267,7 @@ def forward_sequence(
             np.multiply(o[t], sig_c[t], out=h[t + 1])
 
     logits = (head["W_hy"] @ h[T]).T + head["b_y"]
-    trace = Trace(x=x, pre=pre, act=act_, h=h, c=c, sig_c=sig_c)
+    trace = Trace(x=x, pre=pre, act=cand, h=h, c=c, sig_c=sig_c)
     return (logits[0] if single else logits), trace
 
 
@@ -295,40 +320,35 @@ def backward_sequence(
 
     lay = _layout_of(spec, p)
     gr, d0 = lay.gate_rows, lay.dense_from
-    pre, act_, h, c, sig_c = trace.pre, trace.act, trace.h, trace.c, trace.sig_c
+    pre, cand, h, c, sig_c = trace.pre, trace.act, trace.h, trace.c, trace.sig_c
     act = spec.activation
     Ut = p.stacks["U"].T
     dh = head["W_hy"].T @ dl.T
     if ws is None:
         ws = Workspace()
         ws.restart(lay, T, B)
-    dpre = ws.take(pre.shape)
+    # Every step's deltas, also side by side as (m, T*B) against inputs and
+    # hidden states stacked in the same (t, b) order; then one step's deltas
+    # and derivative factors.
+    steps, deltas = _stacked(ws, T, gr + n_h, B)
+    d, dgates, dact = ws.take((gr + n_h, B)), ws.take((gr, B)), ws.take((n_h, B))
 
-    i, f, o = _gate_values(lay, act_)
-    f_t = _per_step(f, T)
-    cand = act_[:, gr:]
-    gates = act_[:, :gr]
-    dgates = activation_derivative(Activation.SIGMOID, gates, gates, ws.take(gates.shape))
-    if lay.memory:  # dc_t picks up dh_t * o_t * act'(c_t)
-        dc_from_dh = activation_derivative(act, c[1:], sig_c, ws.take(sig_c.shape))
-        if "o" not in lay.unit:
-            dc_from_dh *= o
+    i, f, o = _gate_values(lay, pre, T)
+    if lay.memory:
         dc = ws.take((n_h, B))
         dc[...] = 0.0
-    # the candidate delta is dc_t * i_t * act'(a_c), and dc_t is dh_t for the srn
-    dcand = activation_derivative(act, pre[:, gr:], cand, ws.take(cand.shape))
-    if lay.memory and "i" not in lay.unit:
-        dcand *= i
     sl = lay.block
     if d0:
         u = p.stacks["u"].reshape(-1, n_h)
-        dpre_pw = dpre[:, :d0].reshape(T, len(u), n_h, B)
+        d_pw = d[:d0].reshape(len(u), n_h, B)
     for t in range(T - 1, -1, -1):
-        d = dpre[t]
         if "o" in sl:  # h_t = o * act(c_t)
             np.multiply(dh, sig_c[t], out=d[sl["o"]])
-        if lay.memory:
-            dc += dh * dc_from_dh[t]
+        if lay.memory:  # dc_t picks up dh_t * o_t * act'(c_t)
+            activation_derivative(act, c[t + 1], sig_c[t], out=dact)
+            if "o" not in lay.unit:
+                dact *= o[t]
+            dc += dh * dact
         else:
             dc = dh
         if "f" in sl:  # c_t = f * c_prev + i * cand
@@ -336,17 +356,19 @@ def backward_sequence(
         if "i" in sl:
             np.multiply(dc, cand[t], out=d[sl["i"]])
         if gr:
-            d[:gr] *= dgates[t]
-        np.multiply(dc, dcand[t], out=d[gr:])
+            d[:gr] *= activation_derivative(Activation.SIGMOID, pre[t, :gr], pre[t, :gr], out=dgates)
+        # the candidate delta is dc_t * i_t * act'(a_c), and dc_t is dh_t for the srn
+        activation_derivative(act, pre[t, gr:], cand[t], out=dact)
+        if lay.memory and "i" not in lay.unit:
+            dact *= i[t]
+        np.multiply(dc, dact, out=d[gr:])
         dh = Ut @ d[d0:]
         if d0:
-            dh += np.einsum("gnb,gn->nb", dpre_pw[t], u)
+            dh += np.einsum("gnb,gn->nb", d_pw, u)
+        steps[t] = d
         if lay.memory:
-            dc *= f_t[t]
+            dc *= f[t]
 
-    # Every step's deltas side by side, (m, T*B), against inputs and hidden
-    # states stacked in the same (t, b) order.
-    deltas = _side_by_side(dpre, ws)
     h_prev = _side_by_side(h[:T], ws)
     grads = Params(lay)
     g = grads.stacks

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from slimrnn import bptt
 from slimrnn.bptt import Trace, Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
-from slimrnn.cells import Activation, Variant, VariantSpec, init_params
+from slimrnn.cells import Activation, Variant, VariantSpec, init_params, layout
 from slimrnn.data import SequenceBatch, Split
 from slimrnn.gradcheck import check_gradients
 from slimrnn.harness import evaluate
@@ -14,6 +15,7 @@ from slimrnn.rng import TAG_GRADCHECK, stream
 
 from .conftest import traced_peak_mb
 from .fixtures import freeze_batch_digests as digests
+from .fixtures import freeze_paper_digests as paper
 from .fixtures.freeze_batch_grads import BATCH_SIZES, N_H, N_IN, N_OUT, OUT, fixed_batch
 from .test_cells import zeroed_params
 
@@ -63,6 +65,22 @@ def test_forward_cache_length_matches_sequence():
     steps = list(trace)
     assert len(steps) == 7
     assert np.array_equal(steps[-1].c, trace.c[7]) and np.array_equal(steps[-1].a_c, trace.pre[6, -5:])
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_trace_keeps_the_candidate_pre_activations_and_values(variant):
+    # gate values overwrite their pre-activations; the candidate block keeps
+    # both, the pre-activations in pre (read by relu's derivative and by
+    # iteration) and the values in act
+    spec = VariantSpec.make(variant, "relu")
+    p, _ = init_params(spec, 3, 5, 4, seed=0)
+    x = stream(1, TAG_GRADCHECK).uniform(-1.0, 1.0, size=(4, 3, 3))
+    _, trace = forward_sequence(spec, p, p, x)
+    assert trace.act.shape == (4, 5, 3)
+    for t, step in enumerate(trace):
+        want = p["W_c"] @ x[t].T + p["U_c"] @ trace.h[t] + p["b_c"][:, None]
+        assert np.allclose(step.a_c, want, rtol=0.0, atol=1e-12) and (step.a_c < 0.0).any()
+        assert np.array_equal(trace.act[t], np.maximum(step.a_c, 0.0))
 
 
 def test_forward_accepts_list_of_vectors():
@@ -339,7 +357,7 @@ def test_batch_without_a_workspace_allocates_one_buffer(variant):
 @pytest.mark.parametrize("B", [1, 3, 32])
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_workspace_is_sized_to_what_a_batch_takes(variant, B, n_h, T):
-    # T, the rows or B at 1 make _side_by_side return a view instead of taking a copy
+    # T, the rows or B at 1 make _stacked carve (T, r, B) and _side_by_side return a view
     spec = VariantSpec.make(variant, "relu")
     p, _ = init_params(spec, 3, n_h, 4, seed=0)
     rng = np.random.default_rng(2)
@@ -355,10 +373,40 @@ def test_workspace_is_sized_to_what_a_batch_takes(variant, B, n_h, T):
 def test_workspace_refuses_to_hand_out_memory_past_its_buffer():
     lay = init_params(VariantSpec.make("srn", "tanh"), 1, 1, 1, seed=0)[0].layout
     ws = Workspace()
-    ws.restart(lay, 1, 1)  # x, pre, proj, h (2 floats), dpre, dcand: 7 floats
+    ws.restart(lay, 1, 1)  # x, pre, h (2 floats); the deltas, one step's deltas and act' factor: 7 floats
     ws.take((2, 2))
     with pytest.raises(ValueError, match=r"no room for a \(4,\) array in a workspace of 7 floats"):
         ws.take((4,))
     ws.restart(lay, 1, 2)  # 14 floats: the buffer grows
     ws.restart(lay, 1, 1)  # a smaller call keeps it
     assert len(ws._buf) == 14 and np.shares_memory(ws.take((8,)), ws._buf)
+
+
+def test_lstm_workspace_at_paper_shapes_holds_only_the_live_trace():
+    # 9.8 MB: the trace plus one step's scratch. One more whole-trace
+    # (T, n_h, B) array is 0.7 MB.
+    forward, backward = bptt._carved(layout("lstm", 28, 100, 10), 28, 32)
+    assert 8 * (bptt._floats(forward) + bptt._floats(backward)) <= 10e6
+
+
+@pytest.mark.parametrize("shape", [*itertools.product((1, 2, 3), repeat=3), (28, 400, 32)])
+def test_stacked_deltas_are_side_by_side_as_a_view(shape):
+    # numpy's reshape copies silently where it cannot make a view; a copy
+    # here would hold nothing the backward pass writes into its steps
+    T, r, B = shape
+    ws = Workspace()
+    ws._buf = np.empty(T * r * B)
+    steps, side = bptt._stacked(ws, T, r, B)
+    assert steps.shape == (T, r, B) and side.shape == (r, T * B)
+    steps[...] = np.arange(steps.size).reshape(steps.shape)
+    assert np.shares_memory(steps, side)
+    assert np.array_equal(side, steps.transpose(1, 0, 2).reshape(r, T * B))
+
+
+def test_paper_shape_bits_match_the_frozen_engine():
+    # n_h = 100 and B = 32, the shapes of every benchmark op, and the edge
+    # shapes where _stacked's two layouts meet (fixtures/paper_digests.json).
+    # freeze() pins BLAS to one thread, as the CLI does, for this process.
+    frozen = json.loads(paper.OUT.read_text())
+    got = paper.freeze()
+    assert len(frozen) == 42 and [k for k in frozen if got[k] != frozen[k]] == []

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import slimrnn.harness as harness
+from slimrnn import bptt
 from slimrnn.bptt import Workspace
 from slimrnn.cells import Activation, Variant, VariantSpec, init_params, layout
 from slimrnn.data import DataError, Dataset, Split
@@ -101,6 +102,24 @@ def test_evaluate_accuracy_does_not_depend_on_chunking(monkeypatch, variant):
         monkeypatch.setattr(harness, "EVAL_CHUNK", chunk)
         accuracies.add(evaluate(spec, p, split, Workspace()))
     assert len(accuracies) == 1
+
+
+def test_evaluate_without_a_workspace_makes_one(monkeypatch):
+    # forward_sequence makes a private workspace per call when given none,
+    # so an evaluation of 100 examples would build one per chunk
+    made = []
+
+    class Counted(Workspace):
+        def __init__(self):
+            made.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(harness, "Workspace", Counted)
+    monkeypatch.setattr(bptt, "Workspace", Counted)
+    spec = VariantSpec.make("lstm6", "tanh")
+    p, _ = init_params(spec, 28, 8, 10, seed=0)
+    evaluate(spec, p, synth_split(100, seed=2))
+    assert len(made) == 1
 
 
 def test_evaluate_rejects_empty_split():
@@ -298,7 +317,8 @@ def test_train_grows_its_workspace_once():
 
     config = small_config(variant="lstm", epochs=1, batch_size=32, n_h=100)
     train(config, dataset=synth_dataset(40, 8), ws=Counted())
-    assert len(grown) == 1 and grown[0] * 8 > 20e6
+    forward, backward = bptt._carved(layout("lstm", 28, 100, 10), 28, 32)
+    assert grown == [bptt._floats(forward) + bptt._floats(backward)]
 
 
 def test_run_grid_cells_match_separate_train_runs(tmp_path):
