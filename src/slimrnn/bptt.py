@@ -21,20 +21,20 @@ Those arrays, and the backward pass's own, are carved from a ``Workspace``,
 one flat buffer sized up front from the list of their shapes (``_carved``),
 and never allocated apart from it. The forward pass reserves its backward
 pass's room too and a buffer only grows, so a training run allocates its
-pages once, at its first batch, and a call without a workspace once. The
-input projection is dead before the time loop starts, so it lies in the
-backward pass's room, and the backward pass keeps only the live trace plus
-one step's scratch: every derivative factor is formed per step.
-The trace holds its own copy of the inputs, and the returned logits and
-gradients are fresh arrays the caller owns.
+pages once, at its first batch. The input projection is dead before the
+time loop starts, so it lies in the backward pass's room, and the backward
+pass keeps only the live trace plus one step's scratch: every derivative
+factor is formed per step. The trace holds its own copy of the inputs,
+and the returned logits and gradients are fresh arrays the caller owns.
 
 Classification reads the final hidden state only: logits = W_hy h_T + b_y.
-The backward pass is hand-derived. It walks the trace in reverse carrying
+The backward pass is hand-derived and reads all it needs from the trace
+(the pullback of reverse-mode AD). It walks the trace in reverse carrying
 dL/dh_t and dL/dc_t, builds each step's pre-activation deltas in one
 (m, B) slab, carries them back with one (n_h, k*n_h) @ (k*n_h, B) product
 and copies them into an array laid out so that all T*B of them are side
-by side (``_stacked``); every weight gradient is then one product over
-them.
+by side (``_stacked``), as are h_0 .. h_{T-1}; every weight gradient is
+then one product over them.
 The parameters are one flat vector laid out in the same block order
 (``cells.Layout``), so the stacked W, U and biases are views into it, and
 the gradients are a ``cells.Params`` of the same layout: each stacked
@@ -111,7 +111,7 @@ def _carved(lay: Layout, T: int, B: int) -> tuple[list[tuple[int, ...]], list[tu
     if lay.memory:  # act (the candidate's values), c and, unless o is fixed at 1, sig_c; dc
         forward += [(T, n_h, B), (T + 1, n_h, B)] + ([] if "o" in lay.unit else [(T, n_h, B)])
         backward += [(n_h, B)]
-    backward += [] if 1 in (T, n_h, B) else [(n_h, T * B)]  # _side_by_side(h)
+    backward += [(T, n_h, B)]  # h_0 .. h_{T-1}, side by side
     return forward, backward
 
 
@@ -140,8 +140,9 @@ class Trace:
     view of ``h[1:]`` when the output gate is fixed at 1; both are None for
     the srn. Iterating yields one Step per time step.
 
-    A trace lives in its Workspace's buffer and stays valid only until the
-    next ``forward_sequence`` on that workspace.
+    ``cell``, ``head``, ``activation`` and ``ws``, the Workspace the trace
+    lives in up to float ``end``, are what its forward pass used; the trace
+    stays valid only until the next ``forward_sequence`` on that workspace.
     """
 
     x: np.ndarray
@@ -150,6 +151,11 @@ class Trace:
     h: np.ndarray
     c: np.ndarray | None
     sig_c: np.ndarray | None
+    cell: Params
+    head: Params
+    activation: Activation
+    ws: Workspace
+    end: int
 
     def __iter__(self):
         cell_states = [None] * len(self.pre) if self.c is None else self.c[1:]
@@ -163,39 +169,18 @@ def _gate_values(lay: Layout, pre: np.ndarray, T: int) -> list[np.ndarray | list
 
 
 def _stacked(ws: Workspace, T: int, r: int, B: int) -> tuple[np.ndarray, np.ndarray]:
-    """A (T, r, B) array of ``ws`` and, as a view, the same array as ``_side_by_side`` lays it out.
+    """A (T, r, B) array of ``ws`` and, as a view, the same array side by side as (r, T*B).
 
-    When T, r or B is 1 it is carved (T, r, B), the layout whose (r, T*B)
-    view ``_side_by_side`` returns, else (r, T, B) and returned transposed.
+    Column t*B + b of the second holds [t, :, b] of the first. When T, r
+    or B is 1 it is carved (T, r, B), so the B = 1 form is F-ordered as the
+    pinned bits were made (a C-ordered one changes the BLAS kernel of the
+    products that read it, and the rounding), else (r, T, B).
     """
     if 1 in (T, r, B):
         a = ws.take((T, r, B))
         return a, a.transpose(1, 0, 2).reshape(r, T * B)
     a = ws.take((r, T, B))
     return a.transpose(1, 0, 2), a.reshape(r, T * B)
-
-
-def _side_by_side(a: np.ndarray, ws: Workspace) -> np.ndarray:
-    """(T, r, B) as (r, T*B), column t*B + b holding a[t, :, b].
-
-    For a C-contiguous ``a`` this is a view when T, r or B is 1, else a
-    copy into an array of ``ws``. Copying the B = 1 view (F-ordered) too
-    would change the BLAS kernel of the products that read it, and with
-    it the rounding.
-    """
-    T, r, B = a.shape
-    v = a.transpose(1, 0, 2)
-    if 1 in (T, r, B):
-        return v.reshape(r, T * B)
-    out = ws.take((r, T * B))
-    out.reshape(r, T, B)[...] = v
-    return out
-
-
-def _layout_of(spec: VariantSpec, p: Params) -> Layout:
-    if p.layout.variant is not spec.variant:
-        raise ValueError(f"parameters of {p.layout.variant.value} given for {spec.variant.value}")
-    return p.layout
 
 
 def forward_sequence(
@@ -221,7 +206,9 @@ def forward_sequence(
         )
     T, B, n_in = x.shape
     n_h = p.n_h
-    lay = _layout_of(spec, p)
+    lay = p.layout
+    if lay.variant is not spec.variant:
+        raise ValueError(f"parameters of {lay.variant.value} given for {spec.variant.value}")
     ws = Workspace() if ws is None else ws
     ws.restart(lay, T, B)
     x_in, x = x, ws.take(x.shape)
@@ -267,7 +254,8 @@ def forward_sequence(
             np.multiply(o[t], sig_c[t], out=h[t + 1])
 
     logits = (head["W_hy"] @ h[T]).T + head["b_y"]
-    trace = Trace(x=x, pre=pre, act=cand, h=h, c=c, sig_c=sig_c)
+    trace = Trace(x=x, pre=pre, act=cand, h=h, c=c, sig_c=sig_c, cell=p, head=head, activation=spec.activation,
+                  ws=ws, end=ws._used)
     return (logits[0] if single else logits), trace
 
 
@@ -297,36 +285,27 @@ def softmax_xent(logits: np.ndarray, label) -> tuple[float | np.ndarray, np.ndar
     return loss, dlogits
 
 
-def backward_sequence(
-    spec: VariantSpec, p: Params, head: Params, trace: Trace, dlogits: np.ndarray, ws: Workspace | None = None
-) -> Params:
+def backward_sequence(trace: Trace, dlogits: np.ndarray) -> Params:
     """Exact loss gradients for every trainable array, given a forward trace.
 
     ``dlogits`` is the loss gradient with respect to the logits, (n_out,)
     for a single sequence or (B, n_out) for a batch; the gradients are
-    summed over the batch rows and returned as a Params of ``p``'s layout.
-    The deltas are carved from ``ws`` (the trace's) after the trace, or
-    from a private Workspace.
+    summed over the batch rows and returned as a Params of the traced
+    cell's layout. The deltas are carved from the trace's workspace, where
+    the trace ends, so the trace may be walked back any number of times.
     """
-    if len(trace.pre) == 0:
-        raise ValueError("empty trace (was forward_sequence run?)")
     T, B, n_in = trace.x.shape
-    n_h = p.n_h
-    if n_in != p.n_in or trace.h.shape[1] != n_h:
-        raise ValueError("trace does not match the given parameters")
+    p, head, act, ws = trace.cell, trace.head, trace.activation, trace.ws
     dl = np.atleast_2d(dlogits)
     if dl.shape != (B, head.n_out):
         raise ValueError(f"dlogits shape {np.shape(dlogits)} does not match {B} rows of the head")
 
-    lay = _layout_of(spec, p)
+    lay, n_h = p.layout, p.n_h
     gr, d0 = lay.gate_rows, lay.dense_from
     pre, cand, h, c, sig_c = trace.pre, trace.act, trace.h, trace.c, trace.sig_c
-    act = spec.activation
     Ut = p.stacks["U"].T
     dh = head["W_hy"].T @ dl.T
-    if ws is None:
-        ws = Workspace()
-        ws.restart(lay, T, B)
+    ws._used = trace.end
     # Every step's deltas, also side by side as (m, T*B) against inputs and
     # hidden states stacked in the same (t, b) order; then one step's deltas
     # and derivative factors.
@@ -369,7 +348,8 @@ def backward_sequence(
         if lay.memory:
             dc *= f[t]
 
-    h_prev = _side_by_side(h[:T], ws)
+    hs, h_prev = _stacked(ws, T, n_h, B)
+    hs[...] = h[:T]
     grads = Params(lay)
     g = grads.stacks
     np.matmul(deltas[d0:], trace.x.reshape(T * B, n_in), out=g["W"])
@@ -392,15 +372,14 @@ def batch_loss_and_grads(
     backward pass, so every weight gradient is one product over the
     stacked T*B deltas. Results are bitwise reproducible for a given seed
     and batch size; they match a per-example reduction to rounding only.
-    Argmax ties resolve toward the lowest class index. A workspace, if
-    given, holds the trace and the deltas, else a private one does; the
-    results are bitwise the same either way.
+    Argmax ties resolve toward the lowest class index. The trace and the
+    deltas are carved from ``ws``, or from the forward's private workspace
+    when none is given; the results are bitwise the same either way.
     """
     size = len(batch.labels)
-    ws = Workspace() if ws is None else ws
     logits, trace = forward_sequence(spec, p, head, np.swapaxes(batch.inputs, 0, 1), ws)
     labels = np.asarray(batch.labels)
     losses, dlogits = softmax_xent(logits, labels)
-    grads = backward_sequence(spec, p, head, trace, dlogits / size, ws)
+    grads = backward_sequence(trace, dlogits / size)
     correct = int(np.count_nonzero(np.argmax(logits, axis=1) == labels))
     return float(losses.sum() / size), grads, correct

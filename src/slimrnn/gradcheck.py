@@ -57,9 +57,9 @@ _ERR_FLOOR = 1e-4
 REPLICA_UNITS = 160  # units per replica pass; 80-200 ran equally fast at n_h=5, 320 slower
 
 
-def relu_pattern(spec: VariantSpec, trace: Trace) -> np.ndarray | None:
+def relu_pattern(trace: Trace) -> np.ndarray | None:
     """Which relu inputs of a forward pass are positive; None when the cell has no relu."""
-    if spec.activation is not Activation.RELU:
+    if trace.activation is not Activation.RELU:
         return None
     on = trace.pre[:, -trace.h.shape[1]:] > 0.0
     if trace.c is None:
@@ -100,13 +100,14 @@ def _replica_map(variant: Variant, n_in: int, n_h: int, n_out: int, R: int) -> t
 
 
 def sweep_losses(
-    spec: VariantSpec, params: Params, seqs: np.ndarray, labels: np.ndarray
+    spec: VariantSpec, params: Params, seqs: np.ndarray, labels: np.ndarray, ws: Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean loss over the time-major batch ``seqs`` (T, B, n_in) at every vector of the sweep.
 
     Vector 0 is the unperturbed one; vectors 2j+1 and 2j+2 add +EPS and
     -EPS to coordinate j of the parameter vector ``params.vec``. Also
-    returns, per vector, whether its relu pattern equals vector 0's.
+    returns, per vector, whether its relu pattern equals vector 0's. Every
+    pass carves its trace from ``ws`` and is read before the next starts it over.
     """
     lay, base = params.layout, params.vec
     P = base.size
@@ -123,7 +124,6 @@ def sweep_losses(
     labels = np.repeat(labels, R)  # logits row b*R + r is example b under replica r
     losses = np.empty(n)
     same = np.ones(n, dtype=bool)
-    ws = Workspace()  # every pass's trace is read before the next pass starts it over
     for lo in range(0, n, R):
         k = np.arange(lo, min(lo + R, n))
         moved = k[k > 0]
@@ -133,7 +133,7 @@ def sweep_losses(
         work[slots] = base[coord[moved]]
         xent, _ = softmax_xent(logits.reshape(B * R, -1), labels)
         losses[k] = xent.reshape(B, R)[:, : len(k)].sum(axis=0) / B
-        pattern = relu_pattern(spec, trace)
+        pattern = relu_pattern(trace)
         if pattern is not None:
             pattern = pattern.reshape(len(pattern), R, -1, B)[:, : len(k)]
             base_pattern = pattern[:, :1] if lo == 0 else base_pattern
@@ -164,11 +164,13 @@ def check_gradients(
     T: int = 4,
     seed: int = 0,
     batch_size: int = 1,
+    ws: Workspace | None = None,
 ) -> CheckResult:
     """Compare batch BPTT gradients against central differences for one config.
 
     The loss is the mean over ``batch_size`` random sequences, and the
-    relu kink rule covers all of them.
+    relu kink rule covers all of them. Every pass carves from ``ws``, or
+    from one fresh Workspace when none is given.
     """
     spec = VariantSpec.make(variant, activation)
     cell, head = init_params(spec, n_in, n_h, n_out, seed)
@@ -178,9 +180,10 @@ def check_gradients(
         labels=rng.integers(0, n_out, size=batch_size),
     )
 
-    _, grads, _ = batch_loss_and_grads(spec, cell, head, batch)
+    ws = Workspace() if ws is None else ws
+    _, grads, _ = batch_loss_and_grads(spec, cell, head, batch, ws)
     analytic = grads.vec
-    losses, same = sweep_losses(spec, cell, np.swapaxes(batch.inputs, 0, 1), batch.labels)
+    losses, same = sweep_losses(spec, cell, np.swapaxes(batch.inputs, 0, 1), batch.labels, ws)
     numeric = (losses[1::2] - losses[2::2]) / (2.0 * EPS)
     compared = same[1::2] & same[2::2]
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), _ERR_FLOOR)
@@ -200,9 +203,10 @@ def check_all(
     activations: tuple[Activation, ...] = tuple(Activation),
     **dims,
 ) -> list[CheckResult]:
-    """The full verification matrix: variants x activations x seeds."""
+    """The full verification matrix: variants x activations x seeds, sharing one Workspace."""
+    ws = Workspace()
     return [
-        check_gradients(v, a, seed=s, **dims)
+        check_gradients(v, a, seed=s, ws=ws, **dims)
         for v in variants
         for a in activations
         for s in seeds

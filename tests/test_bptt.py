@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from slimrnn import bptt
-from slimrnn.bptt import Trace, Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
+from slimrnn.bptt import Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
 from slimrnn.cells import Activation, Variant, VariantSpec, init_params, layout
 from slimrnn.data import SequenceBatch, Split
 from slimrnn.gradcheck import check_gradients
@@ -133,7 +133,7 @@ def test_softmax_xent_gradient_sums_to_zero():
 def test_backward_zero_cotangent_gives_zero_grads(variant):
     spec, cell, head, seq, _ = random_setup(variant, "tanh")
     _, caches = forward_sequence(spec, cell, head, seq)
-    grads = backward_sequence(spec, cell, head, caches, np.zeros(4))
+    grads = backward_sequence(caches, np.zeros(4))
     for name, g in grads.items():
         assert not np.any(g), name
 
@@ -143,7 +143,7 @@ def test_backward_gradient_keys_mirror_parameters(variant):
     spec, cell, head, seq, label = random_setup(variant, "sigmoid")
     logits, caches = forward_sequence(spec, cell, head, seq)
     _, dlogits = softmax_xent(logits, label)
-    grads = backward_sequence(spec, cell, head, caches, dlogits)
+    grads = backward_sequence(caches, dlogits)
     params = {**cell.arrays(), **head.arrays()}
     assert list(grads) == list(params)
     assert grads.vec.size == cell.vec.size
@@ -157,29 +157,17 @@ def test_backward_is_linear_in_cotangent(variant):
     spec, cell, head, seq, label = random_setup(variant, "tanh")
     logits, caches = forward_sequence(spec, cell, head, seq)
     _, dlogits = softmax_xent(logits, label)
-    once = backward_sequence(spec, cell, head, caches, dlogits)
-    twice = backward_sequence(spec, cell, head, caches, 2.0 * dlogits)
+    once = backward_sequence(caches, dlogits)
+    twice = backward_sequence(caches, 2.0 * dlogits)
     for name in once:
         assert np.array_equal(2.0 * once[name], twice[name]), name
-
-
-def test_backward_rejects_empty_caches():
-    spec, cell, head, seq, _ = random_setup("lstm", "tanh")
-    _, trace = forward_sequence(spec, cell, head, seq)
-    empty = Trace(x=trace.x[:0], pre=trace.pre[:0], act=trace.act[:0], h=trace.h[:1], c=trace.c[:1],
-                  sig_c=trace.sig_c[:0])
-    with pytest.raises(ValueError, match="empty trace"):
-        backward_sequence(spec, cell, head, empty, np.zeros(4))
 
 
 def test_backward_rejects_mismatched_caches():
     spec, cell, head, seq, _ = random_setup("lstm", "tanh")
     _, caches = forward_sequence(spec, cell, head, seq)
-    other_cell, _ = init_params(spec, 6, 9, 4, seed=0)
-    with pytest.raises(ValueError):
-        backward_sequence(spec, other_cell, head, caches, np.zeros(4))
-    with pytest.raises(ValueError):
-        backward_sequence(spec, cell, head, caches, np.zeros(7))
+    with pytest.raises(ValueError, match="dlogits shape"):
+        backward_sequence(caches, np.zeros(7))
 
 
 # A fast spot-check; the full matrix runs in the acceptance suite.
@@ -204,7 +192,7 @@ def test_batch_of_one_equals_single_example():
     loss, grads, correct = batch_loss_and_grads(spec, cell, head, batch_of([(seq, label)]))
     logits, caches = forward_sequence(spec, cell, head, seq)
     ref_loss, dlogits = softmax_xent(logits, label)
-    ref = backward_sequence(spec, cell, head, caches, dlogits)
+    ref = backward_sequence(caches, dlogits)
     assert loss == ref_loss
     for name in ref:
         assert np.array_equal(grads[name], ref[name])
@@ -236,7 +224,7 @@ def test_batch_mean_is_hand_average():
         logits, caches = forward_sequence(spec, cell, head, seq)
         l, dlogits = softmax_xent(logits, label)
         losses.append(l)
-        parts.append(backward_sequence(spec, cell, head, caches, dlogits))
+        parts.append(backward_sequence(caches, dlogits))
     assert rel_err(loss, (losses[0] + losses[1]) / 2) <= 1e-12
     for name in grads:
         assert rel_err(grads[name], (parts[0][name] + parts[1][name]) / 2) <= 1e-12, name
@@ -293,9 +281,9 @@ def test_trace_owns_its_input(variant):
     logits, trace = forward_sequence(spec, cell, head, x)
     assert not np.shares_memory(trace.x, x)
     _, dlogits = softmax_xent(logits, np.array([0, 1, 3]))
-    want = backward_sequence(spec, cell, head, trace, dlogits).vec
+    want = backward_sequence(trace, dlogits).vec
     x[...] = 0.0
-    assert np.array_equal(backward_sequence(spec, cell, head, trace, dlogits).vec, want)
+    assert np.array_equal(backward_sequence(trace, dlogits).vec, want)
 
 
 @pytest.mark.parametrize("activation", ALL_ACTIVATIONS)
@@ -357,7 +345,7 @@ def test_batch_without_a_workspace_allocates_one_buffer(variant):
 @pytest.mark.parametrize("B", [1, 3, 32])
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_workspace_is_sized_to_what_a_batch_takes(variant, B, n_h, T):
-    # T, the rows or B at 1 make _stacked carve (T, r, B) and _side_by_side return a view
+    # T, the rows or B at 1 make _stacked carve (T, r, B), whose side-by-side form is a view
     spec = VariantSpec.make(variant, "relu")
     p, _ = init_params(spec, 3, n_h, 4, seed=0)
     rng = np.random.default_rng(2)
@@ -373,13 +361,14 @@ def test_workspace_is_sized_to_what_a_batch_takes(variant, B, n_h, T):
 def test_workspace_refuses_to_hand_out_memory_past_its_buffer():
     lay = init_params(VariantSpec.make("srn", "tanh"), 1, 1, 1, seed=0)[0].layout
     ws = Workspace()
-    ws.restart(lay, 1, 1)  # x, pre, h (2 floats); the deltas, one step's deltas and act' factor: 7 floats
+    # x, pre, h (2 floats); the deltas, one step's deltas and act' factor, and the copy of h[:T]: 8 floats
+    ws.restart(lay, 1, 1)
     ws.take((2, 2))
-    with pytest.raises(ValueError, match=r"no room for a \(4,\) array in a workspace of 7 floats"):
-        ws.take((4,))
-    ws.restart(lay, 1, 2)  # 14 floats: the buffer grows
+    with pytest.raises(ValueError, match=r"no room for a \(5,\) array in a workspace of 8 floats"):
+        ws.take((5,))
+    ws.restart(lay, 1, 2)  # 16 floats: the buffer grows
     ws.restart(lay, 1, 1)  # a smaller call keeps it
-    assert len(ws._buf) == 14 and np.shares_memory(ws.take((8,)), ws._buf)
+    assert len(ws._buf) == 16 and np.shares_memory(ws.take((8,)), ws._buf)
 
 
 def test_lstm_workspace_at_paper_shapes_holds_only_the_live_trace():

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from slimrnn import gradcheck
-from slimrnn.bptt import forward_sequence, softmax_xent
+from slimrnn import bptt, gradcheck
+from slimrnn.bptt import Workspace, forward_sequence, softmax_xent
 from slimrnn.cells import Activation, Variant, VariantSpec, init_params, layout
 from slimrnn.gradcheck import EPS, REL_TOL, check_all, check_gradients, relu_pattern, sweep_losses
 from slimrnn.rng import TAG_GRADCHECK, stream
@@ -58,7 +58,7 @@ def test_replica_losses_match_standalone_forward(variant, activation, replica_un
     widths = []
     monkeypatch.setattr(gradcheck, "forward_sequence",
                         lambda s, p, h, x, ws: widths.append(p.n_h) or forward_sequence(s, p, h, x, ws))
-    losses, same = sweep_losses(spec, cell, seqs, labels)
+    losses, same = sweep_losses(spec, cell, seqs, labels, Workspace())
     assert widths == [R * cell.n_h] * math.ceil((2 * P + 1) / R)
     assert losses.shape == same.shape == (2 * P + 1,)
 
@@ -71,7 +71,7 @@ def test_replica_losses_match_standalone_forward(variant, activation, replica_un
         xent, _ = softmax_xent(logits, labels)
         want = xent.sum() / len(labels)
         assert abs(losses[k] - want) <= 1e-12 * abs(want), k
-        pattern = relu_pattern(spec, trace)
+        pattern = relu_pattern(trace)
         if k == 0:
             base_pattern = pattern
         assert same[k] == (pattern is None or np.array_equal(pattern, base_pattern)), k
@@ -98,12 +98,27 @@ def test_check_fails_on_one_corrupted_analytic_coordinate(variant, batch_size, m
 def test_sweep_is_bitwise_equal_with_cold_and_warm_replica_map(variant, batch_size):
     spec, cell, _, seqs, labels = sweep_setup(variant, "relu", batch_size=batch_size)
     gradcheck._replica_map.cache_clear()
-    cold = sweep_losses(spec, cell, seqs, labels)
+    cold = sweep_losses(spec, cell, seqs, labels, Workspace())
     assert gradcheck._replica_map.cache_info().misses == 1
-    warm = sweep_losses(spec, cell, seqs, labels)
+    warm = sweep_losses(spec, cell, seqs, labels, Workspace())
     assert gradcheck._replica_map.cache_info().hits == 1
     for a, b in zip(cold, warm):
         assert a.tobytes() == b.tobytes()
+
+
+def test_check_all_builds_one_workspace(monkeypatch):
+    # the analytic pass and the sweep of every configuration share it
+    made = []
+
+    class Counted(Workspace):
+        def __init__(self):
+            made.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(gradcheck, "Workspace", Counted)
+    monkeypatch.setattr(bptt, "Workspace", Counted)
+    assert len(check_all()) == 63
+    assert len(made) == 1
 
 
 def test_interleaved_checks_match_fresh_ones():
@@ -129,9 +144,9 @@ def test_cached_replica_map_is_read_only():
 def test_replica_map_is_cached_per_replica_count(monkeypatch):
     spec, cell, _, seqs, labels = sweep_setup("lstm6", "tanh")
     gradcheck._replica_map.cache_clear()
-    sweep_losses(spec, cell, seqs, labels)
+    sweep_losses(spec, cell, seqs, labels, Workspace())
     monkeypatch.setattr(gradcheck, "REPLICA_UNITS", 5)
-    sweep_losses(spec, cell, seqs, labels)
-    sweep_losses(spec, cell, seqs, labels)
+    sweep_losses(spec, cell, seqs, labels, Workspace())
+    sweep_losses(spec, cell, seqs, labels, Workspace())
     info = gradcheck._replica_map.cache_info()
     assert (info.currsize, info.misses, info.hits) == (2, 2, 1)

@@ -7,7 +7,8 @@ trace into ``Step``s and the one-row ``softmax_xent``; it also re-runs
 ``run_grid`` into the same directory and calls ``check_all``. A change that
 breaks any of these makes every benchmark op fail its checks, so each
 workload's verification and two rounds of its ops run here on a tiny
-injected dataset.
+injected dataset. Its per-layer metrics read the spans of functions it
+wraps by name, so the names it hooks are pinned here too.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slimrnn import bptt, cells, cli, data, gradcheck, harness
@@ -23,6 +25,7 @@ from .conftest import synth_dataset
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import bench  # noqa: E402
+import tracer  # noqa: E402
 import workloads  # noqa: E402
 
 PROGRAM = argparse.Namespace(bptt=bptt, cells=cells, cli=cli, data=data, gradcheck=gradcheck, harness=harness)
@@ -43,3 +46,18 @@ def test_workload_verifies_and_runs_two_rounds_without_a_failure(name, tmp_path)
     assert len(results) == 2 * len(workload.configs)
     assert runner.tally.failed == 0, runner.tally.reasons
     assert runner.tally.attempted == sum(r.ops for r in results)
+
+
+def test_tracer_finds_every_hooked_function_but_the_known_dead_ones():
+    # a renamed function would leave its per-layer metrics reading 0 without a failure
+    tr = tracer.Tracer()
+    spec = cells.VariantSpec.make("lstm", "tanh")
+    cell, head = cells.init_params(spec, 3, 5, 4, seed=0)
+    batch = data.SequenceBatch(inputs=np.full((2, 4, 3), 0.5), labels=np.array([0, 3]))
+    with tr.installed():
+        bptt.batch_loss_and_grads(spec, cell, head, batch)
+    dead = ["slimrnn.cells.step", "slimrnn.cells.predict", "slimrnn.linalg.matvec", "slimrnn.linalg.matvec_transposed"]
+    assert tr.missing == dead
+    assert {name: row.calls for name, row in tr.table().items()} == {
+        "bptt.batch": 1, "bptt.forward": 1, "bptt.loss": 1, "bptt.backward": 1,
+    }
