@@ -9,16 +9,20 @@ limit only the kept prefix of images is held; the whole stream is still
 read and checked. Nothing here touches the network; when files are
 missing the error carries download instructions.
 
-Each 28x28 image becomes a 28-step sequence of 28-dimensional rows (top to
-bottom), scaled to [0, 1]. Training batches reshuffle every epoch from a
-counter-based stream keyed by (seed, epoch); test order is never shuffled.
+Each 28x28 image is a 28-step sequence of 28-dimensional rows (top to
+bottom). A split holds its pixels as the uint8 array the reader returns;
+``scaled`` turns each batch or evaluation chunk into float64 in [0, 1] as
+it is used, so a full-size split never sits in memory as float64 (one
+60,000-image float64 copy is 376 MB). Training batches reshuffle every
+epoch from a counter-based stream keyed by (seed, epoch); test order is
+never shuffled.
 """
 
 from __future__ import annotations
 
 import gzip
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,7 +83,11 @@ class SequenceBatch:
 
 @dataclass
 class Split:
-    """All examples of one split: sequences (N, T, n_in), labels (N,)."""
+    """All examples of one split: sequences (N, T, n_in) of uint8 pixels, labels (N,).
+
+    An injected split may instead hold float64 pixels already scaled to
+    [0, 1]; ``scaled`` passes those through (``check_dataset`` enforces both).
+    """
 
     sequences: np.ndarray
     labels: np.ndarray
@@ -180,24 +188,47 @@ def read_idx_labels(path: str | Path) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def to_sequences(images: np.ndarray, labels: np.ndarray) -> Split:
-    """Row-wise sequences: image row r becomes step r, pixels scaled by 1/255."""
-    return Split(
-        sequences=images.astype(np.float64) / 255.0,
-        labels=np.asarray(labels, dtype=np.int64).copy(),
-    )
+def scaled(pixels: np.ndarray) -> np.ndarray:
+    """Pixels as the engine takes them: float64 in [0, 1], uint8 ones divided by 255.
+
+    The only place that knows the scale. Each batch or chunk is scaled on
+    its own, which gives bitwise the values of scaling the whole split.
+    float64 pixels are taken as already scaled and returned as they are.
+    """
+    if pixels.dtype != np.uint8:
+        return pixels
+    out = pixels.astype(np.float64)
+    out /= 255.0
+    return out
 
 
-def batches(split: Split, batch_size: int, seed: int, epoch: int) -> list[SequenceBatch]:
-    """Deterministic per-epoch shuffle, cut into batches; the short tail is kept."""
+class _EpochBatches(Sequence):
+    """One epoch's batches, read-only and lazy: batch k is cut from the
+    permutation and scaled only when it is accessed."""
+
+    def __init__(self, split: Split, batch_size: int, perm: np.ndarray):
+        self._split, self._size, self._perm = split, batch_size, perm
+
+    def __len__(self) -> int:
+        return -(-len(self._perm) // self._size)
+
+    def __getitem__(self, k: int) -> SequenceBatch:
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError(f"batch {k} of an epoch of {n}")
+        idx = self._perm[(k % n) * self._size :][: self._size]
+        return SequenceBatch(inputs=scaled(self._split.sequences[idx]), labels=self._split.labels[idx])
+
+
+def batches(split: Split, batch_size: int, seed: int, epoch: int) -> Sequence[SequenceBatch]:
+    """Deterministic per-epoch shuffle, cut into batches; the short tail is kept.
+
+    Only the permutation is built here; each batch is copied out of the
+    split and scaled when it is read, so iterating holds about one batch.
+    """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    perm = stream(seed, TAG_SHUFFLE, epoch).permutation(len(split))
-    out = []
-    for start in range(0, len(perm), batch_size):
-        idx = perm[start : start + batch_size]
-        out.append(SequenceBatch(inputs=split.sequences[idx], labels=split.labels[idx]))
-    return out
+    return _EpochBatches(split, batch_size, stream(seed, TAG_SHUFFLE, epoch).permutation(len(split)))
 
 
 def _resolve(directory: Path, stem: str) -> Path:
@@ -218,7 +249,7 @@ def _read_split(images_path: Path, labels_path: Path, limit: int | None) -> Spli
     labels = read_idx_labels(labels_path)
     if count != len(labels):
         raise DataError(f"count mismatch: {count} images vs {len(labels)} labels")
-    return to_sequences(images, labels[: len(images)])
+    return Split(sequences=images, labels=labels[: len(images)].copy())
 
 
 def load_dataset(
@@ -238,11 +269,21 @@ def load_dataset(
 
 def check_dataset(dataset: Dataset) -> None:
     """Raise DataError unless both splits hold at least one image of nonzero
-    size and their images have the same shape."""
+    size, their images have the same shape, and their pixels are uint8 or
+    float64 already scaled to [0, 1] (anything else would be scaled wrongly)."""
     for name, split in (("train", dataset.train), ("test", dataset.test)):
-        if split.sequences.size == 0:
-            n, rows, cols = split.sequences.shape
+        pixels = split.sequences
+        if pixels.size == 0:
+            n, rows, cols = pixels.shape
             raise DataError(f"the {name} split holds {n} images of {rows}x{cols} pixels: nothing to learn from")
+        if pixels.dtype == np.float64:
+            lo, hi = float(pixels.min()), float(pixels.max())
+            if not 0.0 <= lo <= hi <= 1.0:
+                raise DataError(f"the {name} split's float64 pixels span [{lo:g}, {hi:g}]: "
+                                "float pixels must be scaled to [0, 1] already; uint8 ones are scaled on use")
+        elif pixels.dtype != np.uint8:
+            raise DataError(f"the {name} split's pixels are {pixels.dtype}: "
+                            "give uint8 pixels, or float64 ones already scaled to [0, 1]")
     if dataset.train.sequences.shape[1:] != dataset.test.sequences.shape[1:]:
         shapes = ["x".join(map(str, s.sequences.shape[1:])) for s in (dataset.train, dataset.test)]
         raise DataError(f"train images are {shapes[0]} pixels but test images {shapes[1]}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bptt import Workspace, batch_loss_and_grads, forward_sequence
 from .cells import Activation, Params, Variant, VariantSpec, init_params, layout
-from .data import NUM_CLASSES, Dataset, Split, batches, check_dataset, load_dataset
+from .data import NUM_CLASSES, Dataset, Split, batches, check_dataset, load_dataset, scaled
 from .optim import rmsprop_step
 
 METRICS_HEADER = "epoch,train_acc,test_acc,train_loss,epoch_seconds"
@@ -106,21 +106,19 @@ class BestResult:
     best_test_epoch: int
 
 
-def evaluate(spec: VariantSpec, model: Params, split: Split, ws: Workspace | None = None) -> float:
+def evaluate(spec: VariantSpec, model: Params, split: Split, ws: Workspace) -> float:
     """Fraction of examples whose argmax logit hits the label (ties: lowest index).
 
     The split runs through the batched forward pass EVAL_CHUNK examples at
-    a time, which bounds the memory its trace takes; each chunk's trace
-    goes into ``ws``, a fresh Workspace for the whole split when none is
-    given.
+    a time, each chunk scaled as it is read and its trace carved from
+    ``ws``, which bounds the memory the pass takes.
     """
     if len(split) == 0:
         raise ValueError("cannot evaluate an empty split")
-    ws = Workspace() if ws is None else ws
     correct = 0
     for start in range(0, len(split), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
-        logits, _ = forward_sequence(spec, model, model, np.swapaxes(split.sequences[chunk], 0, 1), ws)
+        logits, _ = forward_sequence(spec, model, model, np.swapaxes(scaled(split.sequences[chunk]), 0, 1), ws)
         correct += int(np.count_nonzero(np.argmax(logits, axis=1) == split.labels[chunk]))
     return correct / len(split)
 

@@ -57,7 +57,7 @@ def synth_images(n: int, seed: int, rows: int = 28, cols: int = 28) -> tuple[np.
 
 def synth_split(n: int, seed: int, rows: int = 28, cols: int = 28) -> Split:
     images, labels = synth_images(n, seed, rows, cols)
-    return Split(sequences=images.astype(np.float64) / 255.0, labels=labels)
+    return Split(sequences=images, labels=labels)
 
 
 def synth_dataset(n_train: int, n_test: int, seed: int = 0) -> Dataset:

@@ -21,6 +21,9 @@ from slimrnn.data import (
     read_idx_images,
     read_idx_labels,
 )
+from slimrnn import harness
+from slimrnn.bptt import Workspace, forward_sequence
+from slimrnn.cells import VariantSpec, init_params
 from slimrnn.data import Split
 from slimrnn.gradcheck import check_all
 from slimrnn.harness import TrainConfig, best_of, train
@@ -228,7 +231,7 @@ def test_criterion_7_bitwise_determinism(tmp_path, capsys):
               "(all columns except wall-clock epoch_seconds)")
 
 
-def test_criterion_8_data_layer_properties(tmp_path, capsys):
+def test_criterion_8_data_layer_properties(tmp_path, capsys, monkeypatch):
     # IDX round-trip exactness, plain and gzipped
     rng = np.random.default_rng(0)
     images = rng.integers(0, 256, size=(7, 28, 28), dtype=np.uint8)
@@ -244,25 +247,42 @@ def test_criterion_8_data_layer_properties(tmp_path, capsys):
 
     # per-epoch batch partition: every example exactly once
     n = 101
-    sequences = np.zeros((n, 2, 2))
+    sequences = np.zeros((n, 2, 2), dtype=np.uint8)
     sequences[:, 0, 0] = np.arange(n)
     split = Split(sequences=sequences, labels=np.zeros(n, dtype=np.int64))
     for epoch in (1, 2, 3):
         got = batches(split, batch_size=32, seed=9, epoch=epoch)
-        ids = sorted(int(v) for b in got for v in b.inputs[:, 0, 0])
+        ids = sorted(int(round(v * 255)) for b in got for v in b.inputs[:, 0, 0])
         assert ids == list(range(n))
         assert [len(b) for b in got] == [32, 32, 32, 5]
 
-    # normalization bounds
-    split2 = synth_dataset(32, 8).train
-    assert float(split2.sequences.min()) >= 0.0
-    assert float(split2.sequences.max()) <= 1.0
+    # normalization bounds: a split keeps uint8 pixels, and every training
+    # batch and evaluation chunk reaches the engine as images / 255 exactly
+    pixels = synth_dataset(40, 8).train.sequences
+    assert pixels.dtype == np.uint8
+    want = pixels.astype(np.float64) / 255.0
+    tagged = Split(sequences=pixels, labels=np.arange(len(pixels)))
+    for batch in batches(tagged, batch_size=16, seed=0, epoch=1):
+        assert batch.inputs.tobytes() == want[batch.labels].tobytes()
+        assert 0.0 <= float(batch.inputs.min()) and float(batch.inputs.max()) <= 1.0
+    received = []
+
+    def recording(spec, cell, head, x, ws):
+        received.append(np.swapaxes(x, 0, 1).copy())
+        return forward_sequence(spec, cell, head, x, ws)
+
+    monkeypatch.setattr(harness, "forward_sequence", recording)
+    spec = VariantSpec.make("lstm6", "tanh")
+    model, _ = init_params(spec, 28, 4, 10, seed=0)
+    harness.evaluate(spec, model, tagged, Workspace())
+    assert np.concatenate(received).tobytes() == want.tobytes()
     data = mnist_dir()
     if data is not None:
         real = load_dataset(data, train_limit=256, test_limit=64)
-        assert float(real.train.sequences.min()) >= 0.0
-        assert float(real.train.sequences.max()) <= 1.0
+        assert real.train.sequences.dtype == np.uint8
         assert real.train.sequences.shape[1:] == (28, 28)
+        inputs = batches(real.train, batch_size=256, seed=0, epoch=1)[0].inputs
+        assert 0.0 <= float(inputs.min()) and float(inputs.max()) <= 1.0
     with capsys.disabled():
         print("\nACCEPTANCE 8 PASS: IDX round-trip exact, batches partition every epoch, "
               "pixel values stay in [0, 1]")

@@ -307,10 +307,10 @@ def test_workspace_reuse_is_bitwise_neutral(variant, activation):
         assert digests.digest(*fresh) == FROZEN_DIGESTS[f"{spec.variant.value}/{spec.activation.value}/{size}"]
 
     batch = digests.digest_batch(40)  # two evaluation chunks, the second one short
-    split = Split(sequences=batch.inputs, labels=batch.labels)
+    split = Split(sequences=np.rint(batch.inputs * 255).astype(np.uint8), labels=batch.labels)
     buf = ws._buf
     buf.fill(np.nan)
-    assert evaluate(spec, p, split, ws) == evaluate(spec, p, split)
+    assert evaluate(spec, p, split, ws) == evaluate(spec, p, split, Workspace())
     assert ws._buf is buf, "evaluation grew the workspace, so it never read the NaN-filled buffer"
 
 

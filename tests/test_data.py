@@ -19,7 +19,7 @@ from slimrnn.data import (
     load_dataset,
     read_idx_images,
     read_idx_labels,
-    to_sequences,
+    scaled,
 )
 
 from .conftest import traced_peak_mb, write_idx_images, write_idx_labels, write_mnist_dir
@@ -145,23 +145,35 @@ def test_idx_format_errors_keep_their_wording(tmp_path, case):
         reader(path)
 
 
+def tagged_split(n: int) -> Split:
+    """n uint8 examples of 2x2 pixels whose first pixel is the example's index."""
+    sequences = np.zeros((n, 2, 2), dtype=np.uint8)
+    sequences[:, 0, 0] = np.arange(n)
+    return Split(sequences=sequences, labels=np.arange(n, dtype=np.int64) % 10)
+
+
+def tags(got) -> list[int]:
+    """The indices tagged into a split's examples, back from each scaled batch, in order."""
+    return [int(round(v * 255)) for b in got for v in b.inputs[:, 0, 0]]
+
+
 def test_to_sequences_normalization():
     images = np.zeros((1, 28, 28), dtype=np.uint8)
     images[0, 3, 5] = 128
-    split = to_sequences(images, np.array([7]))
-    seq = split.sequences[0]
+    seq = scaled(images)[0]
+    assert seq.dtype == np.float64
     assert seq[3, 5] == pytest.approx(0.5019607843137255, abs=1e-15)
     assert seq.sum() == pytest.approx(seq[3, 5])
-    full = to_sequences(np.full((1, 2, 2), 255, dtype=np.uint8), np.array([0]))
-    assert np.array_equal(full.sequences[0], np.ones((2, 2)))
-    zero = to_sequences(np.zeros((1, 2, 2), dtype=np.uint8), np.array([0]))
-    assert not np.any(zero.sequences)
+    assert np.array_equal(scaled(np.full((1, 2, 2), 255, dtype=np.uint8)), np.ones((1, 2, 2)))
+    assert not np.any(scaled(np.zeros((1, 2, 2), dtype=np.uint8)))
+    every = np.arange(256, dtype=np.uint8)
+    assert scaled(every).tobytes() == (every.astype(np.float64) / 255.0).tobytes()
+    already = np.linspace(0.0, 1.0, 5)
+    assert scaled(already) is already
 
 
 def test_batches_short_split_single_batch():
-    sequences = np.zeros((10, 4, 4))
-    split_labels = np.arange(10, dtype=np.int64) % 10
-    split = Split(sequences=sequences, labels=split_labels)
+    split = Split(sequences=np.zeros((10, 4, 4), dtype=np.uint8), labels=np.arange(10, dtype=np.int64) % 10)
     got = batches(split, batch_size=32, seed=0, epoch=1)
     assert len(got) == 1
     assert len(got[0]) == 10
@@ -169,23 +181,16 @@ def test_batches_short_split_single_batch():
 
 def test_batches_partition_all_examples_once():
     n = 64
-    sequences = np.zeros((n, 2, 2))
-    sequences[:, 0, 0] = np.arange(n)  # tag each example
-    split = Split(sequences=sequences, labels=np.arange(n, dtype=np.int64) % 10)
-    got = batches(split, batch_size=32, seed=3, epoch=2)
+    got = batches(tagged_split(n), batch_size=32, seed=3, epoch=2)
     assert [len(b) for b in got] == [32, 32]
-    seen = sorted(int(v) for b in got for v in b.inputs[:, 0, 0])
-    assert seen == list(range(n))
+    assert sorted(tags(got)) == list(range(n))
 
 
 def test_batches_deterministic_per_seed_epoch():
-    n = 40
-    sequences = np.zeros((n, 2, 2))
-    sequences[:, 0, 0] = np.arange(n)
-    split = Split(sequences=sequences, labels=np.zeros(n, dtype=np.int64))
+    split = tagged_split(40)
 
     def order(seed, epoch):
-        return [int(v) for b in batches(split, 16, seed, epoch) for v in b.inputs[:, 0, 0]]
+        return tags(batches(split, 16, seed, epoch))
 
     assert order(5, 3) == order(5, 3)
     assert order(5, 3) != order(5, 4)
@@ -193,9 +198,23 @@ def test_batches_deterministic_per_seed_epoch():
 
 
 def test_batches_rejects_bad_batch_size():
-    split = Split(sequences=np.zeros((4, 2, 2)), labels=np.zeros(4, dtype=np.int64))
+    split = Split(sequences=np.zeros((4, 2, 2), dtype=np.uint8), labels=np.zeros(4, dtype=np.int64))
     with pytest.raises(ValueError):
         batches(split, 0, seed=0, epoch=0)
+
+
+def test_batches_is_a_read_only_sequence_scaled_on_access():
+    split = tagged_split(70)
+    got = batches(split, batch_size=32, seed=1, epoch=1)
+    assert len(got) == 3 and [len(b) for b in got] == [32, 32, 6]
+    assert tags([got[-1]]) == tags([got[2]]) and tags([got[-3]]) == tags([got[0]])
+    assert tags([got[0]]) == tags(batches(split, 32, seed=1, epoch=1))[:32]
+    for k in (3, -4):
+        with pytest.raises(IndexError):
+            got[k]
+    with pytest.raises(TypeError):
+        got[0] = got[1]
+    assert got[0].inputs.dtype == np.float64 and got[0].inputs is not got[0].inputs
 
 
 def test_load_dataset_from_directory(tmp_path):
@@ -204,8 +223,11 @@ def test_load_dataset_from_directory(tmp_path):
     assert len(ds.train) == 10
     assert len(ds.test) == 6
     assert ds.train.sequences.shape[1:] == (28, 28)
-    assert ds.train.sequences.min() >= 0.0
-    assert ds.train.sequences.max() <= 1.0
+    assert ds.train.sequences.dtype == np.uint8 and ds.test.sequences.dtype == np.uint8
+    for batch in batches(ds.train, 4, seed=0, epoch=1):
+        assert batch.inputs.dtype == np.float64
+        assert batch.inputs.min() >= 0.0
+        assert batch.inputs.max() <= 1.0
 
 
 def test_load_dataset_missing_files_has_fetch_hint(tmp_path):

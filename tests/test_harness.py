@@ -11,7 +11,7 @@ import slimrnn.harness as harness
 from slimrnn import bptt
 from slimrnn.bptt import Workspace
 from slimrnn.cells import Activation, Variant, VariantSpec, init_params, layout
-from slimrnn.data import DataError, Dataset, Split
+from slimrnn.data import DataError, Dataset, Split, batches
 from slimrnn.harness import (
     METRICS_HEADER,
     ConfigError,
@@ -58,14 +58,14 @@ def test_config_validation():
 def test_evaluate_zero_logits_tie_breaks_to_class_zero():
     spec, model, _ = zeroed_params("lstm6", "tanh", 4, 3, 10)
     labels = np.array([0, 0, 1, 2, 0], dtype=np.int64)
-    split = Split(sequences=np.zeros((5, 2, 4)), labels=labels)
-    assert evaluate(spec, model, split) == pytest.approx(3 / 5)
+    split = Split(sequences=np.zeros((5, 2, 4), dtype=np.uint8), labels=labels)
+    assert evaluate(spec, model, split, Workspace()) == pytest.approx(3 / 5)
 
 
 def test_evaluate_singleton_correct():
     spec, model, _ = zeroed_params("lstm6", "tanh", 4, 3, 10)
-    split = Split(sequences=np.zeros((1, 2, 4)), labels=np.array([0], dtype=np.int64))
-    assert evaluate(spec, model, split) == 1.0
+    split = Split(sequences=np.zeros((1, 2, 4), dtype=np.uint8), labels=np.array([0], dtype=np.int64))
+    assert evaluate(spec, model, split, Workspace()) == 1.0
 
 
 def test_evaluate_constructed_two_of_three():
@@ -73,8 +73,8 @@ def test_evaluate_constructed_two_of_three():
     spec, model, _ = zeroed_params("srn", "tanh", 4, 3, 3)
     model["b_y"] = [0.0, 1.0, 0.5]
     labels = np.array([1, 1, 2], dtype=np.int64)
-    split = Split(sequences=np.zeros((3, 2, 4)), labels=labels)
-    assert evaluate(spec, model, split) == pytest.approx(2 / 3)
+    split = Split(sequences=np.zeros((3, 2, 4), dtype=np.uint8), labels=labels)
+    assert evaluate(spec, model, split, Workspace()) == pytest.approx(2 / 3)
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -104,9 +104,9 @@ def test_evaluate_accuracy_does_not_depend_on_chunking(monkeypatch, variant):
     assert len(accuracies) == 1
 
 
-def test_evaluate_without_a_workspace_makes_one(monkeypatch):
+def test_evaluate_makes_no_workspace_of_its_own(monkeypatch):
     # forward_sequence makes a private workspace per call when given none,
-    # so an evaluation of 100 examples would build one per chunk
+    # so an evaluation of 100 examples that passed none on would build one per chunk
     made = []
 
     class Counted(Workspace):
@@ -118,15 +118,16 @@ def test_evaluate_without_a_workspace_makes_one(monkeypatch):
     monkeypatch.setattr(bptt, "Workspace", Counted)
     spec = VariantSpec.make("lstm6", "tanh")
     p, _ = init_params(spec, 28, 8, 10, seed=0)
-    evaluate(spec, p, synth_split(100, seed=2))
-    assert len(made) == 1
+    ws = Counted()
+    evaluate(spec, p, synth_split(100, seed=2), ws)
+    assert made == [ws]
 
 
 def test_evaluate_rejects_empty_split():
     spec, model, _ = zeroed_params("lstm6", "tanh", 4, 3, 10)
-    split = Split(sequences=np.zeros((0, 2, 4)), labels=np.zeros(0, dtype=np.int64))
+    split = Split(sequences=np.zeros((0, 2, 4), dtype=np.uint8), labels=np.zeros(0, dtype=np.int64))
     with pytest.raises(ValueError):
-        evaluate(spec, model, split)
+        evaluate(spec, model, split, Workspace())
 
 
 def row(epoch, train_acc, test_acc):
@@ -280,7 +281,7 @@ def test_run_grid_records_failures_and_continues(tmp_path, monkeypatch):
 @pytest.mark.parametrize("empty", ["train", "test"])
 def test_injected_empty_split_raises_data_error(empty, tmp_path):
     splits = {"train": synth_split(8, 0), "test": synth_split(8, 1)}
-    splits[empty] = Split(sequences=np.zeros((0, 28, 28)), labels=np.zeros(0, dtype=np.int64))
+    splits[empty] = Split(sequences=np.zeros((0, 28, 28), dtype=np.uint8), labels=np.zeros(0, dtype=np.int64))
     ds = Dataset(**splits)
     out_dir = tmp_path / "grid"
     with pytest.raises(DataError, match=empty):
@@ -288,6 +289,46 @@ def test_injected_empty_split_raises_data_error(empty, tmp_path):
     assert not out_dir.exists()
     with pytest.raises(DataError, match=empty):
         train(small_config(epochs=1), dataset=ds)
+
+
+# pixels that are neither uint8 nor float64 already in [0, 1]: the engine would get them scaled wrongly
+WRONG_PIXELS = {
+    "int64": lambda images: images.astype(np.int64),
+    "float32": lambda images: images.astype(np.float32) / 255,
+    "float64": lambda images: images.astype(np.float64),  # not yet scaled
+}
+
+
+@pytest.mark.parametrize("kind", WRONG_PIXELS)
+@pytest.mark.parametrize("name", ["train", "test"])
+def test_injected_split_of_other_pixels_raises_data_error(name, kind, tmp_path):
+    splits = {"train": synth_split(8, 0), "test": synth_split(8, 1)}
+    splits[name] = replace(splits[name], sequences=WRONG_PIXELS[kind](splits[name].sequences))
+    ds = Dataset(**splits)
+    out_dir = tmp_path / "grid"
+    with pytest.raises(DataError, match=f"the {name} split's .*{kind}"):
+        run_grid(["lstm6"], ["tanh"], [1e-3], small_config(epochs=1), out_dir, dataset=ds)
+    assert not out_dir.exists()
+    with pytest.raises(DataError, match=f"the {name} split's .*{kind}"):
+        train(small_config(epochs=1), dataset=ds)
+
+
+def test_injected_float_split_is_not_scaled_again():
+    ds = synth_dataset(16, 8)
+    pre = Dataset(*(replace(s, sequences=s.sequences.astype(np.float64) / 255.0) for s in (ds.train, ds.test)))
+    rows = [replace(train(small_config(), dataset=d)[-1], epoch_seconds=0.0) for d in (pre, ds)]
+    assert rows[0] == rows[1]
+
+
+def test_one_epoch_allocates_about_one_scaled_batch_at_a_time():
+    # One float64 copy of this 2,000-example split is 12.5 MB: scaling the
+    # whole split, or listing an epoch's batches, would allocate that much.
+    ds = synth_dataset(2000, 32)
+    float_copy_mb = ds.train.sequences.size * 8 / 1e6
+    batch_mb = 32 * 28 * 28 * 8 / 1e6
+    assert traced_peak_mb(lambda: train(small_config(epochs=1, batch_size=32, n_h=2), dataset=ds)) < float_copy_mb
+    # the next batch is scaled while the last one is still held
+    assert traced_peak_mb(lambda: [len(b) for b in batches(ds.train, 32, seed=0, epoch=1)]) < 2.5 * batch_mb
 
 
 def test_run_grid_shares_one_workspace(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Property-based sweeps over the engine's shapes.
+"""Property-based sweeps over the engine's shapes and the IDX reader's.
 
 Every property draws from the whole range it names, with no filter, and
 runs derandomized with a fixed number of examples and no example
@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from slimrnn import bptt
 from slimrnn.bptt import Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
 from slimrnn.cells import Activation, Variant, VariantSpec, init_params
-from slimrnn.data import SequenceBatch
+from slimrnn.data import SequenceBatch, Split, batches, read_idx_images
+
+from .conftest import write_idx_images
 
 SWEEP = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -52,3 +54,31 @@ def test_workspace_takes_what_carved_lists_and_reuse_is_bitwise_neutral(variant,
     loss, grads, correct = batch_loss_and_grads(spec, p, p, batch, ws)
     assert ws._buf is buf
     assert (loss, correct) == (fresh[0], fresh[2]) and grads.vec.tobytes() == fresh[1].vec.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    count=st.integers(0, 40),
+    rows=st.integers(1, 5),
+    cols=st.integers(1, 5),
+    limit=st.none() | st.integers(0, 50),
+    gz=st.booleans(),
+    batch_size=st.integers(1, 8),
+)
+def test_idx_images_round_trip_under_any_limit_and_batch_as_scaled_pixels(
+    tmp_path_factory, count, rows, cols, limit, gz, batch_size
+):
+    images = np.random.default_rng([count, rows, cols]).integers(0, 256, size=(count, rows, cols), dtype=np.uint8)
+    path = tmp_path_factory.getbasetemp() / ("idx_round_trip" + (".gz" if gz else ""))
+    write_idx_images(path, images)
+    back, claimed = read_idx_images(path, limit)
+    kept = images[: count if limit is None else min(limit, count)]
+    assert claimed == count
+    assert back.dtype == np.uint8 and back.shape == kept.shape and back.tobytes() == kept.tobytes()
+
+    # labels tag each example, so the batches' labels spell out the epoch's permutation
+    got = batches(Split(sequences=back, labels=np.arange(len(back))), batch_size, seed=count, epoch=rows)
+    perm = np.array([i for b in got for i in b.labels], dtype=np.int64)
+    inputs = np.concatenate([np.zeros((0, rows, cols))] + [b.inputs for b in got])
+    assert sorted(perm) == list(range(len(kept)))
+    assert inputs.tobytes() == (kept[perm].astype(np.float64) / 255).tobytes()
