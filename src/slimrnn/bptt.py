@@ -13,19 +13,20 @@ elementwise work. The k dense blocks sit together at the bottom, so
   single (k*n_h, n_h) @ (n_h, B) recurrent product;
 * point-wise gates add u_g * h_{t-1} per step, and fixed gates are
   broadcast constants that produce no parameter gradients;
-* every step writes in place into arrays taken once per call, which
+* every step writes in place into arrays carved once per call, which
   together form the Trace the backward pass reads: each gate's sigmoid
   overwrites its pre-activation, and only the candidate block keeps both.
 
-Those arrays, and the backward pass's own, are carved from a ``Workspace``,
-one flat buffer sized up front from the list of their shapes (``_carved``),
-and never allocated apart from it. The forward pass reserves its backward
-pass's room too and a buffer only grows, so a training run allocates its
-pages once, at its first batch. The input projection is dead before the
-time loop starts, so it lies in the backward pass's room, and the backward
-pass keeps only the live trace plus one step's scratch: every derivative
-factor is formed per step. The trace holds its own copy of the inputs,
-and the returned logits and gradients are fresh arrays the caller owns.
+One memory plan, ``_carved``, names every array of a forward pass and of
+its backward pass with its shape, in carve order. ``Workspace.carve`` cuts
+them all from one flat buffer, which only grows, so a training run
+allocates its pages once, at its first batch. The forward hands its
+backward's arrays on in the trace, so the backward never touches a
+workspace. The input projection is dead before the time loop starts, so
+it lies in the backward pass's room, and the backward pass keeps only the
+live trace plus one step's scratch: every derivative factor is formed per
+step. The trace holds its own copy of the inputs, and the returned logits
+and gradients are fresh arrays the caller owns.
 
 Classification reads the final hidden state only: logits = W_hy h_T + b_y.
 The backward pass is hand-derived and reads all it needs from the trace
@@ -48,6 +49,7 @@ delta takes dL/dh_t directly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -62,61 +64,52 @@ from .cells import (
 class Workspace:
     """Scratch memory the engine reuses across calls: one flat float64 buffer.
 
-    ``forward_sequence`` starts it over with room for itself and its
-    backward pass and carves its trace from it, and ``backward_sequence``
-    carves its own arrays after the trace. The forward's input projection
-    is ``peek``ed, in the room that the backward's first array takes again.
-    The buffer only ever grows, to the largest call it has served, and
-    every array it hands out lies inside it: a request past the room
-    reserved is an error, never a fresh array.
+    ``carve`` cuts the arrays of the memory plan ``_carved`` from it. The
+    buffer only ever grows, to the largest plan it has served, and the
+    arrays of the last (layout, T, B) are kept to be handed out again.
     """
 
     def __init__(self) -> None:
         self._buf = np.empty(0)
-        self._used = 0
-        self._room = (None, 0)  # the (layout, T, B) last started for, and the floats it takes
+        self._last = None, {}  # the (layout, T, B) last carved for, and its arrays
 
-    def restart(self, lay: Layout, T: int, B: int) -> None:
-        """Start over with room for a forward and a backward pass of ``lay`` at (T, B),
-        invalidating every array taken so far."""
-        if self._room[0] != (lay, T, B):
-            self._room = (lay, T, B), sum(map(_floats, _carved(lay, T, B)))
-        if self._room[1] > len(self._buf):
-            self._buf = np.empty(self._room[1])
-        self._used = 0
+    def carve(self, lay: Layout, T: int, B: int) -> dict[str, np.ndarray]:
+        """The uninitialized arrays of ``_carved(lay, T, B)``, cut in plan order from the buffer.
 
-    def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        """An uninitialized float64 array of ``shape``, valid until the next ``restart``."""
-        start, end = self._used, self._used + math.prod(shape)
-        if end > len(self._buf):
-            raise ValueError(f"no room for a {shape} array in a workspace of {len(self._buf)} floats")
-        self._used = end
-        return self._buf[start:end].reshape(shape)
-
-    def peek(self, shape: tuple[int, ...]) -> np.ndarray:
-        """Like ``take``, but the next ``take`` hands the same memory out again."""
-        out = self.take(shape)
-        self._used -= out.size
-        return out
+        A carve for another (layout, T, B) may hand their memory out again.
+        """
+        if self._last[0] != (lay, T, B):
+            plan = _carved(lay, T, B)
+            ends = list(itertools.accumulate(map(math.prod, plan.values())))
+            if ends[-1] > len(self._buf):
+                self._buf = np.empty(ends[-1])
+            cuts = zip(plan.items(), [0, *ends], ends)
+            self._last = (lay, T, B), {name: self._buf[i:j].reshape(shape) for (name, shape), i, j in cuts}
+        return self._last[1]
 
 
-def _carved(lay: Layout, T: int, B: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The shapes that a forward pass and then its backward pass take from a workspace, in carve order.
+def _carved(lay: Layout, T: int, B: int) -> dict[str, tuple[int, ...]]:
+    """The memory plan: the name and shape of every array of a forward pass and then its backward pass.
 
-    The input projection, (k*n_h, T*B), is peeked in the room of the backward's deltas, (T, m, B).
+    The forward's are the trace's: x, pre, h and, for memory cells, act, c
+    and, unless o is fixed at 1, sig_c. The backward's are every step's
+    ``deltas``, one step's deltas ``d`` and gate and act' factors, ``dc``
+    for memory cells, and h_0 .. h_{T-1} as ``hs``. The input projection,
+    (k*n_h, T*B), lies in the room of ``deltas``.
     """
     n_h, gr, m = lay.n_h, lay.gate_rows, lay.gate_rows + lay.n_h
-    forward = [(T, B, lay.n_in), (T, m, B), (T + 1, n_h, B)]
-    backward = [(T, m, B), (m, B), (gr, B), (n_h, B)]  # deltas, then one step's: deltas, gate and act' factors
-    if lay.memory:  # act (the candidate's values), c and, unless o is fixed at 1, sig_c; dc
-        forward += [(T, n_h, B), (T + 1, n_h, B)] + ([] if "o" in lay.unit else [(T, n_h, B)])
-        backward += [(n_h, B)]
-    backward += [(T, n_h, B)]  # h_0 .. h_{T-1}, side by side
-    return forward, backward
 
+    def stacked(r: int) -> tuple[int, int, int]:  # see _stacked
+        return (T, r, B) if 1 in (T, r, B) else (r, T, B)
 
-def _floats(shapes: list[tuple[int, ...]]) -> int:
-    return sum(map(math.prod, shapes))
+    plan = {"x": (T, B, lay.n_in), "pre": (T, m, B), "h": (T + 1, n_h, B)}
+    if lay.memory:
+        plan.update(act=(T, n_h, B), c=(T + 1, n_h, B), **({} if "o" in lay.unit else {"sig_c": (T, n_h, B)}))
+    plan.update(deltas=stacked(m), d=(m, B), dgates=(gr, B), dact=(n_h, B))
+    if lay.memory:
+        plan["dc"] = (n_h, B)
+    plan["hs"] = stacked(n_h)
+    return plan
 
 
 class Step(NamedTuple):
@@ -140,9 +133,10 @@ class Trace:
     view of ``h[1:]`` when the output gate is fixed at 1; both are None for
     the srn. Iterating yields one Step per time step.
 
-    ``cell``, ``head``, ``activation`` and ``ws``, the Workspace the trace
-    lives in up to float ``end``, are what its forward pass used; the trace
-    stays valid only until the next ``forward_sequence`` on that workspace.
+    ``cell``, ``head`` and ``activation`` are what its forward pass used,
+    and ``room`` is every array it carved, its backward pass's included;
+    the trace stays valid only until the next ``forward_sequence`` on the
+    workspace it was carved from.
     """
 
     x: np.ndarray
@@ -154,8 +148,7 @@ class Trace:
     cell: Params
     head: Params
     activation: Activation
-    ws: Workspace
-    end: int
+    room: dict[str, np.ndarray]
 
     def __iter__(self):
         cell_states = [None] * len(self.pre) if self.c is None else self.c[1:]
@@ -168,19 +161,17 @@ def _gate_values(lay: Layout, pre: np.ndarray, T: int) -> list[np.ndarray | list
     return [[g] * T if isinstance(g, float) else g for g in gates]
 
 
-def _stacked(ws: Workspace, T: int, r: int, B: int) -> tuple[np.ndarray, np.ndarray]:
-    """A (T, r, B) array of ``ws`` and, as a view, the same array side by side as (r, T*B).
+def _stacked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A carved array as (T, r, B) and, as a view, side by side as (r, T*B).
 
     Column t*B + b of the second holds [t, :, b] of the first. When T, r
     or B is 1 it is carved (T, r, B), so the B = 1 form is F-ordered as the
     pinned bits were made (a C-ordered one changes the BLAS kernel of the
     products that read it, and the rounding), else (r, T, B).
     """
-    if 1 in (T, r, B):
-        a = ws.take((T, r, B))
-        return a, a.transpose(1, 0, 2).reshape(r, T * B)
-    a = ws.take((r, T, B))
-    return a.transpose(1, 0, 2), a.reshape(r, T * B)
+    if 1 in a.shape:
+        return a, a.transpose(1, 0, 2).reshape(a.shape[1], -1)
+    return a.transpose(1, 0, 2), a.reshape(len(a), -1)
 
 
 def forward_sequence(
@@ -194,7 +185,7 @@ def forward_sequence(
     Returns the head logits of the final hidden state, (n_out,) or
     (B, n_out), and the Trace that the backward pass consumes. The trace
     and its copy of the inputs are carved from ``ws`` (or a private one),
-    started over with room for this call and its backward pass.
+    together with its backward pass's arrays.
     """
     x = np.asarray(seq, dtype=np.float64)
     single = x.ndim == 2
@@ -209,25 +200,23 @@ def forward_sequence(
     lay = p.layout
     if lay.variant is not spec.variant:
         raise ValueError(f"parameters of {lay.variant.value} given for {spec.variant.value}")
-    ws = Workspace() if ws is None else ws
-    ws.restart(lay, T, B)
-    x_in, x = x, ws.take(x.shape)
+    room = (Workspace() if ws is None else ws).carve(lay, T, B)
+    x_in, x = x, room["x"]
     x[...] = x_in
     gr, d0, b0 = lay.gate_rows, lay.dense_from, lay.bias_from
     W, U, b = (p.stacks[k] for k in "WUb")
 
-    pre = ws.take((T, gr + n_h, B))
-    h = ws.take((T + 1, n_h, B))
+    pre, h = room["pre"], room["h"]
     h[0] = 0.0
     if lay.memory:
-        cand = ws.take((T, n_h, B))
-        c = ws.take(h.shape)
+        cand, c = room["act"], room["c"]
         c[0] = 0.0
-        sig_c = h[1:] if "o" in lay.unit else ws.take((T, n_h, B))
+        sig_c = room.get("sig_c", h[1:])
     else:  # the srn's only block is the candidate, whose value is h_t itself
         cand = h[1:]
         c = sig_c = None
-    proj = np.matmul(W, x.reshape(T * B, n_in).T, out=ws.peek((len(W), T * B)))
+    proj = room["deltas"].reshape(-1)[: len(W) * T * B].reshape(len(W), -1)  # dead before the deltas are written
+    np.matmul(W, x.reshape(T * B, n_in).T, out=proj)
     np.add(proj.reshape(-1, T, B).transpose(1, 0, 2), b[d0 - b0 :, None], out=pre[:, d0:])
 
     i_unit, o_unit = "i" in lay.unit, "o" in lay.unit
@@ -255,7 +244,7 @@ def forward_sequence(
 
     logits = (head["W_hy"] @ h[T]).T + head["b_y"]
     trace = Trace(x=x, pre=pre, act=cand, h=h, c=c, sig_c=sig_c, cell=p, head=head, activation=spec.activation,
-                  ws=ws, end=ws._used)
+                  room=room)
     return (logits[0] if single else logits), trace
 
 
@@ -291,11 +280,11 @@ def backward_sequence(trace: Trace, dlogits: np.ndarray) -> Params:
     ``dlogits`` is the loss gradient with respect to the logits, (n_out,)
     for a single sequence or (B, n_out) for a batch; the gradients are
     summed over the batch rows and returned as a Params of the traced
-    cell's layout. The deltas are carved from the trace's workspace, where
-    the trace ends, so the trace may be walked back any number of times.
+    cell's layout. The deltas lie in the arrays the trace's forward carved
+    for them, so the trace may be walked back any number of times.
     """
     T, B, n_in = trace.x.shape
-    p, head, act, ws = trace.cell, trace.head, trace.activation, trace.ws
+    p, head, act, room = trace.cell, trace.head, trace.activation, trace.room
     dl = np.atleast_2d(dlogits)
     if dl.shape != (B, head.n_out):
         raise ValueError(f"dlogits shape {np.shape(dlogits)} does not match {B} rows of the head")
@@ -305,16 +294,15 @@ def backward_sequence(trace: Trace, dlogits: np.ndarray) -> Params:
     pre, cand, h, c, sig_c = trace.pre, trace.act, trace.h, trace.c, trace.sig_c
     Ut = p.stacks["U"].T
     dh = head["W_hy"].T @ dl.T
-    ws._used = trace.end
     # Every step's deltas, also side by side as (m, T*B) against inputs and
     # hidden states stacked in the same (t, b) order; then one step's deltas
     # and derivative factors.
-    steps, deltas = _stacked(ws, T, gr + n_h, B)
-    d, dgates, dact = ws.take((gr + n_h, B)), ws.take((gr, B)), ws.take((n_h, B))
+    steps, deltas = _stacked(room["deltas"])
+    d, dgates, dact = room["d"], room["dgates"], room["dact"]
 
     i, f, o = _gate_values(lay, pre, T)
     if lay.memory:
-        dc = ws.take((n_h, B))
+        dc = room["dc"]
         dc[...] = 0.0
     sl = lay.block
     if d0:
@@ -348,7 +336,7 @@ def backward_sequence(trace: Trace, dlogits: np.ndarray) -> Params:
         if lay.memory:
             dc *= f[t]
 
-    hs, h_prev = _stacked(ws, T, n_h, B)
+    hs, h_prev = _stacked(room["hs"])
     hs[...] = h[:T]
     grads = Params(lay)
     g = grads.stacks

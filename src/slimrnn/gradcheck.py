@@ -164,13 +164,13 @@ def check_gradients(
     T: int = 4,
     seed: int = 0,
     batch_size: int = 1,
-    ws: Workspace | None = None,
+    *,
+    ws: Workspace,
 ) -> CheckResult:
     """Compare batch BPTT gradients against central differences for one config.
 
     The loss is the mean over ``batch_size`` random sequences, and the
-    relu kink rule covers all of them. Every pass carves from ``ws``, or
-    from one fresh Workspace when none is given.
+    relu kink rule covers all of them. Every pass carves from ``ws``.
     """
     spec = VariantSpec.make(variant, activation)
     cell, head = init_params(spec, n_in, n_h, n_out, seed)
@@ -180,7 +180,6 @@ def check_gradients(
         labels=rng.integers(0, n_out, size=batch_size),
     )
 
-    ws = Workspace() if ws is None else ws
     _, grads, _ = batch_loss_and_grads(spec, cell, head, batch, ws)
     analytic = grads.vec
     losses, same = sweep_losses(spec, cell, np.swapaxes(batch.inputs, 0, 1), batch.labels, ws)

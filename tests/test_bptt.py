@@ -26,6 +26,11 @@ with np.load(OUT) as frozen:
 FROZEN_DIGESTS = json.loads(digests.OUT.read_text())
 
 
+def floats(plan) -> int:
+    """The float64 count of a memory plan's arrays."""
+    return sum(map(math.prod, plan.values()))
+
+
 def rel_err(got, want) -> float:
     """Largest deviation relative to the largest magnitude of ``want``."""
     got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
@@ -176,7 +181,7 @@ def test_backward_rejects_mismatched_caches():
     [("lstm", "tanh"), ("lstm4", "sigmoid"), ("lstm4a", "relu"), ("srn", "relu")],
 )
 def test_gradients_match_finite_differences(variant, activation):
-    result = check_gradients(variant, activation, seed=0)
+    result = check_gradients(variant, activation, seed=0, ws=Workspace())
     assert result.compared > 0
     assert result.max_rel_err < 1e-4
 
@@ -252,7 +257,7 @@ def test_batch_matches_frozen_per_example_engine(variant, activation):
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_batch_gradients_match_finite_differences(variant, activation):
     # gradcheck's bound, eps and relu kink rule, on a mean over three sequences
-    result = check_gradients(variant, activation, seed=0, batch_size=3)
+    result = check_gradients(variant, activation, seed=0, batch_size=3, ws=Workspace())
     assert result.compared > 0
     assert result.max_rel_err < 1e-4
 
@@ -336,7 +341,7 @@ def test_batch_without_a_workspace_allocates_one_buffer(variant):
     p, _ = init_params(spec, 28, 100, 10, seed=0)
     rng = np.random.default_rng(1)
     batch = SequenceBatch(inputs=rng.uniform(0.0, 1.0, size=(32, 28, 28)), labels=rng.integers(0, 10, size=32))
-    buffer_mb = 8 * sum(map(bptt._floats, bptt._carved(p.layout, 28, 32))) / 1e6
+    buffer_mb = 8 * floats(bptt._carved(p.layout, 28, 32)) / 1e6
     assert traced_peak_mb(lambda: batch_loss_and_grads(spec, p, p, batch)) <= buffer_mb + 2.0
 
 
@@ -350,32 +355,36 @@ def test_workspace_is_sized_to_what_a_batch_takes(variant, B, n_h, T):
     p, _ = init_params(spec, 3, n_h, 4, seed=0)
     rng = np.random.default_rng(2)
     batch = SequenceBatch(inputs=rng.uniform(0.0, 1.0, size=(B, T, 3)), labels=rng.integers(0, 4, size=B))
-    forward, backward = bptt._carved(p.layout, T, B)
     ws = Workspace()
-    forward_sequence(spec, p, p, np.swapaxes(batch.inputs, 0, 1), ws)
-    assert ws._used == bptt._floats(forward)
-    batch_loss_and_grads(spec, p, p, batch, ws)
-    assert ws._used == len(ws._buf) == bptt._floats(forward) + bptt._floats(backward)
+    logits, trace = forward_sequence(spec, p, p, np.swapaxes(batch.inputs, 0, 1), ws)
+    backward_sequence(trace, softmax_xent(logits, batch.labels)[1])
+    assert len(ws._buf) == floats(bptt._carved(p.layout, T, B))
+    assert list(trace.room) == list(bptt._carved(p.layout, T, B))
+    assert all(np.shares_memory(a, ws._buf) for a in trace.room.values() if a.size)
 
 
-def test_workspace_refuses_to_hand_out_memory_past_its_buffer():
-    lay = init_params(VariantSpec.make("srn", "tanh"), 1, 1, 1, seed=0)[0].layout
+def test_workspace_cuts_a_cached_plan_again_in_a_grown_buffer(monkeypatch):
+    a, b = layout("srn", 1, 1, 1), layout("lstm", 2, 3, 2)
     ws = Workspace()
-    # x, pre, h (2 floats); the deltas, one step's deltas and act' factor, and the copy of h[:T]: 8 floats
-    ws.restart(lay, 1, 1)
-    ws.take((2, 2))
-    with pytest.raises(ValueError, match=r"no room for a \(5,\) array in a workspace of 8 floats"):
-        ws.take((5,))
-    ws.restart(lay, 1, 2)  # 16 floats: the buffer grows
-    ws.restart(lay, 1, 1)  # a smaller call keeps it
-    assert len(ws._buf) == 16 and np.shares_memory(ws.take((8,)), ws._buf)
+    # x, pre and h (4 floats); the deltas, one step's deltas and act' factor, and h_0 (4 floats)
+    first = ws.carve(a, 1, 1)
+    assert len(ws._buf) == 8 and all(np.shares_memory(x, ws._buf) for x in first.values() if x.size)
+    ws.carve(b, 2, 2)  # the buffer grows
+    assert len(ws._buf) == floats(bptt._carved(b, 2, 2)) > 8
+    again = ws.carve(a, 1, 1)  # a smaller call keeps it, and cuts a's arrays from it
+    assert len(ws._buf) == floats(bptt._carved(b, 2, 2))
+    assert all(np.shares_memory(x, ws._buf) for x in again.values() if x.size)
+    assert not any(np.shares_memory(x, first["x"]) for x in again.values())
+
+    planned = []
+    monkeypatch.setattr(bptt, "_carved", lambda *key: planned.append(key))
+    assert ws.carve(a, 1, 1) is again and planned == []
 
 
 def test_lstm_workspace_at_paper_shapes_holds_only_the_live_trace():
     # 9.8 MB: the trace plus one step's scratch. One more whole-trace
     # (T, n_h, B) array is 0.7 MB.
-    forward, backward = bptt._carved(layout("lstm", 28, 100, 10), 28, 32)
-    assert 8 * (bptt._floats(forward) + bptt._floats(backward)) <= 10e6
+    assert 8 * floats(bptt._carved(layout("lstm", 28, 100, 10), 28, 32)) <= 10e6
 
 
 @pytest.mark.parametrize("shape", [*itertools.product((1, 2, 3), repeat=3), (28, 400, 32)])
@@ -383,9 +392,7 @@ def test_stacked_deltas_are_side_by_side_as_a_view(shape):
     # numpy's reshape copies silently where it cannot make a view; a copy
     # here would hold nothing the backward pass writes into its steps
     T, r, B = shape
-    ws = Workspace()
-    ws._buf = np.empty(T * r * B)
-    steps, side = bptt._stacked(ws, T, r, B)
+    steps, side = bptt._stacked(Workspace().carve(layout("srn", 1, r, 2), T, B)["hs"])  # the srn's hs is (T, r, B)
     assert steps.shape == (T, r, B) and side.shape == (r, T * B)
     steps[...] = np.arange(steps.size).reshape(steps.shape)
     assert np.shares_memory(steps, side)

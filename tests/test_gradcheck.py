@@ -88,7 +88,7 @@ def test_check_fails_on_one_corrupted_analytic_coordinate(variant, batch_size, m
         return loss, grads, correct
 
     monkeypatch.setattr(gradcheck, "batch_loss_and_grads", corrupted)
-    result = check_gradients(variant, "tanh", seed=0, batch_size=batch_size)
+    result = check_gradients(variant, "tanh", seed=0, batch_size=batch_size, ws=Workspace())
     assert result.max_rel_err > REL_TOL
     assert not result.passed
 
@@ -127,8 +127,9 @@ def test_interleaved_checks_match_fresh_ones():
     fresh = []
     for config in configs:
         gradcheck._replica_map.cache_clear()
-        fresh.append(check_gradients(activation="relu", batch_size=3, **config))
-    interleaved = [check_gradients(activation="relu", batch_size=3, **config) for config in configs]
+        fresh.append(check_gradients(activation="relu", batch_size=3, ws=Workspace(), **config))
+    ws = Workspace()
+    interleaved = [check_gradients(activation="relu", batch_size=3, ws=ws, **config) for config in configs]
     assert interleaved == fresh
     assert all(r.passed for r in fresh)
 

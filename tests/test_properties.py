@@ -5,6 +5,8 @@ runs derandomized with a fixed number of examples and no example
 database, so a run never passes or fails by chance.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from slimrnn import bptt
 from slimrnn.bptt import Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
 from slimrnn.cells import Activation, Variant, VariantSpec, init_params
 from slimrnn.data import SequenceBatch, Split, batches, read_idx_images
+from slimrnn.gradcheck import check_gradients
 
 from .conftest import write_idx_images
 
@@ -34,18 +37,20 @@ def test_workspace_takes_what_carved_lists_and_reuse_is_bitwise_neutral(variant,
     p, _ = init_params(spec, n_in, n_h, n_out, seed=T * B)
     rng = np.random.default_rng([n_in, n_h, n_out, T, B])
     batch = SequenceBatch(inputs=rng.uniform(0.0, 1.0, size=(B, T, n_in)), labels=rng.integers(0, n_out, size=B))
-    forward, backward = bptt._carved(p.layout, T, B)
+    plan = bptt._carved(p.layout, T, B)
 
     ws = Workspace()
     logits, trace = forward_sequence(spec, p, p, np.swapaxes(batch.inputs, 0, 1), ws)
-    assert ws._used == bptt._floats(forward)
+    assert len(ws._buf) == sum(map(math.prod, plan.values()))
+    assert {name: a.shape for name, a in trace.room.items()} == plan
     _, dlogits = softmax_xent(logits, batch.labels)
     once = backward_sequence(trace, dlogits)
-    assert ws._used == len(ws._buf) == bptt._floats(forward) + bptt._floats(backward)
 
-    # the backward's room, NaN-filled: a second walk back reads none of it before writing it
+    # the backward's arrays, NaN-filled: a second walk back reads none of them before writing them
     buf = ws._buf
-    buf[trace.end :] = np.nan
+    names = list(trace.room)
+    for name in names[names.index("deltas") :]:
+        trace.room[name].fill(np.nan)
     twice = backward_sequence(trace, dlogits)
     assert ws._buf is buf and twice.vec.tobytes() == once.vec.tobytes()
 
@@ -54,6 +59,25 @@ def test_workspace_takes_what_carved_lists_and_reuse_is_bitwise_neutral(variant,
     loss, grads, correct = batch_loss_and_grads(spec, p, p, batch, ws)
     assert ws._buf is buf
     assert (loss, correct) == (fresh[0], fresh[2]) and grads.vec.tobytes() == fresh[1].vec.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    variant=st.sampled_from(list(Variant)),
+    activation=st.sampled_from(list(Activation)),
+    n_in=st.integers(1, 4),
+    n_h=st.integers(1, 7),
+    n_out=st.integers(2, 5),
+    T=st.integers(1, 5),
+    B=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_gradient_check_passes_at_any_shape(variant, activation, n_in, n_h, n_out, T, B, seed):
+    # the analytic pass and the replica sweep carve two layouts in turn from one workspace
+    result = check_gradients(
+        variant, activation, n_in=n_in, n_h=n_h, n_out=n_out, T=T, seed=seed, batch_size=B, ws=Workspace()
+    )
+    assert result.passed, result
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
