@@ -222,9 +222,10 @@ def forward_sequence(
     i_unit, o_unit = "i" in lay.unit, "o" in lay.unit
     i, f, o = _gate_values(lay, pre, T)
     if d0:  # point-wise gates: u_g * h_{t-1}, plus a bias on rows b0 .. d0
-        u = p.stacks["u"].reshape(-1, n_h, 1)
+        # u and the bias are repeated over the batch once, so no step's ufunc broadcasts a length-1 axis
+        u = np.repeat(p.stacks["u"].reshape(-1, n_h, 1), B, axis=2)
         pre_pw = pre[:, :d0].reshape(T, len(u), n_h, B)
-        b_pw = b[: d0 - b0, None]
+        b_pw = np.repeat(b[: d0 - b0, None], B, axis=1)
     for t in range(T):
         pre[t, d0:] += U @ h[t]
         if d0:
@@ -329,10 +330,12 @@ def backward_sequence(trace: Trace, dlogits: np.ndarray) -> Params:
         if lay.memory and "i" not in lay.unit:
             dact *= i[t]
         np.multiply(dc, dact, out=d[gr:])
+        steps[t] = d
+        if t == 0:
+            break
         dh = Ut @ d[d0:]
         if d0:
             dh += np.einsum("gnb,gn->nb", d_pw, u)
-        steps[t] = d
         if lay.memory:
             dc *= f[t]
 

@@ -10,7 +10,15 @@ The 1e-4 floor keeps coordinates whose gradient vanishes from dividing
 finite-difference roundoff (~1e-10 at EPS=1e-5) by zero; real errors are
 proportional to the gradient itself and still surface.
 
-The 2P + 1 loss evaluations (P parameters) run as replica passes:
+Of the 2P + 1 loss evaluations (P parameters), only the unperturbed one
+and the 2 per cell coordinate run forward passes. The head's coordinates
+(W_hy and b_y, last in the vector) take none: the head is affine in its
+parameters and feeds nothing back into the cell, so moving W_hy[i, j] or
+b_y[i] by a step moves only logit i of the unperturbed evaluation, by
+the step times h_T[j] or by the step. The logits of all 2P + 1
+evaluations then go through one ``softmax_xent`` call.
+
+The forward passes run as replica passes:
 R = max(1, REPLICA_UNITS // n_h) parameter vectors become one cell of
 R*n_h units that goes through the ordinary ``forward_sequence``, replica r
 owning units r*n_h .. (r+1)*n_h of every gate block. Input maps, biases
@@ -106,39 +114,52 @@ def sweep_losses(
 
     Vector 0 is the unperturbed one; vectors 2j+1 and 2j+2 add +EPS and
     -EPS to coordinate j of the parameter vector ``params.vec``. Also
-    returns, per vector, whether its relu pattern equals vector 0's. Every
-    pass carves its trace from ``ws`` and is read before the next starts it over.
+    returns, per vector, whether its relu pattern equals vector 0's. Only
+    vector 0 and the cell's coordinates take replica passes; every pass
+    carves its trace from ``ws`` and is read before the next starts it
+    over. The head's vectors move one of vector 0's logits, and one
+    ``softmax_xent`` call takes every vector's logits.
     """
     lay, base = params.layout, params.vec
-    P = base.size
-    R = min(max(1, REPLICA_UNITS // lay.n_h), 2 * P + 1)
+    P, cell = base.size, lay.fields["W_hy"][0].start  # the head's coordinates come last
+    n, n_cell = 2 * P + 1, 2 * cell + 1
+    R = min(max(1, REPLICA_UNITS // lay.n_h), n_cell)
     rep_layout, where = _replica_map(lay.variant, lay.n_in, lay.n_h, lay.n_out, R)
     replica = Params(rep_layout)
     work = replica.vec
     work[where] = base
 
-    n = 2 * P + 1
-    coord = np.arange(-1, n - 1) // 2  # vector k > 0 moves coordinate (k-1)//2
-    value = base[coord] + np.where(np.arange(n) % 2, EPS, -EPS)
+    coord = np.arange(-1, n_cell - 1) // 2  # vector k > 0 moves coordinate (k-1)//2
+    value = base[coord] + np.where(np.arange(n_cell) % 2, EPS, -EPS)
     B = len(labels)
-    labels = np.repeat(labels, R)  # logits row b*R + r is example b under replica r
-    losses = np.empty(n)
+    logits = np.empty((n, B, lay.n_out))
     same = np.ones(n, dtype=bool)
-    for lo in range(0, n, R):
-        k = np.arange(lo, min(lo + R, n))
+    for lo in range(0, n_cell, R):
+        k = np.arange(lo, min(lo + R, n_cell))
         moved = k[k > 0]
         slots = where[moved - lo, coord[moved]]
         work[slots] = value[moved]
-        logits, trace = forward_sequence(spec, replica, replica, seqs, ws)
+        out, trace = forward_sequence(spec, replica, replica, seqs, ws)
         work[slots] = base[coord[moved]]
-        xent, _ = softmax_xent(logits.reshape(B * R, -1), labels)
-        losses[k] = xent.reshape(B, R)[:, : len(k)].sum(axis=0) / B
+        logits[k] = out.reshape(B, R, -1)[:, : len(k)].swapaxes(0, 1)  # column block r is replica r
+        if lo == 0:
+            h_T = trace.h[-1, : lay.n_h].copy()  # vector 0's final hidden state, (n_h, B)
         pattern = relu_pattern(trace)
         if pattern is not None:
             pattern = pattern.reshape(len(pattern), R, -1, B)[:, : len(k)]
             base_pattern = pattern[:, :1] if lo == 0 else base_pattern
             same[k] = (pattern == base_pattern).all(axis=(0, 2, 3))
-    return losses, same
+
+    # The head is affine in W_hy and b_y and feeds nothing back: a step on
+    # W_hy[i, j] moves vector 0's logit i by the step times h_T[j], one on b_y[i] by the step.
+    feature = np.concatenate([np.tile(h_T, (lay.n_out, 1)), np.ones((lay.n_out, B))])  # (P - cell, B)
+    logit = np.concatenate([np.repeat(np.arange(lay.n_out), lay.n_h), np.arange(lay.n_out)])
+    for first, step in ((n_cell, EPS), (n_cell + 1, -EPS)):
+        head = logits[first::2]
+        head[...] = logits[0]
+        head[np.arange(P - cell), :, logit] += step * feature
+    xent, _ = softmax_xent(logits.reshape(n * B, -1), np.tile(labels, n))
+    return xent.reshape(n, B).sum(axis=1) / B, same
 
 
 @dataclass

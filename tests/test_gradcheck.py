@@ -48,18 +48,19 @@ def sweep_setup(variant, activation, batch_size=3, n_in=3, n_h=5, n_out=4, T=4, 
 @pytest.mark.parametrize("activation", list(Activation))
 @pytest.mark.parametrize("variant", list(Variant))
 def test_replica_losses_match_standalone_forward(variant, activation, replica_units, monkeypatch):
-    # n_h = 5: 32 replicas per pass at the default, one when n_h >= REPLICA_UNITS
+    # n_h = 5: 32 replicas per pass at the default, one when n_h >= REPLICA_UNITS;
+    # only vector 0 and the cell's coordinates, which come before the head's, take passes
     monkeypatch.setattr(gradcheck, "REPLICA_UNITS", replica_units)
     spec, cell, head, seqs, labels = sweep_setup(variant, activation)
-    P = cell.vec.size
+    P, P_cell = cell.vec.size, cell.layout.fields["W_hy"][0].start
     R = max(1, replica_units // cell.n_h)
-    assert R == 1 or (2 * P + 1) % R != 0  # the last pass is a partial one
+    assert R == 1 or (2 * P_cell + 1) % R != 0  # the last pass is a partial one
 
     widths = []
     monkeypatch.setattr(gradcheck, "forward_sequence",
                         lambda s, p, h, x, ws: widths.append(p.n_h) or forward_sequence(s, p, h, x, ws))
     losses, same = sweep_losses(spec, cell, seqs, labels, Workspace())
-    assert widths == [R * cell.n_h] * math.ceil((2 * P + 1) / R)
+    assert widths == [R * cell.n_h] * math.ceil((2 * P_cell + 1) / R)
     assert losses.shape == same.shape == (2 * P + 1,)
 
     base_pattern = None
@@ -78,13 +79,16 @@ def test_replica_losses_match_standalone_forward(variant, activation, replica_un
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-@pytest.mark.parametrize("variant", list(Variant))
-def test_check_fails_on_one_corrupted_analytic_coordinate(variant, batch_size, monkeypatch):
+@pytest.mark.parametrize("variant, coordinate", [  # a cell coordinate, then the head's two arrays
+    pytest.param(v, name, id=v.value if name == "W_c" else f"{v.value}-{name}")
+    for name in ("W_c", "W_hy", "b_y") for v in Variant
+])
+def test_check_fails_on_one_corrupted_analytic_coordinate(variant, coordinate, batch_size, monkeypatch):
     real = gradcheck.batch_loss_and_grads
 
     def corrupted(*args):
         loss, grads, correct = real(*args)
-        grads["W_c"][1, 2] += 1e-3
+        grads[coordinate][(1, 2)[: grads[coordinate].ndim]] += 1e-3
         return loss, grads, correct
 
     monkeypatch.setattr(gradcheck, "batch_loss_and_grads", corrupted)

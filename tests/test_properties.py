@@ -15,7 +15,7 @@ from slimrnn import bptt
 from slimrnn.bptt import Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
 from slimrnn.cells import Activation, Variant, VariantSpec, init_params
 from slimrnn.data import SequenceBatch, Split, batches, read_idx_images
-from slimrnn.gradcheck import check_gradients
+from slimrnn.gradcheck import EPS, check_gradients, sweep_losses
 
 from .conftest import write_idx_images
 
@@ -78,6 +78,34 @@ def test_gradient_check_passes_at_any_shape(variant, activation, n_in, n_h, n_ou
         variant, activation, n_in=n_in, n_h=n_h, n_out=n_out, T=T, seed=seed, batch_size=B, ws=Workspace()
     )
     assert result.passed, result
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from(list(Variant)),
+    activation=st.sampled_from(list(Activation)),
+    n_in=st.integers(1, 4),
+    n_h=st.integers(1, 7),
+    n_out=st.integers(2, 5),
+    T=st.integers(1, 5),
+    B=st.integers(1, 4),
+)
+def test_sweep_head_vectors_match_standalone_forward(variant, activation, n_in, n_h, n_out, T, B):
+    # the head's vectors take no replica pass: each moves one of vector 0's logits
+    spec = VariantSpec.make(variant, activation)
+    p, _ = init_params(spec, n_in, n_h, n_out, seed=n_h * T + B)
+    rng = np.random.default_rng([n_in, n_h, n_out, T, B])
+    seqs, labels = rng.uniform(0.0, 1.0, size=(T, B, n_in)), rng.integers(0, n_out, size=B)
+    losses, same = sweep_losses(spec, p, seqs, labels, Workspace())
+    cell = p.layout.fields["W_hy"][0].start  # the head's coordinates come last
+    assert same[2 * cell + 1 :].all()
+    for k in [0, *range(2 * cell + 1, 2 * p.vec.size + 1)]:
+        moved = p.with_arrays(p)
+        if k:
+            moved.vec[(k - 1) // 2] += EPS if k % 2 else -EPS
+        logits, _ = forward_sequence(spec, moved, moved, seqs)
+        want = softmax_xent(logits, labels)[0].sum() / B
+        assert abs(losses[k] - want) <= 1e-12 * abs(want), k
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
