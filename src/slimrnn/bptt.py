@@ -14,8 +14,9 @@ elementwise work. The k dense blocks sit together at the bottom, so
 * point-wise gates add u_g * h_{t-1} per step, and fixed gates are
   broadcast constants that produce no parameter gradients;
 * every step writes in place into arrays carved once per call, which
-  together form the Trace the backward pass reads: each gate's sigmoid
-  overwrites its pre-activation, and only the candidate block keeps both.
+  together form the Trace the backward pass reads: each block's value (a
+  gate's sigmoid, the candidate's activation) overwrites its
+  pre-activation, and each derivative factor is formed from a value.
 
 One memory plan, ``_carved``, names every array of a forward pass and of
 its backward pass with its shape, in carve order. ``Workspace.carve`` cuts
@@ -25,8 +26,11 @@ backward's arrays on in the trace, so the backward never touches a
 workspace. The input projection is dead before the time loop starts, so
 it lies in the backward pass's room, and the backward pass keeps only the
 live trace plus one step's scratch: every derivative factor is formed per
-step. The trace holds its own copy of the inputs, and the returned logits
-and gradients are fresh arrays the caller owns.
+step, and act(c_t), which h_t = o_t * act(c_t) reads, is recomputed from
+the kept c_t one step at a time instead of being kept for every step
+(Chen et al. 2016, "Training Deep Nets with Sublinear Memory Cost", at
+the scale of one step). The trace holds its own copy of the inputs, and
+the returned logits and gradients are fresh arrays the caller owns.
 
 Classification reads the final hidden state only: logits = W_hy h_T + b_y.
 The backward pass is hand-derived and reads all it needs from the trace
@@ -43,8 +47,8 @@ product is written straight into its view of one gradient vector.
 
 All seven cells run the same time loop in each direction. The srn is the
 cell without a cell state: its only block is the candidate, whose value
-is h_t itself, the loops skip the cell-state lines, and its candidate
-delta takes dL/dh_t directly.
+is h_t itself (its ``pre`` is a view of h_1 .. h_T), the loops skip the
+cell-state lines, and its candidate delta takes dL/dh_t directly.
 """
 
 from __future__ import annotations
@@ -91,20 +95,22 @@ class Workspace:
 def _carved(lay: Layout, T: int, B: int) -> dict[str, tuple[int, ...]]:
     """The memory plan: the name and shape of every array of a forward pass and then its backward pass.
 
-    The forward's are the trace's: x, pre, h and, for memory cells, act, c
-    and, unless o is fixed at 1, sig_c. The backward's are every step's
-    ``deltas``, one step's deltas ``d`` and gate and act' factors, ``dc``
-    for memory cells, and h_0 .. h_{T-1} as ``hs``. The input projection,
-    (k*n_h, T*B), lies in the room of ``deltas``.
+    The forward's are the trace's: x, pre (memory cells only: the srn's
+    is a view of h), h and, for memory cells, c, plus, unless o is fixed at
+    1, one step's act(c_t) as ``sig_c``, which the backward refills from c.
+    The backward's are every step's ``deltas``, one step's deltas ``d`` and
+    gate and act' factors, ``dc`` for memory cells, and h_0 .. h_{T-1} as
+    ``hs``. The input projection, (k*n_h, T*B), lies in the room of
+    ``deltas``.
     """
     n_h, gr, m = lay.n_h, lay.gate_rows, lay.gate_rows + lay.n_h
 
     def stacked(r: int) -> tuple[int, int, int]:  # see _stacked
         return (T, r, B) if 1 in (T, r, B) else (r, T, B)
 
-    plan = {"x": (T, B, lay.n_in), "pre": (T, m, B), "h": (T + 1, n_h, B)}
+    plan = {"x": (T, B, lay.n_in), **({"pre": (T, m, B)} if lay.memory else {}), "h": (T + 1, n_h, B)}
     if lay.memory:
-        plan.update(act=(T, n_h, B), c=(T + 1, n_h, B), **({} if "o" in lay.unit else {"sig_c": (T, n_h, B)}))
+        plan.update(c=(T + 1, n_h, B), **({} if "o" in lay.unit else {"sig_c": (n_h, B)}))
     plan.update(deltas=stacked(m), d=(m, B), dgates=(gr, B), dact=(n_h, B))
     if lay.memory:
         plan["dc"] = (n_h, B)
@@ -113,7 +119,7 @@ def _carved(lay: Layout, T: int, B: int) -> dict[str, tuple[int, ...]]:
 
 
 class Step(NamedTuple):
-    """One time step of a trace: candidate pre-activation and cell state, (n_h, B) each."""
+    """One time step of a trace: candidate value and cell state, (n_h, B) each."""
 
     a_c: np.ndarray
     c: np.ndarray | None  # None for the srn, which keeps no cell state
@@ -124,14 +130,12 @@ class Trace:
     """Forward intermediates of one batch, kept for the backward pass.
 
     ``x`` (T, B, n_in) copies the inputs. ``pre`` (T, m, B), in the block
-    layout of the module docstring, holds each gate block's value (its
-    sigmoid) and the candidate block's pre-activation; ``act`` (T, n_h, B)
-    holds the candidate's value, the cell activation of that
-    pre-activation. ``h`` (T+1, n_h, B) holds the hidden states from the
-    zero state at index 0. Memory cells also keep ``c`` (T+1, n_h, B), the
-    cell states from zero, and ``sig_c`` (T, n_h, B) = act(c_t), which is a
-    view of ``h[1:]`` when the output gate is fixed at 1; both are None for
-    the srn. Iterating yields one Step per time step.
+    layout of the module docstring, holds each block's value: a gate's
+    sigmoid, and the candidate's cell activation, whose signs are those of
+    its pre-activation. ``h`` (T+1, n_h, B) holds the hidden states from
+    the zero state at index 0; the srn's ``pre`` is ``h[1:]``. Memory cells
+    also keep ``c`` (T+1, n_h, B), the cell states from zero, None for the
+    srn. Iterating yields one Step per time step.
 
     ``cell``, ``head`` and ``activation`` are what its forward pass used,
     and ``room`` is every array it carved, its backward pass's included;
@@ -141,10 +145,8 @@ class Trace:
 
     x: np.ndarray
     pre: np.ndarray
-    act: np.ndarray
     h: np.ndarray
     c: np.ndarray | None
-    sig_c: np.ndarray | None
     cell: Params
     head: Params
     activation: Activation
@@ -206,15 +208,13 @@ def forward_sequence(
     gr, d0, b0 = lay.gate_rows, lay.dense_from, lay.bias_from
     W, U, b = (p.stacks[k] for k in "WUb")
 
-    pre, h = room["pre"], room["h"]
+    h = room["h"]
     h[0] = 0.0
+    pre = room["pre"] if lay.memory else h[1:]  # the srn's only block is the candidate, whose value is h_t itself
+    cand = pre[:, gr:]
+    c = room.get("c")
     if lay.memory:
-        cand, c = room["act"], room["c"]
         c[0] = 0.0
-        sig_c = room.get("sig_c", h[1:])
-    else:  # the srn's only block is the candidate, whose value is h_t itself
-        cand = h[1:]
-        c = sig_c = None
     proj = room["deltas"].reshape(-1)[: len(W) * T * B].reshape(len(W), -1)  # dead before the deltas are written
     np.matmul(W, x.reshape(T * B, n_in).T, out=proj)
     np.add(proj.reshape(-1, T, B).transpose(1, 0, 2), b[d0 - b0 :, None], out=pre[:, d0:])
@@ -234,18 +234,17 @@ def forward_sequence(
                 pre[t, b0:d0] += b_pw
         if gr:
             sigmoid(pre[t, :gr], out=pre[t, :gr])
-        apply_activation(spec.activation, pre[t, gr:], out=cand[t])
+        apply_activation(spec.activation, cand[t], out=cand[t])
         if not lay.memory:
             continue
         np.multiply(f[t], c[t], out=c[t + 1])
         c[t + 1] += cand[t] if i_unit else i[t] * cand[t]
-        apply_activation(spec.activation, c[t + 1], out=sig_c[t])
+        sig_c = apply_activation(spec.activation, c[t + 1], out=h[t + 1] if o_unit else room["sig_c"])
         if not o_unit:
-            np.multiply(o[t], sig_c[t], out=h[t + 1])
+            np.multiply(o[t], sig_c, out=h[t + 1])
 
     logits = (head["W_hy"] @ h[T]).T + head["b_y"]
-    trace = Trace(x=x, pre=pre, act=cand, h=h, c=c, sig_c=sig_c, cell=p, head=head, activation=spec.activation,
-                  room=room)
+    trace = Trace(x=x, pre=pre, h=h, c=c, cell=p, head=head, activation=spec.activation, room=room)
     return (logits[0] if single else logits), trace
 
 
@@ -292,7 +291,8 @@ def backward_sequence(trace: Trace, dlogits: np.ndarray) -> Params:
 
     lay, n_h = p.layout, p.n_h
     gr, d0 = lay.gate_rows, lay.dense_from
-    pre, cand, h, c, sig_c = trace.pre, trace.act, trace.h, trace.c, trace.sig_c
+    pre, h, c = trace.pre, trace.h, trace.c
+    cand = pre[:, gr:]
     Ut = p.stacks["U"].T
     dh = head["W_hy"].T @ dl.T
     # Every step's deltas, also side by side as (m, T*B) against inputs and
@@ -310,10 +310,11 @@ def backward_sequence(trace: Trace, dlogits: np.ndarray) -> Params:
         u = p.stacks["u"].reshape(-1, n_h)
         d_pw = d[:d0].reshape(len(u), n_h, B)
     for t in range(T - 1, -1, -1):
-        if "o" in sl:  # h_t = o * act(c_t)
-            np.multiply(dh, sig_c[t], out=d[sl["o"]])
-        if lay.memory:  # dc_t picks up dh_t * o_t * act'(c_t)
-            activation_derivative(act, c[t + 1], sig_c[t], out=dact)
+        if lay.memory:  # act(c_t): h_t itself when o is fixed at 1, else recomputed from the kept c_t
+            sig_c = h[t + 1] if "o" in lay.unit else apply_activation(act, c[t + 1], out=room["sig_c"])
+            if "o" in sl:  # h_t = o * act(c_t)
+                np.multiply(dh, sig_c, out=d[sl["o"]])
+            activation_derivative(act, sig_c, out=dact)  # dc_t picks up dh_t * o_t * act'(c_t)
             if "o" not in lay.unit:
                 dact *= o[t]
             dc += dh * dact
@@ -324,9 +325,9 @@ def backward_sequence(trace: Trace, dlogits: np.ndarray) -> Params:
         if "i" in sl:
             np.multiply(dc, cand[t], out=d[sl["i"]])
         if gr:
-            d[:gr] *= activation_derivative(Activation.SIGMOID, pre[t, :gr], pre[t, :gr], out=dgates)
+            d[:gr] *= activation_derivative(Activation.SIGMOID, pre[t, :gr], out=dgates)
         # the candidate delta is dc_t * i_t * act'(a_c), and dc_t is dh_t for the srn
-        activation_derivative(act, pre[t, gr:], cand[t], out=dact)
+        activation_derivative(act, cand[t], out=dact)
         if lay.memory and "i" not in lay.unit:
             dact *= i[t]
         np.multiply(dc, dact, out=d[gr:])

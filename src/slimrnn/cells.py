@@ -110,11 +110,12 @@ def apply_activation(act: Activation, v: np.ndarray, out: np.ndarray | None = No
     return np.maximum(v, 0.0, out=out)
 
 
-def activation_derivative(act: Activation, pre: np.ndarray, value: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Derivative of ``act`` at ``pre``, given ``value = act(pre)``, written into ``out``.
+def activation_derivative(act: Activation, value: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Derivative of ``act`` at the pre-activation a, given only ``value = act(a)``, written into ``out``.
 
-    relu uses the pre-activation (derivative at exactly 0 is taken as 0);
-    tanh and sigmoid are cheaper to differentiate from their outputs.
+    tanh' = 1 - value^2 and sigmoid' = value * (1 - value); relu's is 1
+    where value > 0, which holds exactly where a > 0 (at a = 0 it is taken
+    as 0), so no pre-activation need be kept.
     """
     if act is Activation.TANH:
         np.multiply(value, value, out=out)
@@ -122,7 +123,7 @@ def activation_derivative(act: Activation, pre: np.ndarray, value: np.ndarray, o
     if act is Activation.SIGMOID:
         np.subtract(1.0, value, out=out)
         return np.multiply(value, out, out=out)
-    return np.greater(pre, 0.0, out=out)
+    return np.greater(value, 0.0, out=out)
 
 
 class Layout:
@@ -233,16 +234,6 @@ class Params(Mapping):
         return p
 
 
-def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    # QR of a Gaussian draw, sign-fixed so R's diagonal is positive: makes
-    # the decomposition (and hence the init) unique for a given draw.
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    d = np.sign(np.diag(r))
-    d[d == 0] = 1.0
-    return q * d
-
-
 def init_params(spec: VariantSpec, n_in: int, n_h: int, n_out: int, seed: int) -> tuple[Params, Params]:
     """Deterministically initialize all trainable arrays for ``spec``.
 
@@ -262,9 +253,17 @@ def init_params(spec: VariantSpec, n_in: int, n_h: int, n_out: int, seed: int) -
             limit = np.sqrt(6.0 / (a.shape[0] + a.shape[1]))
             a[...] = rng.uniform(-limit, limit, size=a.shape)
         elif name.startswith("U_"):
-            a[...] = _orthogonal(rng, n_h)
+            a[...] = rng.standard_normal(a.shape)  # made orthogonal below
         elif name.startswith("u_"):
             a[...] = rng.uniform(-0.1, 0.1, size=a.shape)
+    # Each Gaussian U_* becomes the Q of its QR, sign-fixed so that R's
+    # diagonal is positive: that makes the decomposition, and hence the
+    # init, unique for a given draw. One stacked QR factors them all.
+    U = p.stacks["U"].reshape(-1, n_h, n_h)
+    q, r = np.linalg.qr(U)
+    d = np.sign(np.diagonal(r, axis1=1, axis2=2))
+    d[d == 0] = 1.0
+    U[...] = q * d[:, None, :]
     if "f" in p.layout.dense:
         p["b_f"] = 1.0
     return p, p

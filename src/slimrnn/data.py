@@ -268,11 +268,15 @@ def load_dataset(
 
 
 def check_dataset(dataset: Dataset) -> None:
-    """Raise DataError unless both splits hold at least one image of nonzero
-    size, their images have the same shape, and their pixels are uint8 or
-    float64 already scaled to [0, 1] (anything else would be scaled wrongly)."""
+    """Raise DataError, naming the split, unless both splits hold at least
+    one image of nonzero size as (images, rows, cols) pixels and one integer
+    label in [0, NUM_CLASSES) per image, their images have the same shape,
+    and their pixels are uint8 or float64 already scaled to [0, 1]
+    (anything else would be scaled wrongly)."""
     for name, split in (("train", dataset.train), ("test", dataset.test)):
-        pixels = split.sequences
+        pixels, labels = split.sequences, split.labels
+        if pixels.ndim != 3:
+            raise DataError(f"the {name} split's pixels have shape {pixels.shape}: give (images, rows, cols)")
         if pixels.size == 0:
             n, rows, cols = pixels.shape
             raise DataError(f"the {name} split holds {n} images of {rows}x{cols} pixels: nothing to learn from")
@@ -284,6 +288,14 @@ def check_dataset(dataset: Dataset) -> None:
         elif pixels.dtype != np.uint8:
             raise DataError(f"the {name} split's pixels are {pixels.dtype}: "
                             "give uint8 pixels, or float64 ones already scaled to [0, 1]")
+        if labels.shape != (len(pixels),):
+            raise DataError(f"the {name} split has {len(pixels)} images but labels of shape {labels.shape}")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise DataError(f"the {name} split's labels are {labels.dtype}: give integer class indices")
+        if labels.min() < 0 or labels.max() >= NUM_CLASSES:
+            bad = int(np.argmax((labels < 0) | (labels >= NUM_CLASSES)))
+            raise DataError(f"the {name} split's label {int(labels[bad])} at index {bad} "
+                            f"is not a class index below {NUM_CLASSES}")
     if dataset.train.sequences.shape[1:] != dataset.test.sequences.shape[1:]:
         shapes = ["x".join(map(str, s.sequences.shape[1:])) for s in (dataset.train, dataset.test)]
         raise DataError(f"train images are {shapes[0]} pixels but test images {shapes[1]}")

@@ -38,7 +38,9 @@ relu has a kink at zero, where no finite difference is trustworthy. A
 coordinate is only compared when every relu input (candidate
 pre-activations and cell states fed to the output activation, at every
 step of every example) lies on the same side of the kink in the
-unperturbed evaluation and in both perturbed ones: the +/- EPS evaluations
+unperturbed evaluation and in both perturbed ones; the trace keeps the
+candidates' values, which are positive exactly where their
+pre-activations are, so those are read instead. The +/- EPS evaluations
 then lie on one smooth piece of the loss, so the central difference is
 as accurate there as for tanh or sigmoid. Inputs that are exactly zero
 count as off: a relu cell pins many values at 0.0 by construction

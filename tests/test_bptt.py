@@ -74,18 +74,21 @@ def test_forward_cache_length_matches_sequence():
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_trace_keeps_the_candidate_pre_activations_and_values(variant):
-    # gate values overwrite their pre-activations; the candidate block keeps
-    # both, the pre-activations in pre (read by relu's derivative and by
-    # iteration) and the values in act
+    # every block's value overwrites its pre-activation: the candidate block
+    # of pre holds relu of the pre-activation, which is recomputed here from
+    # the inputs and the kept hidden states and has negative entries, so the
+    # clamp is exercised; iteration reads that block, and no other array
+    # keeps a candidate value or a pre-activation
     spec = VariantSpec.make(variant, "relu")
     p, _ = init_params(spec, 3, 5, 4, seed=0)
     x = stream(1, TAG_GRADCHECK).uniform(-1.0, 1.0, size=(4, 3, 3))
     _, trace = forward_sequence(spec, p, p, x)
-    assert trace.act.shape == (4, 5, 3)
+    assert trace.pre[:, -5:].shape == (4, 5, 3) and "act" not in trace.room
     for t, step in enumerate(trace):
-        want = p["W_c"] @ x[t].T + p["U_c"] @ trace.h[t] + p["b_c"][:, None]
-        assert np.allclose(step.a_c, want, rtol=0.0, atol=1e-12) and (step.a_c < 0.0).any()
-        assert np.array_equal(trace.act[t], np.maximum(step.a_c, 0.0))
+        a = p["W_c"] @ x[t].T + p["U_c"] @ trace.h[t] + p["b_c"][:, None]
+        assert (a < 0.0).any() and (a > 0.0).any()
+        assert np.array_equal(step.a_c, trace.pre[t, -5:]) and (step.a_c >= 0.0).all()
+        assert np.allclose(step.a_c, np.maximum(a, 0.0), rtol=0.0, atol=1e-12)
 
 
 def test_forward_accepts_list_of_vectors():
@@ -366,11 +369,11 @@ def test_workspace_is_sized_to_what_a_batch_takes(variant, B, n_h, T):
 def test_workspace_cuts_a_cached_plan_again_in_a_grown_buffer(monkeypatch):
     a, b = layout("srn", 1, 1, 1), layout("lstm", 2, 3, 2)
     ws = Workspace()
-    # x, pre and h (4 floats); the deltas, one step's deltas and act' factor, and h_0 (4 floats)
+    # x and h, the srn's pre being h_1 (3 floats); the deltas, one step's deltas and act' factor, and h_0 (4 floats)
     first = ws.carve(a, 1, 1)
-    assert len(ws._buf) == 8 and all(np.shares_memory(x, ws._buf) for x in first.values() if x.size)
+    assert len(ws._buf) == 7 and all(np.shares_memory(x, ws._buf) for x in first.values() if x.size)
     ws.carve(b, 2, 2)  # the buffer grows
-    assert len(ws._buf) == floats(bptt._carved(b, 2, 2)) > 8
+    assert len(ws._buf) == floats(bptt._carved(b, 2, 2)) > 7
     again = ws.carve(a, 1, 1)  # a smaller call keeps it, and cuts a's arrays from it
     assert len(ws._buf) == floats(bptt._carved(b, 2, 2))
     assert all(np.shares_memory(x, ws._buf) for x in again.values() if x.size)
@@ -382,9 +385,16 @@ def test_workspace_cuts_a_cached_plan_again_in_a_grown_buffer(monkeypatch):
 
 
 def test_lstm_workspace_at_paper_shapes_holds_only_the_live_trace():
-    # 9.8 MB: the trace plus one step's scratch. One more whole-trace
-    # (T, n_h, B) array is 0.7 MB.
-    assert 8 * floats(bptt._carved(layout("lstm", 28, 100, 10), 28, 32)) <= 10e6
+    # 8.4 MB: the trace plus one step's scratch. One more whole-trace
+    # (T, n_h, B) array, such as every step's candidate values next to
+    # their pre-activations or every step's act(c_t), is 0.7 MB.
+    assert 8 * floats(bptt._carved(layout("lstm", 28, 100, 10), 28, 32)) <= 8.4e6
+    for variant in Variant:
+        plan = bptt._carved(layout(variant, 28, 100, 10), 28, 32)
+        # the candidate values are pre's last block (all of lstm6's pre), and act(c_t) is kept for one step
+        assert [name for name, shape in plan.items() if shape == (28, 100, 32)] in ([], ["pre"])
+        assert plan.get("sig_c", (100, 32)) == (100, 32)
+        assert 8 * floats(plan) <= {"lstm4a": 5.4e6, "lstm5a": 5.4e6, "lstm6": 3.92e6, "srn": 2.43e6}.get(variant.value, 8.4e6)
 
 
 @pytest.mark.parametrize("shape", [*itertools.product((1, 2, 3), repeat=3), (28, 400, 32)])

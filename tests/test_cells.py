@@ -7,6 +7,7 @@ from slimrnn.cells import (
     Activation,
     Variant,
     VariantSpec,
+    activation_derivative,
     apply_activation,
     init_params,
     layout,
@@ -44,6 +45,25 @@ def test_activations():
 )
 def test_param_count_reference_sizes(variant, expected):
     assert layout(variant, 28, 100, 10).size == expected
+
+
+# pre-activations at the origin (both signs), the relu kink, deep saturation and beyond
+EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 30.0, -30.0, 1e300, -1e300, np.inf, -np.inf])
+
+
+@pytest.mark.parametrize("act", list(Activation))
+def test_activation_derivative_from_values_matches_the_closed_form(act):
+    with np.errstate(over="ignore"):
+        want = {
+            Activation.TANH: 1.0 / np.cosh(EDGES) ** 2,
+            Activation.SIGMOID: np.exp(-np.abs(EDGES)) / (1.0 + np.exp(-np.abs(EDGES))) ** 2,
+            Activation.RELU: (EDGES > 0.0).astype(np.float64),  # 0 at the kink
+        }[act]
+    out = np.full_like(EDGES, np.nan)
+    got = activation_derivative(act, apply_activation(act, EDGES), out=out)
+    assert got is out
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+    assert np.array_equal(got[:2], [{Activation.TANH: 1.0, Activation.SIGMOID: 0.25, Activation.RELU: 0.0}[act]] * 2)
 
 
 def test_param_count_scalar_cell():
@@ -256,7 +276,7 @@ def test_saturated_gates_make_cell_additive():
     cell["b_o"] = 30.0
     x = np.random.default_rng(3).uniform(0, 1, size=(6, 2, 3))
     _, trace = forward_sequence(spec, cell, head, x)
-    cand = trace.act[:, -4:]
+    cand = trace.pre[:, -4:]
     assert np.max(np.abs(trace.c[1:] - (trace.c[:-1] + cand))) < 1e-9
 
 
@@ -265,7 +285,7 @@ def test_srn_carries_cell_state_untouched():
     spec = VariantSpec.make("srn", "tanh")
     cell, head = init_params(spec, 3, 4, 2, seed=1)
     _, trace = forward_sequence(spec, cell, head, np.ones((3, 3)))
-    assert trace.c is None and trace.sig_c is None
+    assert trace.c is None and not {"c", "sig_c"} & set(trace.room)
     assert all(step.c is None for step in trace)
     assert not np.array_equal(trace.h[1:], np.zeros((3, 4, 1)))
 

@@ -11,7 +11,7 @@ import slimrnn.harness as harness
 from slimrnn import bptt
 from slimrnn.bptt import Workspace
 from slimrnn.cells import Activation, Variant, VariantSpec, init_params, layout
-from slimrnn.data import DataError, Dataset, Split, batches
+from slimrnn.data import DataError, Dataset, Split, batches, check_dataset
 from slimrnn.harness import (
     METRICS_HEADER,
     ConfigError,
@@ -311,6 +311,32 @@ def test_injected_split_of_other_pixels_raises_data_error(name, kind, tmp_path):
     assert not out_dir.exists()
     with pytest.raises(DataError, match=f"the {name} split's .*{kind}"):
         train(small_config(epochs=1), dataset=ds)
+
+
+# injected splits the engine cannot use: each failed only once training ran, after the grid had written its files
+UNUSABLE = {
+    "more labels than images": (lambda s: replace(s, labels=np.concatenate([s.labels, s.labels[:2]])), "labels"),
+    "fewer labels than images": (lambda s: replace(s, labels=s.labels[:-2]), "labels"),
+    "label 11": (lambda s: replace(s, labels=np.where(np.arange(len(s)) == 3, 11, s.labels)), "label 11 at index 3"),
+    "label -1": (lambda s: replace(s, labels=np.where(np.arange(len(s)) == 5, -1, s.labels)), "label -1 at index 5"),
+    "float labels": (lambda s: replace(s, labels=s.labels.astype(np.float64)), "labels are float64"),
+    "pixels of shape (0,)": (lambda s: replace(s, sequences=np.zeros(0, dtype=np.uint8)), r"shape \(0,\)"),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE)
+@pytest.mark.parametrize("name", ["train", "test"])
+def test_injected_unusable_split_raises_data_error_before_the_grid_writes(name, case, tmp_path):
+    splits = {"train": synth_split(10, 0), "test": synth_split(10, 1)}
+    spoil, says = UNUSABLE[case]
+    splits[name] = spoil(splits[name])
+    ds = Dataset(**splits)
+    with pytest.raises(DataError, match=f"the {name} split.*{says}"):
+        check_dataset(ds)
+    out_dir = tmp_path / "grid"
+    with pytest.raises(DataError, match=f"the {name} split.*{says}"):
+        run_grid(["lstm6"], ["tanh"], [1e-3], small_config(epochs=1), out_dir, dataset=ds)
+    assert not out_dir.exists()
 
 
 def test_injected_float_split_is_not_scaled_again():

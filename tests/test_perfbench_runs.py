@@ -3,7 +3,9 @@
 perfbench (``perfbench/run.py``) reaches into the engine to check each run's
 outputs: ``VariantSpec``, the ``(cell, head)`` pair of ``init_params``,
 ``Params.arrays``/``with_arrays``, the single-sequence forward, iterating a
-trace into ``Step``s and the one-row ``softmax_xent``; it also re-runs
+trace into ``Step``s (whose candidate values it reads as relu's kink
+signature: they are positive exactly where the pre-activations are) and
+the one-row ``softmax_xent``; it also re-runs
 ``run_grid`` into the same directory and calls ``check_all``. A change that
 breaks any of these makes every benchmark op fail its checks, so each
 workload's verification and two rounds of its ops run here on a tiny

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from slimrnn import bptt
 from slimrnn.bptt import Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
-from slimrnn.cells import Activation, Variant, VariantSpec, init_params
+from slimrnn.cells import Activation, Variant, VariantSpec, activation_derivative, apply_activation, init_params
 from slimrnn.data import SequenceBatch, Split, batches, read_idx_images
 from slimrnn.gradcheck import EPS, check_gradients, sweep_losses
 
@@ -46,10 +46,10 @@ def test_workspace_takes_what_carved_lists_and_reuse_is_bitwise_neutral(variant,
     _, dlogits = softmax_xent(logits, batch.labels)
     once = backward_sequence(trace, dlogits)
 
-    # the backward's arrays, NaN-filled: a second walk back reads none of them before writing them
+    # the backward's arrays and sig_c, NaN-filled: a second walk back reads none of them before writing them
     buf = ws._buf
     names = list(trace.room)
-    for name in names[names.index("deltas") :]:
+    for name in names[names.index("deltas") :] + [n for n in names if n == "sig_c"]:
         trace.room[name].fill(np.nan)
     twice = backward_sequence(trace, dlogits)
     assert ws._buf is buf and twice.vec.tobytes() == once.vec.tobytes()
@@ -59,6 +59,18 @@ def test_workspace_takes_what_carved_lists_and_reuse_is_bitwise_neutral(variant,
     loss, grads, correct = batch_loss_and_grads(spec, p, p, batch, ws)
     assert ws._buf is buf
     assert (loss, correct) == (fresh[0], fresh[2]) and grads.vec.tobytes() == fresh[1].vec.tobytes()
+
+
+# every float64 class: zeros of both signs, subnormals, normals, infinities and NaN
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.lists(st.floats(width=64, allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=1, max_size=20))
+def test_relu_value_is_positive_exactly_where_its_pre_activation_is(xs):
+    # the trace keeps only relu's value, and relu' is read from it
+    x = np.array(xs + [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan])
+    value = np.maximum(x, 0.0)
+    assert np.array_equal(value > 0.0, x > 0.0)
+    relu = Activation.RELU
+    assert np.array_equal(activation_derivative(relu, apply_activation(relu, x), np.empty_like(x)), x > 0.0)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
