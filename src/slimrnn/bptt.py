@@ -21,9 +21,11 @@ elementwise work. The k dense blocks sit together at the bottom, so
 One memory plan, ``_carved``, names every array of a forward pass and of
 its backward pass with its shape, in carve order. ``Workspace.carve`` cuts
 them all from one flat buffer, which only grows, so a training run
-allocates its pages once, at its first batch. The forward hands its
-backward's arrays on in the trace, so the backward never touches a
-workspace. The input projection is dead before the time loop starts, so
+allocates its pages once, at its first batch. It keeps each (layout, T,
+B) it has cut together with every view the two loops take of the arrays,
+each step's included, so that a call indexes nothing per step. The
+forward hands its backward's arrays on in the trace, so the backward never
+touches a workspace. The input projection is dead before the time loop starts, so
 it lies in the backward pass's room, and the backward pass keeps only the
 live trace plus one step's scratch: every derivative factor is formed per
 step, and act(c_t), which h_t = o_t * act(c_t) reads, is recomputed from
@@ -61,7 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cells import (
-    GATE_NAMES, Activation, Layout, Params, VariantSpec, activation_derivative, apply_activation, sigmoid,
+    ACTIVATIONS, GATE_NAMES, Activation, Layout, Params, VariantSpec, sigmoid,
 )
 
 
@@ -69,27 +71,32 @@ class Workspace:
     """Scratch memory the engine reuses across calls: one flat float64 buffer.
 
     ``carve`` cuts the arrays of the memory plan ``_carved`` from it. The
-    buffer only ever grows, to the largest plan it has served, and the
-    arrays of the last (layout, T, B) are kept to be handed out again.
+    buffer only ever grows, to the largest plan it has served. Each
+    (layout, T, B) cut from the current buffer keeps its arrays and the
+    views the two loops take of them (a ``_Plan``) to be handed out again;
+    all of them are dropped when the buffer grows.
     """
 
     def __init__(self) -> None:
         self._buf = np.empty(0)
-        self._last = None, {}  # the (layout, T, B) last carved for, and its arrays
+        self._plans: dict[tuple[Layout, int, int], _Plan] = {}
 
-    def carve(self, lay: Layout, T: int, B: int) -> dict[str, np.ndarray]:
-        """The uninitialized arrays of ``_carved(lay, T, B)``, cut in plan order from the buffer.
+    def carve(self, lay: Layout, T: int, B: int) -> _Plan:
+        """The uninitialized arrays of ``_carved(lay, T, B)`` by name, cut in plan order from the buffer.
 
-        A carve for another (layout, T, B) may hand their memory out again.
+        They come as a ``_Plan``, which also holds the views the loops take
+        of them. A carve for another (layout, T, B) may hand their memory
+        out again.
         """
-        if self._last[0] != (lay, T, B):
+        key = (lay, T, B)
+        if key not in self._plans:
             plan = _carved(lay, T, B)
             ends = list(itertools.accumulate(map(math.prod, plan.values())))
             if ends[-1] > len(self._buf):
-                self._buf = np.empty(ends[-1])
+                self._buf, self._plans = np.empty(ends[-1]), {}
             cuts = zip(plan.items(), [0, *ends], ends)
-            self._last = (lay, T, B), {name: self._buf[i:j].reshape(shape) for (name, shape), i, j in cuts}
-        return self._last[1]
+            self._plans[key] = _Plan(lay, T, B, {name: self._buf[i:j].reshape(shape) for (name, shape), i, j in cuts})
+        return self._plans[key]
 
 
 def _carved(lay: Layout, T: int, B: int) -> dict[str, tuple[int, ...]]:
@@ -138,7 +145,8 @@ class Trace:
     srn. Iterating yields one Step per time step.
 
     ``cell``, ``head`` and ``activation`` are what its forward pass used,
-    and ``room`` is every array it carved, its backward pass's included;
+    and ``room`` is every array it carved, its backward pass's included,
+    with their views (a ``_Plan``);
     the trace stays valid only until the next ``forward_sequence`` on the
     workspace it was carved from.
     """
@@ -150,17 +158,42 @@ class Trace:
     cell: Params
     head: Params
     activation: Activation
-    room: dict[str, np.ndarray]
+    room: _Plan
 
     def __iter__(self):
         cell_states = [None] * len(self.pre) if self.c is None else self.c[1:]
         return map(Step, self.pre[:, -self.h.shape[1] :], cell_states)
 
 
-def _gate_values(lay: Layout, pre: np.ndarray, T: int) -> list[np.ndarray | list[float] | None]:
-    """i, f, o per step: (T, n_h, B) views of ``pre``'s gate rows, a fixed value repeated, or None (srn)."""
-    gates = [pre[:, lay.block[n]] if n in lay.block else lay.fixed.get(n) for n in GATE_NAMES]
-    return [[g] * T if isinstance(g, float) else g for g in gates]
+class _Plan(dict):
+    """The arrays of one carve by name, and every view of them that the two loops take, built once.
+
+    ``steps[t]`` holds step t's views, in the order the forward unpacks
+    them: ``pre``'s dense rows, point-wise rows as (g, n_h, B), biased
+    point-wise rows, gate rows and candidate block; h_{t-1} and h_t;
+    c_{t-1} and c_t (None for the srn); i_t, f_t and o_t (gate rows, a
+    fixed value, or None); and step t of ``deltas``. The rest serve a
+    whole call: the input projection, the blocks of one step's deltas
+    ``d`` and the side-by-side deltas and hidden states.
+    """
+
+    def __init__(self, lay: Layout, T: int, B: int, arrays: dict[str, np.ndarray]) -> None:
+        super().__init__(arrays)
+        n_h, gr, d0, b0 = lay.n_h, lay.gate_rows, lay.dense_from, lay.bias_from
+        h, d = self["h"], self["d"]
+        pre = self.pre = self["pre"] if lay.memory else h[1:]  # the srn's only block is its candidate, h_t itself
+        blocks = pre[:, d0:], pre[:, :d0].reshape(T, d0 // n_h, n_h, B), pre[:, b0:d0], pre[:, :gr], pre[:, gr:]
+        c = (self["c"], self["c"][1:]) if lay.memory else ([None] * T,) * 2
+        gates = [pre[:, lay.block[n]] if n in lay.block else [lay.fixed.get(n)] * T for n in GATE_NAMES]
+        steps, self.deltas = _stacked(self["deltas"])
+        self.steps = list(zip(*blocks, h, h[1:], *c, *gates, steps))
+        self.x_rows = self["x"].reshape(T * B, lay.n_in)
+        # the input projection, (k*n_h, T*B), is dead before the deltas are written
+        self.proj = self["deltas"].reshape(-1)[: (gr + n_h - d0) * T * B].reshape(-1, T * B)
+        self.proj_steps = self.proj.reshape(-1, T, B).transpose(1, 0, 2)
+        self.d_gates = [d[lay.block[n]] if n in lay.block else None for n in GATE_NAMES]
+        self.d_blocks = d[:gr], d[gr:], d[d0:], d[:d0].reshape(d0 // n_h, n_h, B)
+        self.hs, self.h_past = _stacked(self["hs"])
 
 
 def _stacked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +230,7 @@ def forward_sequence(
         raise ValueError(
             f"inputs of shape {x.shape} are not a nonempty (T, [B,] n_in={p.n_in}) array"
         )
-    T, B, n_in = x.shape
+    T, B, _ = x.shape
     n_h = p.n_h
     lay = p.layout
     if lay.variant is not spec.variant:
@@ -205,46 +238,41 @@ def forward_sequence(
     room = (Workspace() if ws is None else ws).carve(lay, T, B)
     x_in, x = x, room["x"]
     x[...] = x_in
+    h, c = room["h"], room.get("c")
     gr, d0, b0 = lay.gate_rows, lay.dense_from, lay.bias_from
     W, U, b = (p.stacks[k] for k in "WUb")
-
-    h = room["h"]
     h[0] = 0.0
-    pre = room["pre"] if lay.memory else h[1:]  # the srn's only block is the candidate, whose value is h_t itself
-    cand = pre[:, gr:]
-    c = room.get("c")
     if lay.memory:
         c[0] = 0.0
-    proj = room["deltas"].reshape(-1)[: len(W) * T * B].reshape(len(W), -1)  # dead before the deltas are written
-    np.matmul(W, x.reshape(T * B, n_in).T, out=proj)
-    np.add(proj.reshape(-1, T, B).transpose(1, 0, 2), b[d0 - b0 :, None], out=pre[:, d0:])
+    np.matmul(W, room.x_rows.T, out=room.proj)
+    np.add(room.proj_steps, b[d0 - b0 :, None], out=room.pre[:, d0:])
 
     i_unit, o_unit = "i" in lay.unit, "o" in lay.unit
-    i, f, o = _gate_values(lay, pre, T)
+    act, sig_c = ACTIVATIONS[spec.activation][0], room.get("sig_c")
     if d0:  # point-wise gates: u_g * h_{t-1}, plus a bias on rows b0 .. d0
         # u and the bias are repeated over the batch once, so no step's ufunc broadcasts a length-1 axis
         u = np.repeat(p.stacks["u"].reshape(-1, n_h, 1), B, axis=2)
-        pre_pw = pre[:, :d0].reshape(T, len(u), n_h, B)
         b_pw = np.repeat(b[: d0 - b0, None], B, axis=1)
-    for t in range(T):
-        pre[t, d0:] += U @ h[t]
+    for dense, pw, biased, gates, cand, h_prev, h_t, c_prev, c_t, i, f, o, _ in room.steps:
+        dense += U @ h_prev
         if d0:
-            np.multiply(u, h[t], out=pre_pw[t])
+            np.multiply(u, h_prev, out=pw)
             if b0 < d0:
-                pre[t, b0:d0] += b_pw
+                biased += b_pw
         if gr:
-            sigmoid(pre[t, :gr], out=pre[t, :gr])
-        apply_activation(spec.activation, cand[t], out=cand[t])
+            sigmoid(gates, out=gates)
+        act(cand, out=cand)
         if not lay.memory:
             continue
-        np.multiply(f[t], c[t], out=c[t + 1])
-        c[t + 1] += cand[t] if i_unit else i[t] * cand[t]
-        sig_c = apply_activation(spec.activation, c[t + 1], out=h[t + 1] if o_unit else room["sig_c"])
-        if not o_unit:
-            np.multiply(o[t], sig_c, out=h[t + 1])
+        np.multiply(f, c_prev, out=c_t)
+        c_t += cand if i_unit else i * cand
+        if o_unit:
+            act(c_t, out=h_t)
+        else:
+            np.multiply(o, act(c_t, out=sig_c), out=h_t)
 
     logits = (head["W_hy"] @ h[T]).T + head["b_y"]
-    trace = Trace(x=x, pre=pre, h=h, c=c, cell=p, head=head, activation=spec.activation, room=room)
+    trace = Trace(x=x, pre=room.pre, h=h, c=c, cell=p, head=head, activation=spec.activation, room=room)
     return (logits[0] if single else logits), trace
 
 
@@ -283,72 +311,71 @@ def backward_sequence(trace: Trace, dlogits: np.ndarray) -> Params:
     cell's layout. The deltas lie in the arrays the trace's forward carved
     for them, so the trace may be walked back any number of times.
     """
-    T, B, n_in = trace.x.shape
-    p, head, act, room = trace.cell, trace.head, trace.activation, trace.room
+    T, B, _ = trace.x.shape
+    p, head, room = trace.cell, trace.head, trace.room
+    (act, act_d), sig_d = ACTIVATIONS[trace.activation], ACTIVATIONS[Activation.SIGMOID][1]
     dl = np.atleast_2d(dlogits)
     if dl.shape != (B, head.n_out):
         raise ValueError(f"dlogits shape {np.shape(dlogits)} does not match {B} rows of the head")
 
     lay, n_h = p.layout, p.n_h
     gr, d0 = lay.gate_rows, lay.dense_from
-    pre, h, c = trace.pre, trace.h, trace.c
-    cand = pre[:, gr:]
+    i_unit, o_unit = "i" in lay.unit, "o" in lay.unit
+    h = trace.h
     Ut = p.stacks["U"].T
     dh = head["W_hy"].T @ dl.T
-    # Every step's deltas, also side by side as (m, T*B) against inputs and
-    # hidden states stacked in the same (t, b) order; then one step's deltas
-    # and derivative factors.
-    steps, deltas = _stacked(room["deltas"])
-    d, dgates, dact = room["d"], room["dgates"], room["dact"]
-
-    i, f, o = _gate_values(lay, pre, T)
+    # Each step's deltas go into one (m, B) slab ``d``, built from its gate
+    # and act' factors, and are copied into that step of ``deltas``, which
+    # lies side by side as (m, T*B) against the inputs and hidden states.
+    d, dgates, dact, sig_c = room["d"], room["dgates"], room["dact"], room.get("sig_c")
+    d_i, d_f, d_o = room.d_gates
+    d_sig, d_cand, d_dense, d_pw = room.d_blocks
     if lay.memory:
         dc = room["dc"]
         dc[...] = 0.0
-    sl = lay.block
     if d0:
         u = p.stacks["u"].reshape(-1, n_h)
-        d_pw = d[:d0].reshape(len(u), n_h, B)
     for t in range(T - 1, -1, -1):
+        _, _, _, gates, cand, _, h_t, c_prev, c_t, i, f, o, step = room.steps[t]
         if lay.memory:  # act(c_t): h_t itself when o is fixed at 1, else recomputed from the kept c_t
-            sig_c = h[t + 1] if "o" in lay.unit else apply_activation(act, c[t + 1], out=room["sig_c"])
-            if "o" in sl:  # h_t = o * act(c_t)
-                np.multiply(dh, sig_c, out=d[sl["o"]])
-            activation_derivative(act, sig_c, out=dact)  # dc_t picks up dh_t * o_t * act'(c_t)
-            if "o" not in lay.unit:
-                dact *= o[t]
+            act_c = h_t if o_unit else act(c_t, out=sig_c)
+            if d_o is not None:  # h_t = o * act(c_t)
+                np.multiply(dh, act_c, out=d_o)
+            act_d(act_c, out=dact)  # dc_t picks up dh_t * o_t * act'(c_t)
+            if not o_unit:
+                dact *= o
             dc += dh * dact
         else:
             dc = dh
-        if "f" in sl:  # c_t = f * c_prev + i * cand
-            np.multiply(dc, c[t], out=d[sl["f"]])
-        if "i" in sl:
-            np.multiply(dc, cand[t], out=d[sl["i"]])
+        if d_f is not None:  # c_t = f * c_prev + i * cand
+            np.multiply(dc, c_prev, out=d_f)
+        if d_i is not None:
+            np.multiply(dc, cand, out=d_i)
         if gr:
-            d[:gr] *= activation_derivative(Activation.SIGMOID, pre[t, :gr], out=dgates)
+            d_sig *= sig_d(gates, out=dgates)
         # the candidate delta is dc_t * i_t * act'(a_c), and dc_t is dh_t for the srn
-        activation_derivative(act, cand[t], out=dact)
-        if lay.memory and "i" not in lay.unit:
-            dact *= i[t]
-        np.multiply(dc, dact, out=d[gr:])
-        steps[t] = d
+        act_d(cand, out=dact)
+        if lay.memory and not i_unit:
+            dact *= i
+        np.multiply(dc, dact, out=d_cand)
+        step[...] = d
         if t == 0:
             break
-        dh = Ut @ d[d0:]
+        dh = Ut @ d_dense
         if d0:
             dh += np.einsum("gnb,gn->nb", d_pw, u)
         if lay.memory:
-            dc *= f[t]
+            dc *= f
 
-    hs, h_prev = _stacked(room["hs"])
-    hs[...] = h[:T]
+    deltas, h_past = room.deltas, room.h_past
+    room.hs[...] = h[:T]
     grads = Params(lay)
     g = grads.stacks
-    np.matmul(deltas[d0:], trace.x.reshape(T * B, n_in), out=g["W"])
-    np.matmul(deltas[d0:], h_prev.T, out=g["U"])
+    np.matmul(deltas[d0:], room.x_rows, out=g["W"])
+    np.matmul(deltas[d0:], h_past.T, out=g["U"])
     deltas[lay.bias_from :].sum(axis=1, out=g["b"])
     if d0:
-        np.einsum("gnk,nk->gn", deltas[:d0].reshape(-1, n_h, T * B), h_prev, out=g["u"].reshape(-1, n_h))
+        np.einsum("gnk,nk->gn", deltas[:d0].reshape(-1, n_h, T * B), h_past, out=g["u"].reshape(-1, n_h))
     np.matmul(dl.T, h[T].T, out=grads["W_hy"])
     dl.sum(axis=0, out=grads["b_y"])
     return grads

@@ -101,29 +101,15 @@ def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def apply_activation(act: Activation, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise tanh, logistic sigmoid, or relu; written into ``out`` when given."""
-    if act is Activation.TANH:
-        return np.tanh(v, out=out)
-    if act is Activation.SIGMOID:
-        return sigmoid(v, out=out)
-    return np.maximum(v, 0.0, out=out)
-
-
-def activation_derivative(act: Activation, value: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Derivative of ``act`` at the pre-activation a, given only ``value = act(a)``, written into ``out``.
-
-    tanh' = 1 - value^2 and sigmoid' = value * (1 - value); relu's is 1
-    where value > 0, which holds exactly where a > 0 (at a = 0 it is taken
-    as 0), so no pre-activation need be kept.
-    """
-    if act is Activation.TANH:
-        np.multiply(value, value, out=out)
-        return np.subtract(1.0, out, out=out)
-    if act is Activation.SIGMOID:
-        np.subtract(1.0, value, out=out)
-        return np.multiply(value, out, out=out)
-    return np.greater(value, 0.0, out=out)
+# Each activation as (act, act'), both called as (array, out=...), so that the engine looks an
+# activation up once per call. act' is formed from the value v = act(a) alone: tanh' = 1 - v^2,
+# sigmoid' = v * (1 - v), and relu's is 1 where v > 0, which holds exactly where a > 0 (at a = 0
+# it is taken as 0), so no pre-activation need be kept.
+ACTIVATIONS = {
+    Activation.TANH: (np.tanh, lambda v, out: np.subtract(1.0, np.multiply(v, v, out=out), out=out)),
+    Activation.SIGMOID: (sigmoid, lambda v, out: np.multiply(v, np.subtract(1.0, v, out=out), out=out)),
+    Activation.RELU: (lambda v, out=None: np.maximum(v, 0.0, out=out), lambda v, out: np.greater(v, 0.0, out=out)),
+}
 
 
 class Layout:

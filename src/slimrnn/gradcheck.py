@@ -29,7 +29,8 @@ per-unit or constant and the off-diagonal blocks are exact zeros, so no
 replica reads another's units: each computes its own cell, differing from
 a standalone forward pass only in the summation order of the matrix
 products. REPLICA_UNITS bounds the memory of a pass. The replica cell's
-layout and the map from each copy's coordinates to its vector are built
+layout, the map from each copy's coordinates to its vector and every
+index array of the sweep (each pass's slots, the head's logits) are built
 once per (layout, R) and cached; each check fills a fresh zero vector
 through that map, and each pass writes its vectors' +/- EPS entries into
 it in place and undoes them afterwards.
@@ -89,13 +90,19 @@ def _replicate(name: str, blocks: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _replica_map(variant: Variant, n_in: int, n_h: int, n_out: int, R: int) -> tuple[Layout, np.ndarray]:
-    """The layout of R copies of a cell as one replica cell, and ``where``.
+def _replica_map(
+    variant: Variant, n_in: int, n_h: int, n_out: int, R: int
+) -> tuple[Layout, np.ndarray, np.ndarray, tuple, tuple]:
+    """The layout of R copies of a cell as one replica cell, ``where``, and the sweep's index arrays.
 
-    ``where[r, j]`` (read-only) is the position of copy r's coordinate j in
-    the replica cell's vector. Entry j of copy r is labelled r*P + j + 1 and
+    ``where[r, j]`` is the position of copy r's coordinate j in the
+    replica cell's vector. Entry j of copy r is labelled r*P + j + 1 and
     the labels are laid out like the replica cell's arrays (0 marks an
-    off-diagonal zero), so each label's position is its entry's.
+    off-diagonal zero), so each label's position is its entry's. Then, for
+    ``sweep_losses``: the coordinate each cell vector moves; per replica
+    pass, its vectors, those that move a coordinate, their slots in the
+    replica vector and their coordinates; and per head coordinate, its
+    row of the head's features and the logit it moves. All are read-only.
     """
     lay = layout(variant, n_in, n_h, n_out)
     replica = Params(layout(variant, n_in, R * n_h, R * n_out))
@@ -105,8 +112,19 @@ def _replica_map(variant: Variant, n_in: int, n_h: int, n_out: int, R: int) -> t
     filled = np.flatnonzero(replica.vec)
     where = np.empty((R, lay.size), dtype=np.intp)
     where.flat[replica.vec[filled].astype(np.intp) - 1] = filled
-    where.flags.writeable = False
-    return replica.layout, where
+
+    cell = lay.fields["W_hy"][0].start  # the head's coordinates come last
+    n_cell = 2 * cell + 1
+    coord = np.arange(-1, n_cell - 1) // 2  # vector k > 0 moves coordinate (k-1)//2
+    passes = []
+    for lo in range(0, n_cell, R):
+        k = np.arange(lo, min(lo + R, n_cell))
+        moved = k[k > 0]
+        passes.append((k, moved, where[moved - lo, coord[moved]], coord[moved]))
+    head = np.arange(lay.size - cell), np.concatenate([np.repeat(np.arange(n_out), n_h), np.arange(n_out)])
+    for a in (where, coord, *(a for one_pass in passes for a in one_pass), *head):
+        a.flags.writeable = False
+    return replica.layout, where, coord, tuple(passes), head
 
 
 def sweep_losses(
@@ -123,43 +141,40 @@ def sweep_losses(
     ``softmax_xent`` call takes every vector's logits.
     """
     lay, base = params.layout, params.vec
-    P, cell = base.size, lay.fields["W_hy"][0].start  # the head's coordinates come last
+    P, cell = base.size, lay.fields["W_hy"][0].start
     n, n_cell = 2 * P + 1, 2 * cell + 1
     R = min(max(1, REPLICA_UNITS // lay.n_h), n_cell)
-    rep_layout, where = _replica_map(lay.variant, lay.n_in, lay.n_h, lay.n_out, R)
+    rep_layout, where, coord, passes, (head_rows, head_logit) = _replica_map(
+        lay.variant, lay.n_in, lay.n_h, lay.n_out, R
+    )
     replica = Params(rep_layout)
     work = replica.vec
     work[where] = base
 
-    coord = np.arange(-1, n_cell - 1) // 2  # vector k > 0 moves coordinate (k-1)//2
     value = base[coord] + np.where(np.arange(n_cell) % 2, EPS, -EPS)
     B = len(labels)
     logits = np.empty((n, B, lay.n_out))
     same = np.ones(n, dtype=bool)
-    for lo in range(0, n_cell, R):
-        k = np.arange(lo, min(lo + R, n_cell))
-        moved = k[k > 0]
-        slots = where[moved - lo, coord[moved]]
+    for k, moved, slots, moved_coord in passes:
         work[slots] = value[moved]
         out, trace = forward_sequence(spec, replica, replica, seqs, ws)
-        work[slots] = base[coord[moved]]
+        work[slots] = base[moved_coord]
         logits[k] = out.reshape(B, R, -1)[:, : len(k)].swapaxes(0, 1)  # column block r is replica r
-        if lo == 0:
+        if k[0] == 0:
             h_T = trace.h[-1, : lay.n_h].copy()  # vector 0's final hidden state, (n_h, B)
         pattern = relu_pattern(trace)
         if pattern is not None:
             pattern = pattern.reshape(len(pattern), R, -1, B)[:, : len(k)]
-            base_pattern = pattern[:, :1] if lo == 0 else base_pattern
+            base_pattern = pattern[:, :1] if k[0] == 0 else base_pattern
             same[k] = (pattern == base_pattern).all(axis=(0, 2, 3))
 
     # The head is affine in W_hy and b_y and feeds nothing back: a step on
     # W_hy[i, j] moves vector 0's logit i by the step times h_T[j], one on b_y[i] by the step.
     feature = np.concatenate([np.tile(h_T, (lay.n_out, 1)), np.ones((lay.n_out, B))])  # (P - cell, B)
-    logit = np.concatenate([np.repeat(np.arange(lay.n_out), lay.n_h), np.arange(lay.n_out)])
     for first, step in ((n_cell, EPS), (n_cell + 1, -EPS)):
         head = logits[first::2]
         head[...] = logits[0]
-        head[np.arange(P - cell), :, logit] += step * feature
+        head[head_rows, :, head_logit] += step * feature
     xent, _ = softmax_xent(logits.reshape(n * B, -1), np.tile(labels, n))
     return xent.reshape(n, B).sum(axis=1) / B, same
 

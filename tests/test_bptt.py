@@ -384,6 +384,46 @@ def test_workspace_cuts_a_cached_plan_again_in_a_grown_buffer(monkeypatch):
     assert ws.carve(a, 1, 1) is again and planned == []
 
 
+def test_alternating_carves_of_two_layouts_build_each_plan_once(monkeypatch):
+    # a check's model (n_h = 5, B = 3) and its replica cell of 32 copies (n_h = 160, B = 3), in turn
+    model, replica = (layout("lstm", 3, n_h, 4) for n_h in (5, 160))
+    real, planned = bptt._carved, []
+    monkeypatch.setattr(bptt, "_carved", lambda *key: planned.append(key) or real(*key))
+    ws = Workspace()
+    plans = {key: ws.carve(*key) for key in [(model, 4, 3), (replica, 4, 3)]}  # the second grows the buffer
+    plans[model, 4, 3] = ws.carve(model, 4, 3)  # so the first is cut again from the grown one, once
+    for _ in range(3):
+        for key, plan in plans.items():
+            assert ws.carve(*key) is plan
+    assert planned == [(model, 4, 3), (replica, 4, 3), (model, 4, 3)]
+
+
+def arrays_of(obj) -> list[np.ndarray]:
+    """Every array held by ``obj``, a plan's arrays and views included, however deeply nested."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, bptt._Plan):
+        obj = [dict(obj), vars(obj)]
+    items = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, (list, tuple)) else []
+    return [a for item in items for a in arrays_of(item)]
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_a_grown_buffer_keeps_no_view_of_the_old_one(variant):
+    small, large = layout(variant, 3, 5, 4), layout(variant, 3, 160, 4)
+    ws = Workspace()
+    ws.carve(small, 4, 3)
+    ws.carve(small, 2, 1)
+    old = ws._buf
+    ws.carve(large, 4, 1)
+    ws.carve(small, 4, 3)
+    assert ws._buf is not old and len(ws._plans) == 2
+    kept = list(ws._plans.values())
+    views = arrays_of(kept)
+    assert len(views) > sum(map(len, kept)) and all(np.shares_memory(v, ws._buf) for v in views if v.size)
+    assert not any(np.shares_memory(v, old) for v in views)
+
+
 def test_lstm_workspace_at_paper_shapes_holds_only_the_live_trace():
     # 8.4 MB: the trace plus one step's scratch. One more whole-trace
     # (T, n_h, B) array, such as every step's candidate values next to

@@ -3,12 +3,11 @@ import pytest
 
 from slimrnn.bptt import forward_sequence
 from slimrnn.cells import (
+    ACTIVATIONS,
     GATES,
     Activation,
     Variant,
     VariantSpec,
-    activation_derivative,
-    apply_activation,
     init_params,
     layout,
 )
@@ -27,9 +26,9 @@ def zeroed_params(variant, activation, n_in, n_h, n_out, forget_bias=0.0):
 
 
 def test_activations():
-    assert np.array_equal(apply_activation(Activation.TANH, np.array([0.0])), [0.0])
-    assert np.array_equal(apply_activation(Activation.SIGMOID, np.array([0.0])), [0.5])
-    assert np.array_equal(apply_activation(Activation.RELU, np.array([-2.0, 3.0])), [0.0, 3.0])
+    assert np.array_equal(ACTIVATIONS[Activation.TANH][0](np.array([0.0])), [0.0])
+    assert np.array_equal(ACTIVATIONS[Activation.SIGMOID][0](np.array([0.0])), [0.5])
+    assert np.array_equal(ACTIVATIONS[Activation.RELU][0](np.array([-2.0, 3.0])), [0.0, 3.0])
 
 
 @pytest.mark.parametrize(
@@ -60,7 +59,8 @@ def test_activation_derivative_from_values_matches_the_closed_form(act):
             Activation.RELU: (EDGES > 0.0).astype(np.float64),  # 0 at the kink
         }[act]
     out = np.full_like(EDGES, np.nan)
-    got = activation_derivative(act, apply_activation(act, EDGES), out=out)
+    function, derivative = ACTIVATIONS[act]
+    got = derivative(function(EDGES), out=out)
     assert got is out
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
     assert np.array_equal(got[:2], [{Activation.TANH: 1.0, Activation.SIGMOID: 0.25, Activation.RELU: 0.0}[act]] * 2)

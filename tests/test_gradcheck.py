@@ -99,6 +99,32 @@ def test_check_fails_on_one_corrupted_analytic_coordinate(variant, coordinate, b
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("variant", list(Variant))
+def test_check_fails_on_a_small_gradient_off_by_half_a_percent(variant, batch_size, monkeypatch):
+    # A coordinate with 1e-4 < |g| < 1e-3 is measured against its own size, so scaled by 1.005 it is off
+    # by 5e-3, fifty times REL_TOL; measured against a floor of 1e-1 it would be off by less than 5e-5.
+    real, scaled = gradcheck.batch_loss_and_grads, []
+
+    def corrupted(*args):
+        loss, grads, correct = real(*args)
+        size = np.abs(grads.vec)
+        small = np.flatnonzero((size > 1e-4) & (size < 1e-3))
+        if small.size:  # the smallest, which a floor of 1e-2 would also hide when below 2e-4
+            j = small[np.argmin(size[small])]
+            grads.vec[j] *= 1.005
+            scaled.append(j)
+        return loss, grads, correct
+
+    monkeypatch.setattr(gradcheck, "batch_loss_and_grads", corrupted)
+    for seed in range(10):  # the first seed whose gradient has such a coordinate
+        result = check_gradients(variant, "tanh", seed=seed, batch_size=batch_size, ws=Workspace())
+        if scaled:
+            break
+    assert len(scaled) == 1 and result.max_rel_err > REL_TOL
+    assert not result.passed
+
+
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("variant", list(Variant))
 def test_sweep_is_bitwise_equal_with_cold_and_warm_replica_map(variant, batch_size):
     spec, cell, _, seqs, labels = sweep_setup(variant, "relu", batch_size=batch_size)
     gradcheck._replica_map.cache_clear()
@@ -126,22 +152,30 @@ def test_check_all_builds_one_workspace(monkeypatch):
 
 
 def test_interleaved_checks_match_fresh_ones():
-    # a check must not see the vector or trace of one at another layout
-    configs = [dict(variant="lstm"), dict(variant="lstm6", n_in=2, n_h=7, n_out=3), dict(variant="lstm")]
+    # a check must not see the vector or trace of one at another layout, nor what a kept plan last held:
+    # all 21 configurations, their models' and replica cells' layouts interleaved on one workspace,
+    # the second time round with every float of its buffer NaN before each check
+    configs = [dict(variant=v, activation=a) for v in Variant for a in Activation]
+    configs.insert(1, dict(variant="lstm6", activation="relu", n_in=2, n_h=7, n_out=3))
     fresh = []
     for config in configs:
         gradcheck._replica_map.cache_clear()
-        fresh.append(check_gradients(activation="relu", batch_size=3, ws=Workspace(), **config))
+        fresh.append(check_gradients(batch_size=3, ws=Workspace(), **config))
     ws = Workspace()
-    interleaved = [check_gradients(activation="relu", batch_size=3, ws=ws, **config) for config in configs]
-    assert interleaved == fresh
+    assert [check_gradients(batch_size=3, ws=ws, **config) for config in configs] == fresh
+    buf, again = ws._buf, []
+    for config in configs:
+        buf.fill(np.nan)
+        again.append(check_gradients(batch_size=3, ws=ws, **config))
+    assert ws._buf is buf and again == fresh
     assert all(r.passed for r in fresh)
 
 
 def test_cached_replica_map_is_read_only():
-    replica, where = gradcheck._replica_map(Variant.LSTM, 3, 5, 4, 32)
+    replica, where, coord, passes, head = gradcheck._replica_map(Variant.LSTM, 3, 5, 4, 32)
     assert replica.n_h == 32 * 5 and where.shape == (32, layout("lstm", 3, 5, 4).size)
-    assert not where.flags.writeable
+    cached = [where, coord, *(a for one_pass in passes for a in one_pass), *head]
+    assert len(cached) == 2 + 4 * len(passes) + 2 and not any(a.flags.writeable for a in cached)
     with pytest.raises(ValueError):
         where[0, 0] = 0
 

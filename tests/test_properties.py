@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from slimrnn import bptt
 from slimrnn.bptt import Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
-from slimrnn.cells import Activation, Variant, VariantSpec, activation_derivative, apply_activation, init_params
+from slimrnn.cells import ACTIVATIONS, Activation, Variant, VariantSpec, init_params
 from slimrnn.data import SequenceBatch, Split, batches, read_idx_images
 from slimrnn.gradcheck import EPS, check_gradients, sweep_losses
 
@@ -69,8 +69,8 @@ def test_relu_value_is_positive_exactly_where_its_pre_activation_is(xs):
     x = np.array(xs + [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan])
     value = np.maximum(x, 0.0)
     assert np.array_equal(value > 0.0, x > 0.0)
-    relu = Activation.RELU
-    assert np.array_equal(activation_derivative(relu, apply_activation(relu, x), np.empty_like(x)), x > 0.0)
+    relu, relu_derivative = ACTIVATIONS[Activation.RELU]
+    assert np.array_equal(relu_derivative(relu(x), out=np.empty_like(x)), x > 0.0)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
