@@ -2,16 +2,22 @@
 
 Run from the root of a checkout, one run per command, back to back:
 
-    python bench/phases.py --out BENCH_21.json --label parent --src ../parent/src
-    python bench/phases.py --out BENCH_21.json --label change
-    python bench/phases.py --out BENCH_21.json --label parent --src ../parent/src
-    python bench/phases.py --out BENCH_21.json --label change
+    python bench/phases.py --out BENCH_23.json --label parent --src ../parent/src
+    python bench/phases.py --out BENCH_23.json --label change
+    python bench/phases.py --out BENCH_23.json --label parent --src ../parent/src
+    python bench/phases.py --out BENCH_23.json --label change
 
 A run imports slimrnn from ``--src`` (this checkout's ``src`` by default),
 pins numpy's OpenBLAS to one thread through ``cli._pin_blas`` and takes the
 min of ``--repeat`` rounds of each timing, a round being as many calls as
 fill ROUND_S, on seeded synthetic 28 x 28 uint8 images with about 15% ink
-(the MNIST files need not be present):
+(the MNIST files need not be present). Each timing also comes in units of
+a fixed reference kernel (tanh of 100 x 100 matrix-vector products), as
+``per_ref`` next to its ms: the median over the rounds of a round's time
+over the kernel's mean time just before and just after it. The host's
+speed drifts by tens of percent over minutes, and the kernel slows with
+it, so this ratio moves far less between runs than the ms do. The
+timings are:
 
 * per variant at the paper's shapes (T = 28, n_in = 28, n_h = 100, batch
   32, tanh): ms per call of ``forward_sequence``, ``softmax_xent``,
@@ -22,9 +28,7 @@ fill ROUND_S, on seeded synthetic 28 x 28 uint8 images with about 15% ink
   T = 4): ``check_gradients`` ms per configuration, 3 activations x seeds
   0-2 through ``check_all``;
 * context: the peak RSS, numpy's version, the OpenBLAS config string and
-  core name, and the ms of a fixed reference kernel (tanh of 100 x 100
-  matrix-vector products), by which numbers taken on other hosts or at
-  other times can be divided.
+  core name, and the min ms of the reference kernel.
 
 Each run is appended to ``runs[label]`` of ``--out`` (created if missing),
 and the file's ``summary`` is rebuilt: per label and metric, the min over
@@ -42,6 +46,7 @@ import json
 import math
 import platform
 import resource
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -56,6 +61,7 @@ TINY = {"rows": 3, "cols": 4, "n_h": 3, "batch": 4, "train": 8, "test": 6,
 N_OUT = 10
 ETA = 1e-3
 ROUND_S = 0.02
+REF_ITERATIONS = 1200  # products in one reference kernel call, about 3.5 ms
 DARK_BELOW = 218  # uniform bytes under this become background: about 15% ink
 
 
@@ -63,18 +69,55 @@ def metric(value: float, unit: str) -> dict:
     return {"value": value, "unit": unit}
 
 
-def best_ms(fn, repeat: int) -> float:
-    """The min over ``repeat`` rounds of the mean ms per call of ``fn``, each round at least ROUND_S of calls."""
+def aligned(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` that starts on a 64-byte boundary."""
+    buf = np.empty(a.size + 8)
+    start = (-buf.ctypes.data % 64) // 8
+    out = buf[start : start + a.size].reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def reference_kernel():
+    """A call that runs the reference kernel once and returns its seconds.
+
+    Its arrays start on 64-byte boundaries: where the heap puts a 100 x 100
+    matrix moves the kernel's time by 15-20% (16 or 48 bytes past a 64-byte
+    boundary against 0 or 32), which would shift every ``per_ref`` of a run.
+    """
+    rng = np.random.default_rng(0)
+    m, x, y = aligned(rng.normal(size=(100, 100)) / 10.0), aligned(rng.normal(size=100)), aligned(np.empty(100))
+
+    def seconds() -> float:
+        start = time.perf_counter()
+        for _ in range(REF_ITERATIONS):
+            np.tanh(np.matmul(m, x, out=y), out=x)
+        return time.perf_counter() - start
+
+    return seconds
+
+
+def timing(fn, repeat: int, ref, unit: str, count: int = 1) -> dict:
+    """``fn``'s ms per call over ``count``: the min over ``repeat`` rounds of at least ROUND_S of calls each.
+
+    Next to it, as ``per_ref``, the same in reference kernels: the median
+    over the rounds of a round's mean time per call over the mean of the
+    kernel's seconds from ``ref()`` just before and just after the round.
+    """
     start = time.perf_counter()
     fn()
     number = max(1, math.ceil(ROUND_S / (time.perf_counter() - start)))
-    rounds = []
+    rounds, ratios, before = [], [], ref()
     for _ in range(repeat):
         start = time.perf_counter()
         for _ in range(number):
             fn()
         rounds.append((time.perf_counter() - start) / number)
-    return 1e3 * min(rounds)
+        after = ref()
+        ratios.append(rounds[-1] / ((before + after) / 2.0))
+        before = after
+    per_ref = metric(statistics.median(ratios) / count, unit.replace("ms", "ref", 1))
+    return {**metric(1e3 * min(rounds) / count, unit), "per_ref": per_ref}
 
 
 def synthetic_split(data, count: int, rows: int, cols: int, seed: int):
@@ -85,18 +128,6 @@ def synthetic_split(data, count: int, rows: int, cols: int, seed: int):
     images[images < DARK_BELOW] = 0
     images[np.arange(count), labels % rows, :] = rng.integers(200, 256, size=(count, cols), dtype=np.uint8)
     return data.Split(sequences=images, labels=labels)
-
-
-def reference_ms(repeat: int) -> float:
-    rng = np.random.default_rng(0)
-    m, v = rng.normal(size=(100, 100)) / 10.0, rng.normal(size=100)
-
-    def kernel():
-        x = v
-        for _ in range(1200):
-            x = np.tanh(m @ x)
-
-    return best_ms(kernel, repeat)
 
 
 def openblas() -> dict:
@@ -122,6 +153,7 @@ def measure(shapes: dict, repeat: int) -> dict:
     from slimrnn.optim import rmsprop_step
 
     cli._pin_blas()
+    ref = reference_kernel()
     rows, cols, n_h, B = shapes["rows"], shapes["cols"], shapes["n_h"], shapes["batch"]
     train = synthetic_split(data, shapes["train"], rows, cols, seed=1)
     test = synthetic_split(data, shapes["test"], rows, cols, seed=2)
@@ -146,19 +178,20 @@ def measure(shapes: dict, repeat: int) -> dict:
                 rmsprop_step(walked.vec, g.vec, walked_acc, ETA)
 
         phases[variant.value] = {
-            "forward_sequence": metric(best_ms(lambda: forward_sequence(spec, model, model, x, ws), repeat), "ms/call"),
-            "softmax_xent": metric(best_ms(lambda: softmax_xent(logits, batch.labels), repeat), "ms/call"),
-            "backward_sequence": metric(best_ms(lambda: backward_sequence(trace, dlogits), repeat), "ms/call"),
-            "rmsprop_step": metric(best_ms(lambda: rmsprop_step(w, grads.vec, acc, ETA), repeat), "ms/call"),
-            "walk": metric(best_ms(walk, repeat) / len(train), "ms/example"),
-            "evaluation": metric(best_ms(lambda: evaluate(spec, model, test, ws), repeat) / len(test), "ms/example"),
+            "forward_sequence": timing(lambda: forward_sequence(spec, model, model, x, ws), repeat, ref, "ms/call"),
+            "softmax_xent": timing(lambda: softmax_xent(logits, batch.labels), repeat, ref, "ms/call"),
+            "backward_sequence": timing(lambda: backward_sequence(trace, dlogits), repeat, ref, "ms/call"),
+            "rmsprop_step": timing(lambda: rmsprop_step(w, grads.vec, acc, ETA), repeat, ref, "ms/call"),
+            "walk": timing(walk, repeat, ref, "ms/example", len(train)),
+            "evaluation": timing(lambda: evaluate(spec, model, test, ws), repeat, ref, "ms/example", len(test)),
         }
-        configs = 3 * len(seeds)
-        check = best_ms(lambda: check_all(seeds=seeds, variants=(variant,), **shapes["gradcheck"]), repeat)
-        gradcheck[variant.value] = {"check_gradients": metric(check / configs, "ms/config")}
+        def check():
+            check_all(seeds=seeds, variants=(variant,), **shapes["gradcheck"])
+
+        gradcheck[variant.value] = {"check_gradients": timing(check, repeat, ref, "ms/config", 3 * len(seeds))}
     context = {
         "python": platform.python_version(), "numpy": np.__version__, **openblas(),
-        "reference_ms": metric(reference_ms(repeat), "ms"),
+        "reference_ms": metric(1e3 * min(ref() for _ in range(repeat)), "ms"),
         "peak_rss_mb": metric(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
     }
     return {"shapes": shapes, "repeat": repeat, "context": context, "phases": phases, "gradcheck": gradcheck}
@@ -166,10 +199,9 @@ def measure(shapes: dict, repeat: int) -> dict:
 
 def leaves(tree: dict, path: str = "") -> dict[str, dict]:
     """The metrics of a run by dotted path: every nested dict that holds a value and a unit."""
-    if "value" in tree and "unit" in tree:
-        return {path: tree}
+    found = {path: tree} if "value" in tree and "unit" in tree else {}
     subtrees = ((f"{path}.{name}" if path else name, sub) for name, sub in tree.items() if isinstance(sub, dict))
-    return {k: m for sub_path, sub in subtrees for k, m in leaves(sub, sub_path).items()}
+    return found | {k: m for sub_path, sub in subtrees for k, m in leaves(sub, sub_path).items()}
 
 
 def summarize(runs: dict[str, list[dict]]) -> dict:

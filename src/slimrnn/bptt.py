@@ -9,8 +9,16 @@ each gate block of a step is one contiguous (n_h, B) slab for the
 elementwise work. The k dense blocks sit together at the bottom, so
 
 * the forward computes every input projection and bias before the time
-  loop as one (T*B, n_in) @ (n_in, k*n_h) product, and each step adds a
-  single (k*n_h, n_h) @ (n_h, B) recurrent product;
+  loop, and each step adds the recurrent products U h_{t-1}. With B > 1
+  and more than one dense row, the projection is one (k*n_h, n_in) @
+  (n_in, B) product per step, written straight into ``pre``'s dense rows,
+  and the recurrent product is one (n_h, n_h) @ (n_h, B) product per
+  dense block: on OpenBLAS at the paper's shapes both beat one product
+  over all T*B columns, whose bias add must transpose it into ``pre``, and
+  one stacked (k*n_h, n_h) product. At B = 1, or with one dense row, those
+  products would be matrix-vector ones, whose rounding differs, so there
+  the forward keeps the single (k*n_h, n_in) @ (n_in, T*B) projection and
+  the stacked recurrent product. ``_Plan`` picks the form once;
 * point-wise gates add u_g * h_{t-1} per step, and fixed gates are
   broadcast constants that produce no parameter gradients;
 * every step writes in place into arrays carved once per call, which
@@ -25,14 +33,16 @@ allocates its pages once, at its first batch. It keeps each (layout, T,
 B) it has cut together with every view the two loops take of the arrays,
 each step's included, so that a call indexes nothing per step. The
 forward hands its backward's arrays on in the trace, so the backward never
-touches a workspace. The input projection is dead before the time loop starts, so
-it lies in the backward pass's room, and the backward pass keeps only the
-live trace plus one step's scratch: every derivative factor is formed per
-step, and act(c_t), which h_t = o_t * act(c_t) reads, is recomputed from
-the kept c_t one step at a time instead of being kept for every step
-(Chen et al. 2016, "Training Deep Nets with Sublinear Memory Cost", at
-the scale of one step). The trace holds its own copy of the inputs, and
-the returned logits and gradients are fresh arrays the caller owns.
+touches a workspace. The forward's scratch (a projection not written
+into ``pre``, and one step's recurrent products) is dead before the
+backward pass starts, so it lies in that pass's room, and the backward
+pass keeps only the live trace plus one step's scratch: every derivative
+factor is formed per step, and act(c_t), which h_t = o_t * act(c_t)
+reads, is recomputed from the kept c_t one step at a time instead of
+being kept for every step (Chen et al. 2016, "Training Deep Nets with
+Sublinear Memory Cost", at the scale of one step). The trace holds its
+own copy of the inputs, and the returned logits and gradients are fresh
+arrays the caller owns.
 
 Classification reads the final hidden state only: logits = W_hy h_T + b_y.
 The backward pass is hand-derived and reads all it needs from the trace
@@ -107,8 +117,9 @@ def _carved(lay: Layout, T: int, B: int) -> dict[str, tuple[int, ...]]:
     1, one step's act(c_t) as ``sig_c``, which the backward refills from c.
     The backward's are every step's ``deltas``, one step's deltas ``d`` and
     gate and act' factors, ``dc`` for memory cells, and h_0 .. h_{T-1} as
-    ``hs``. The input projection, (k*n_h, T*B), lies in the room of
-    ``deltas``.
+    ``hs``. The forward's scratch lies in the room of ``deltas``: the
+    (k*n_h, B) recurrent products and, where ``_Plan`` does not point the
+    input projection at ``pre``, its (k*n_h, T*B) product.
     """
     n_h, gr, m = lay.n_h, lay.gate_rows, lay.gate_rows + lay.n_h
 
@@ -173,8 +184,12 @@ class _Plan(dict):
     point-wise rows, gate rows and candidate block; h_{t-1} and h_t;
     c_{t-1} and c_t (None for the srn); i_t, f_t and o_t (gate rows, a
     fixed value, or None); and step t of ``deltas``. The rest serve a
-    whole call: the input projection, the blocks of one step's deltas
-    ``d`` and the side-by-side deltas and hidden states.
+    whole call: the input projection's operand ``x_cols``, output ``proj``
+    and its (T, k*n_h, B) view ``proj_steps``, which are ``pre``'s dense
+    rows in the per-step form (chosen here; see the module docstring);
+    the shape U takes, ``u_blocks``, and the (k*n_h, B) scratch ``rec``
+    its products fill through ``rec_blocks``; the blocks of one step's
+    deltas ``d``; and the side-by-side deltas and hidden states.
     """
 
     def __init__(self, lay: Layout, T: int, B: int, arrays: dict[str, np.ndarray]) -> None:
@@ -188,9 +203,15 @@ class _Plan(dict):
         steps, self.deltas = _stacked(self["deltas"])
         self.steps = list(zip(*blocks, h, h[1:], *c, *gates, steps))
         self.x_rows = self["x"].reshape(T * B, lay.n_in)
-        # the input projection, (k*n_h, T*B), is dead before the deltas are written
-        self.proj = self["deltas"].reshape(-1)[: (gr + n_h - d0) * T * B].reshape(-1, T * B)
-        self.proj_steps = self.proj.reshape(-1, T, B).transpose(1, 0, 2)
+        k_rows, free = gr + n_h - d0, self["deltas"].reshape(-1)  # the deltas' room is dead in the forward
+        if B > 1 and k_rows > 1:  # the per-step form (module docstring): every product is a gemm
+            self.x_cols, self.proj = self["x"].transpose(0, 2, 1), pre[:, d0:]
+            self.proj_steps, self.u_blocks = self.proj, (k_rows // n_h, n_h, n_h)
+        else:  # per-step products would be gemv calls, whose rounding differs
+            self.x_cols, self.proj = self.x_rows.T, free[: k_rows * T * B].reshape(k_rows, T * B)
+            self.proj_steps, self.u_blocks = self.proj.reshape(-1, T, B).transpose(1, 0, 2), (k_rows, n_h)
+        self.rec = free[: k_rows * B].reshape(k_rows, B)
+        self.rec_blocks = self.rec.reshape(*self.u_blocks[:-1], B)
         self.d_gates = [d[lay.block[n]] if n in lay.block else None for n in GATE_NAMES]
         self.d_blocks = d[:gr], d[gr:], d[d0:], d[:d0].reshape(d0 // n_h, n_h, B)
         self.hs, self.h_past = _stacked(self["hs"])
@@ -244,17 +265,20 @@ def forward_sequence(
     h[0] = 0.0
     if lay.memory:
         c[0] = 0.0
-    np.matmul(W, room.x_rows.T, out=room.proj)
-    np.add(room.proj_steps, b[d0 - b0 :, None], out=room.pre[:, d0:])
+    # the biases and u are repeated over the batch once, so that no ufunc broadcasts a length-1
+    # axis (the biases' repeat at B = 1 would only copy them)
+    b = np.repeat(b[:, None], B, axis=1) if B > 1 else b[:, None]
+    np.matmul(W, room.x_cols, out=room.proj)
+    np.add(room.proj_steps, b[d0 - b0 :], out=room.pre[:, d0:])
 
     i_unit, o_unit = "i" in lay.unit, "o" in lay.unit
     act, sig_c = ACTIVATIONS[spec.activation][0], room.get("sig_c")
     if d0:  # point-wise gates: u_g * h_{t-1}, plus a bias on rows b0 .. d0
-        # u and the bias are repeated over the batch once, so no step's ufunc broadcasts a length-1 axis
-        u = np.repeat(p.stacks["u"].reshape(-1, n_h, 1), B, axis=2)
-        b_pw = np.repeat(b[: d0 - b0, None], B, axis=1)
+        u, b_pw = np.repeat(p.stacks["u"].reshape(-1, n_h, 1), B, axis=2), b[: d0 - b0]
+    U, rec, rec_blocks = U.reshape(room.u_blocks), room.rec, room.rec_blocks
     for dense, pw, biased, gates, cand, h_prev, h_t, c_prev, c_t, i, f, o, _ in room.steps:
-        dense += U @ h_prev
+        np.matmul(U, h_prev, out=rec_blocks)
+        dense += rec
         if d0:
             np.multiply(u, h_prev, out=pw)
             if b0 < d0:

@@ -184,15 +184,21 @@ def test_criterion_6_epoch_time_ordering(capsys):
     else:
         dataset = synth_dataset(512, 32)
     # The fastest of several epochs is the least disturbed by other load on
-    # the machine, which only ever adds time.
-    fastest = {}
-    for variant in ("lstm", "lstm4", "lstm4a", "lstm6"):
-        config = TrainConfig(
-            variant=variant, activation="tanh", eta=1e-3, epochs=5,
-            batch_size=32, n_h=100, seed=0,
-        )
-        metrics = train(config, dataset=dataset)
-        fastest[variant] = min(m.epoch_seconds for m in metrics)
+    # the machine, which only ever adds time. The variants take their epochs
+    # in turn, one each per round, so that a slow spell of the machine hits
+    # all of them alike; each round is a one-epoch run from the same seed,
+    # on a workspace its variant keeps across rounds.
+    variants = ("lstm", "lstm4", "lstm4a", "lstm6")
+    workspaces = {variant: Workspace() for variant in variants}
+    seconds = {variant: [] for variant in variants}
+    for _ in range(5):
+        for variant in variants:
+            config = TrainConfig(
+                variant=variant, activation="tanh", eta=1e-3, epochs=1,
+                batch_size=32, n_h=100, seed=0,
+            )
+            seconds[variant] += [m.epoch_seconds for m in train(config, dataset=dataset, ws=workspaces[variant])]
+    fastest = {variant: min(s) for variant, s in seconds.items()}
     assert fastest["lstm"] > fastest["lstm4"] > fastest["lstm4a"] > fastest["lstm6"], fastest
     with capsys.disabled():
         pretty = ", ".join(f"{k}={v:.2f}s" for k, v in fastest.items())

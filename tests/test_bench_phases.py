@@ -9,13 +9,14 @@ from slimrnn.cells import Variant
 SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "phases.py"
 UNITS = {"forward_sequence": "ms/call", "softmax_xent": "ms/call", "backward_sequence": "ms/call",
          "rmsprop_step": "ms/call", "walk": "ms/example", "evaluation": "ms/example"}
+REF_UNITS = {name: unit.replace("ms", "ref") for name, unit in UNITS.items()}
 
 
 def test_phases_writes_every_phase_of_every_variant_with_its_unit(tmp_path):
     spec = importlib.util.spec_from_file_location("phases", SCRIPT)
     phases = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(phases)
-    phases.ROUND_S = 0.0  # one call per round
+    phases.ROUND_S, phases.REF_ITERATIONS = 0.0, 10  # one call per round, and a short reference kernel
     out = tmp_path / "BENCH.json"
     for label in ("parent", "change", "change"):
         assert phases.main(["--out", str(out), "--label", label, "--tiny", "--repeat", "1"]) == 0
@@ -27,13 +28,15 @@ def test_phases_writes_every_phase_of_every_variant_with_its_unit(tmp_path):
     assert list(run["phases"]) == variants and list(run["gradcheck"]) == variants
     for variant in variants:
         assert {name: m["unit"] for name, m in run["phases"][variant].items()} == UNITS
-        assert {name: m["unit"] for name, m in run["gradcheck"][variant].items()} == {"check_gradients": "ms/config"}
+        assert {name: m["per_ref"]["unit"] for name, m in run["phases"][variant].items()} == REF_UNITS
+        check = run["gradcheck"][variant]["check_gradients"]
+        assert (check["unit"], check["per_ref"]["unit"]) == ("ms/config", "ref/config")
     context = run["context"]
     assert {"python", "numpy", "openblas_config", "openblas_core"} <= context.keys()
     assert (context["reference_ms"]["unit"], context["peak_rss_mb"]["unit"]) == ("ms", "MB")
 
-    paths = {f"phases.{v}.{name}" for v in variants for name in UNITS}
-    paths |= {f"gradcheck.{v}.check_gradients" for v in variants} | {"context.reference_ms", "context.peak_rss_mb"}
+    timings = {f"phases.{v}.{name}" for v in variants for name in UNITS} | {f"gradcheck.{v}.check_gradients" for v in variants}
+    paths = timings | {f"{t}.per_ref" for t in timings} | {"context.reference_ms", "context.peak_rss_mb"}
     for label in ("parent", "change"):
         summary = doc["summary"][label]
         assert summary.keys() == paths

@@ -437,6 +437,48 @@ def test_lstm_workspace_at_paper_shapes_holds_only_the_live_trace():
         assert 8 * floats(plan) <= {"lstm4a": 5.4e6, "lstm5a": 5.4e6, "lstm6": 3.92e6, "srn": 2.43e6}.get(variant.value, 8.4e6)
 
 
+# every variant's float64 count of _carved at (T, n_h, B), n_in = 28: the paper's shape and paper_digests' edges
+CARVED_FLOATS = {
+    "srn": (303488, 254, 174, 187), "lstm": (1049088, 336, 429, 392), "lstm4": (1049088, 336, 429, 392),
+    "lstm5": (1049088, 336, 429, 392), "lstm4a": (674688, 294, 294, 287), "lstm5a": (674688, 294, 294, 287),
+    "lstm6": (489088, 274, 234, 237),
+}
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_the_memory_plan_keeps_its_size(variant):
+    # the forward's scratch lies in the deltas' room, so the form of its products adds nothing
+    shapes = (paper.PAPER, *paper.EDGES)
+    got = tuple(floats(bptt._carved(layout(variant, 28, n_h, 10), T, B)) for T, n_h, B in shapes)
+    assert got == CARVED_FLOATS[variant.value]
+
+
+def within(a: np.ndarray, room: np.ndarray) -> bool:
+    (lo, hi), (room_lo, room_hi) = map(np.lib.array_utils.byte_bounds, (a, room))
+    return room_lo <= lo and hi <= room_hi
+
+
+@pytest.mark.parametrize(
+    "shape",
+    dict.fromkeys([paper.PAPER, *paper.EDGES, *itertools.product((4,), (1, 5), (1, 3, 8))]),
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_the_projection_goes_straight_into_pre_where_every_product_is_a_gemm(variant, shape):
+    T, n_h, B = shape
+    lay = layout(variant, 28, n_h, 10)
+    k_rows = lay.gate_rows + n_h - lay.dense_from
+    room = Workspace().carve(lay, T, B)
+    per_step = B > 1 and k_rows > 1
+    assert np.shares_memory(room.proj, room.pre) == per_step
+    assert within(room.proj, room.pre if per_step else room["deltas"])
+    assert room.proj_steps.shape == (T, k_rows, B)
+    # the recurrent products' scratch lies in the deltas' room, one (n_h, n_h) @ (n_h, B) product per dense block
+    assert room.rec.shape == (k_rows, B) and within(room.rec, room["deltas"])
+    assert np.shares_memory(room.rec_blocks, room.rec)
+    assert room.u_blocks == ((k_rows // n_h, n_h, n_h) if per_step else (k_rows, n_h))
+
+
 @pytest.mark.parametrize("shape", [*itertools.product((1, 2, 3), repeat=3), (28, 400, 32)])
 def test_stacked_deltas_are_side_by_side_as_a_view(shape):
     # numpy's reshape copies silently where it cannot make a view; a copy

@@ -97,29 +97,48 @@ def test_check_fails_on_one_corrupted_analytic_coordinate(variant, coordinate, b
     assert not result.passed
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
-@pytest.mark.parametrize("variant", list(Variant))
-def test_check_fails_on_a_small_gradient_off_by_half_a_percent(variant, batch_size, monkeypatch):
-    # A coordinate with 1e-4 < |g| < 1e-3 is measured against its own size, so scaled by 1.005 it is off
-    # by 5e-3, fifty times REL_TOL; measured against a floor of 1e-1 it would be off by less than 5e-5.
+def check_with_one_small_gradient_scaled(variant, batch_size, monkeypatch, below, factor):
+    """The check of the first of seeds 0-9 whose gradient has a coordinate with 1e-4 < |g| < ``below``,
+    the smallest of them scaled by ``factor``."""
     real, scaled = gradcheck.batch_loss_and_grads, []
 
     def corrupted(*args):
         loss, grads, correct = real(*args)
         size = np.abs(grads.vec)
-        small = np.flatnonzero((size > 1e-4) & (size < 1e-3))
-        if small.size:  # the smallest, which a floor of 1e-2 would also hide when below 2e-4
+        small = np.flatnonzero((size > 1e-4) & (size < below))
+        if small.size:
             j = small[np.argmin(size[small])]
-            grads.vec[j] *= 1.005
+            grads.vec[j] *= factor
             scaled.append(j)
         return loss, grads, correct
 
     monkeypatch.setattr(gradcheck, "batch_loss_and_grads", corrupted)
-    for seed in range(10):  # the first seed whose gradient has such a coordinate
+    for seed in range(10):
         result = check_gradients(variant, "tanh", seed=seed, batch_size=batch_size, ws=Workspace())
         if scaled:
             break
-    assert len(scaled) == 1 and result.max_rel_err > REL_TOL
+    assert len(scaled) == 1
+    return result
+
+
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("variant", list(Variant))
+def test_check_fails_on_a_small_gradient_off_by_half_a_percent(variant, batch_size, monkeypatch):
+    # A coordinate with 1e-4 < |g| < 1e-3 is measured against its own size, so scaled by 1.005 it is off
+    # by 5e-3, fifty times REL_TOL; measured against a floor of 1e-1 it would be off by less than 5e-5.
+    # The smallest is taken, which a floor of 1e-2 would also hide when below 2e-4.
+    result = check_with_one_small_gradient_scaled(variant, batch_size, monkeypatch, 1e-3, 1.005)
+    assert result.max_rel_err > REL_TOL
+    assert not result.passed
+
+
+@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("variant", list(Variant))
+def test_check_fails_on_a_small_gradient_off_by_two_in_ten_thousand(variant, batch_size, monkeypatch):
+    # Scaled by 1.0002, a coordinate with 1e-4 < |g| < 5e-4 is off by 2e-4 of itself, twice REL_TOL, and
+    # the check's own error stays below 1e-6 there; against a floor of 1e-3 it would be off by under 1e-4.
+    result = check_with_one_small_gradient_scaled(variant, batch_size, monkeypatch, 5e-4, 1.0002)
+    assert result.max_rel_err > REL_TOL
     assert not result.passed
 
 
