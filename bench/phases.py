@@ -2,10 +2,10 @@
 
 Run from the root of a checkout, one run per command, back to back:
 
-    python bench/phases.py --out BENCH_23.json --label parent --src ../parent/src
-    python bench/phases.py --out BENCH_23.json --label change
-    python bench/phases.py --out BENCH_23.json --label parent --src ../parent/src
-    python bench/phases.py --out BENCH_23.json --label change
+    python bench/phases.py --out BENCH_24.json --label parent --src ../parent/src
+    python bench/phases.py --out BENCH_24.json --label change
+    python bench/phases.py --out BENCH_24.json --label parent --src ../parent/src
+    python bench/phases.py --out BENCH_24.json --label change
 
 A run imports slimrnn from ``--src`` (this checkout's ``src`` by default),
 pins numpy's OpenBLAS to one thread through ``cli._pin_blas`` and takes the
@@ -28,7 +28,8 @@ timings are:
   T = 4): ``check_gradients`` ms per configuration, 3 activations x seeds
   0-2 through ``check_all``;
 * context: the peak RSS, numpy's version, the OpenBLAS config string and
-  core name, and the min ms of the reference kernel.
+  core name (through ``cli.openblas_function``), and the min ms of the
+  reference kernel.
 
 Each run is appended to ``runs[label]`` of ``--out`` (created if missing),
 and the file's ``summary`` is rebuilt: per label and metric, the min over
@@ -130,17 +131,15 @@ def synthetic_split(data, count: int, rows: int, cols: int, seed: int):
     return data.Split(sequences=images, labels=labels)
 
 
-def openblas() -> dict:
-    """The config string and core name of numpy's bundled OpenBLAS, where it exports them."""
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        for prefix in ("scipy_openblas_", "openblas_"):
-            if hasattr(lib, f"{prefix}get_config64_"):
-                config, core = getattr(lib, f"{prefix}get_config64_"), getattr(lib, f"{prefix}get_corename64_")
-                config.argtypes, core.argtypes = [], []
-                config.restype = core.restype = ctypes.c_char_p
-                return {"openblas_config": config().decode(), "openblas_core": core().decode()}
-    return {"openblas_config": None, "openblas_core": None}
+def openblas(cli) -> dict:
+    """The config string and core name of numpy's bundled OpenBLAS, where ``cli`` finds them."""
+    found = {}
+    for key, name in (("openblas_config", "get_config"), ("openblas_core", "get_corename")):
+        fn = cli.openblas_function(name)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+        found[key] = None if fn is None else fn().decode()
+    return found
 
 
 def measure(shapes: dict, repeat: int) -> dict:
@@ -190,7 +189,7 @@ def measure(shapes: dict, repeat: int) -> dict:
 
         gradcheck[variant.value] = {"check_gradients": timing(check, repeat, ref, "ms/config", 3 * len(seeds))}
     context = {
-        "python": platform.python_version(), "numpy": np.__version__, **openblas(),
+        "python": platform.python_version(), "numpy": np.__version__, **openblas(cli),
         "reference_ms": metric(1e3 * min(ref() for _ in range(repeat)), "ms"),
         "peak_rss_mb": metric(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
     }

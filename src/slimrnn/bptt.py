@@ -18,31 +18,28 @@ elementwise work. The k dense blocks sit together at the bottom, so
   one stacked (k*n_h, n_h) product. At B = 1, or with one dense row, those
   products would be matrix-vector ones, whose rounding differs, so there
   the forward keeps the single (k*n_h, n_in) @ (n_in, T*B) projection and
-  the stacked recurrent product. ``_Plan`` picks the form once;
+  the stacked recurrent product. A Trace picks the form once;
 * point-wise gates add u_g * h_{t-1} per step, and fixed gates are
   broadcast constants that produce no parameter gradients;
-* every step writes in place into arrays carved once per call, which
-  together form the Trace the backward pass reads: each block's value (a
-  gate's sigmoid, the candidate's activation) overwrites its
+* every step writes in place into the arrays of a Trace: each block's
+  value (a gate's sigmoid, the candidate's activation) overwrites its
   pre-activation, and each derivative factor is formed from a value.
 
 One memory plan, ``_carved``, names every array of a forward pass and of
 its backward pass with its shape, in carve order. ``Workspace.carve`` cuts
 them all from one flat buffer, which only grows, so a training run
-allocates its pages once, at its first batch. It keeps each (layout, T,
-B) it has cut together with every view the two loops take of the arrays,
-each step's included, so that a call indexes nothing per step. The
-forward hands its backward's arrays on in the trace, so the backward never
-touches a workspace. The forward's scratch (a projection not written
-into ``pre``, and one step's recurrent products) is dead before the
-backward pass starts, so it lies in that pass's room, and the backward
-pass keeps only the live trace plus one step's scratch: every derivative
-factor is formed per step, and act(c_t), which h_t = o_t * act(c_t)
-reads, is recomputed from the kept c_t one step at a time instead of
-being kept for every step (Chen et al. 2016, "Training Deep Nets with
-Sublinear Memory Cost", at the scale of one step). The trace holds its
-own copy of the inputs, and the returned logits and gradients are fresh
-arrays the caller owns.
+allocates its pages once, at its first batch, and builds one Trace per
+(layout, T, B): the arrays and every view the two loops take of them, each
+step's included, so that a call indexes nothing per step. The forward
+fills that Trace and returns it; the backward reads it, never a
+workspace. The forward's scratch lies in the backward's room, and the
+backward keeps only the live trace plus one step's scratch: every
+derivative factor is formed per step, and act(c_t), which h_t = o_t *
+act(c_t) reads, is recomputed from the kept c_t one step at a time
+instead of being kept for every step (Chen et al. 2016, "Training Deep
+Nets with Sublinear Memory Cost", at the scale of one step). The trace
+holds its own copy of the inputs, and the returned logits and gradients
+are fresh arrays the caller owns.
 
 Classification reads the final hidden state only: logits = W_hy h_T + b_y.
 The backward pass is hand-derived and reads all it needs from the trace
@@ -67,7 +64,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -81,32 +77,26 @@ class Workspace:
     """Scratch memory the engine reuses across calls: one flat float64 buffer.
 
     ``carve`` cuts the arrays of the memory plan ``_carved`` from it. The
-    buffer only ever grows, to the largest plan it has served. Each
-    (layout, T, B) cut from the current buffer keeps its arrays and the
-    views the two loops take of them (a ``_Plan``) to be handed out again;
-    all of them are dropped when the buffer grows.
+    buffer only ever grows, to the largest plan it has served. Each Trace
+    cut from the current buffer, one per (layout, T, B), is handed out
+    again; all of them are dropped when the buffer grows.
     """
 
     def __init__(self) -> None:
         self._buf = np.empty(0)
-        self._plans: dict[tuple[Layout, int, int], _Plan] = {}
+        self._traces: dict[tuple[Layout, int, int], Trace] = {}
 
-    def carve(self, lay: Layout, T: int, B: int) -> _Plan:
-        """The uninitialized arrays of ``_carved(lay, T, B)`` by name, cut in plan order from the buffer.
-
-        They come as a ``_Plan``, which also holds the views the loops take
-        of them. A carve for another (layout, T, B) may hand their memory
-        out again.
-        """
+    def carve(self, lay: Layout, T: int, B: int) -> Trace:
+        """The Trace of ``_carved(lay, T, B)``'s uninitialized arrays, cut in plan order; other carves may reuse them."""
         key = (lay, T, B)
-        if key not in self._plans:
+        if key not in self._traces:
             plan = _carved(lay, T, B)
             ends = list(itertools.accumulate(map(math.prod, plan.values())))
             if ends[-1] > len(self._buf):
-                self._buf, self._plans = np.empty(ends[-1]), {}
+                self._buf, self._traces = np.empty(ends[-1]), {}
             cuts = zip(plan.items(), [0, *ends], ends)
-            self._plans[key] = _Plan(lay, T, B, {name: self._buf[i:j].reshape(shape) for (name, shape), i, j in cuts})
-        return self._plans[key]
+            self._traces[key] = Trace(lay, T, B, {name: self._buf[i:j].reshape(shape) for (name, shape), i, j in cuts})
+        return self._traces[key]
 
 
 def _carved(lay: Layout, T: int, B: int) -> dict[str, tuple[int, ...]]:
@@ -118,7 +108,7 @@ def _carved(lay: Layout, T: int, B: int) -> dict[str, tuple[int, ...]]:
     The backward's are every step's ``deltas``, one step's deltas ``d`` and
     gate and act' factors, ``dc`` for memory cells, and h_0 .. h_{T-1} as
     ``hs``. The forward's scratch lies in the room of ``deltas``: the
-    (k*n_h, B) recurrent products and, where ``_Plan`` does not point the
+    (k*n_h, B) recurrent products and, where the Trace does not point the
     input projection at ``pre``, its (k*n_h, T*B) product.
     """
     n_h, gr, m = lay.n_h, lay.gate_rows, lay.gate_rows + lay.n_h
@@ -143,69 +133,57 @@ class Step(NamedTuple):
     c: np.ndarray | None  # None for the srn, which keeps no cell state
 
 
-@dataclass
 class Trace:
-    """Forward intermediates of one batch, kept for the backward pass.
+    """The arrays of one forward pass and its backward pass, and every view of them the two loops take.
 
-    ``x`` (T, B, n_in) copies the inputs. ``pre`` (T, m, B), in the block
-    layout of the module docstring, holds each block's value: a gate's
-    sigmoid, and the candidate's cell activation, whose signs are those of
-    its pre-activation. ``h`` (T+1, n_h, B) holds the hidden states from
-    the zero state at index 0; the srn's ``pre`` is ``h[1:]``. Memory cells
-    also keep ``c`` (T+1, n_h, B), the cell states from zero, None for the
-    srn. Iterating yields one Step per time step.
+    ``Workspace.carve`` builds one per (layout, T, B) from the arrays of
+    ``_carved``; ``forward_sequence`` fills it, records on it the ``cell``,
+    ``head`` and ``activation`` it ran, and returns it, and
+    ``backward_sequence`` reads it. It describes the last forward of its
+    shape on its workspace, so it stays valid only until the next one.
 
-    ``cell``, ``head`` and ``activation`` are what its forward pass used,
-    and ``room`` is every array it carved, its backward pass's included,
-    with their views (a ``_Plan``);
-    the trace stays valid only until the next ``forward_sequence`` on the
-    workspace it was carved from.
+    As a trace: ``x`` (T, B, n_in) copies the inputs. ``pre`` (T, m, B),
+    in the block layout of the module docstring, holds each block's value:
+    a gate's sigmoid, and the candidate's cell activation, whose signs are
+    those of its pre-activation. ``h`` (T+1, n_h, B) holds the hidden
+    states from the zero state at index 0; the srn's ``pre`` is ``h[1:]``.
+    Memory cells also keep ``c`` (T+1, n_h, B), the cell states from zero,
+    None for the srn. Iterating yields one Step per time step.
+
+    As views: ``steps[t]`` holds step t's, in the order the forward
+    unpacks them: ``pre``'s dense rows, point-wise rows as (g, n_h, B),
+    biased point-wise rows, gate rows and candidate block; h_{t-1} and
+    h_t; c_{t-1} and c_t (None for the srn); i_t, f_t and o_t (gate rows, a
+    fixed value, or None); and step t of the deltas. The rest serve a
+    whole call: the input projection's operand ``x_cols``, output ``proj``
+    and its (T, k*n_h, B) view ``proj_steps``, ``pre``'s dense rows in the
+    per-step form (module docstring); the shape U takes, ``u_blocks``, and
+    the (k*n_h, B) scratch ``rec`` its products fill through
+    ``rec_blocks``; one step's deltas ``d``, its ``d_gates`` and
+    ``d_blocks``, its factors ``dgates`` and ``dact``, ``dc`` and ``sig_c``
+    (None where not carved); the side-by-side ``deltas``; and ``hs``,
+    h_0 .. h_{T-1} by step, which ``h_past`` views side by side.
     """
 
-    x: np.ndarray
-    pre: np.ndarray
-    h: np.ndarray
-    c: np.ndarray | None
     cell: Params
     head: Params
     activation: Activation
-    room: _Plan
-
-    def __iter__(self):
-        cell_states = [None] * len(self.pre) if self.c is None else self.c[1:]
-        return map(Step, self.pre[:, -self.h.shape[1] :], cell_states)
-
-
-class _Plan(dict):
-    """The arrays of one carve by name, and every view of them that the two loops take, built once.
-
-    ``steps[t]`` holds step t's views, in the order the forward unpacks
-    them: ``pre``'s dense rows, point-wise rows as (g, n_h, B), biased
-    point-wise rows, gate rows and candidate block; h_{t-1} and h_t;
-    c_{t-1} and c_t (None for the srn); i_t, f_t and o_t (gate rows, a
-    fixed value, or None); and step t of ``deltas``. The rest serve a
-    whole call: the input projection's operand ``x_cols``, output ``proj``
-    and its (T, k*n_h, B) view ``proj_steps``, which are ``pre``'s dense
-    rows in the per-step form (chosen here; see the module docstring);
-    the shape U takes, ``u_blocks``, and the (k*n_h, B) scratch ``rec``
-    its products fill through ``rec_blocks``; the blocks of one step's
-    deltas ``d``; and the side-by-side deltas and hidden states.
-    """
 
     def __init__(self, lay: Layout, T: int, B: int, arrays: dict[str, np.ndarray]) -> None:
-        super().__init__(arrays)
         n_h, gr, d0, b0 = lay.n_h, lay.gate_rows, lay.dense_from, lay.bias_from
-        h, d = self["h"], self["d"]
-        pre = self.pre = self["pre"] if lay.memory else h[1:]  # the srn's only block is its candidate, h_t itself
+        h, d = self.h, self.d = arrays["h"], arrays["d"]
+        self.x, self.dgates, self.dact = (arrays[n] for n in ("x", "dgates", "dact"))
+        self.c, self.sig_c, self.dc = map(arrays.get, ("c", "sig_c", "dc"))  # None where not carved
+        pre = self.pre = arrays["pre"] if lay.memory else h[1:]  # the srn's only block is its candidate, h_t itself
         blocks = pre[:, d0:], pre[:, :d0].reshape(T, d0 // n_h, n_h, B), pre[:, b0:d0], pre[:, :gr], pre[:, gr:]
-        c = (self["c"], self["c"][1:]) if lay.memory else ([None] * T,) * 2
+        c = (self.c, self.c[1:]) if lay.memory else ([None] * T,) * 2
         gates = [pre[:, lay.block[n]] if n in lay.block else [lay.fixed.get(n)] * T for n in GATE_NAMES]
-        steps, self.deltas = _stacked(self["deltas"])
+        steps, self.deltas = _stacked(arrays["deltas"])
         self.steps = list(zip(*blocks, h, h[1:], *c, *gates, steps))
-        self.x_rows = self["x"].reshape(T * B, lay.n_in)
-        k_rows, free = gr + n_h - d0, self["deltas"].reshape(-1)  # the deltas' room is dead in the forward
+        self.x_rows = self.x.reshape(T * B, lay.n_in)
+        k_rows, free = gr + n_h - d0, arrays["deltas"].reshape(-1)  # the deltas' room is dead in the forward
         if B > 1 and k_rows > 1:  # the per-step form (module docstring): every product is a gemm
-            self.x_cols, self.proj = self["x"].transpose(0, 2, 1), pre[:, d0:]
+            self.x_cols, self.proj = self.x.transpose(0, 2, 1), pre[:, d0:]
             self.proj_steps, self.u_blocks = self.proj, (k_rows // n_h, n_h, n_h)
         else:  # per-step products would be gemv calls, whose rounding differs
             self.x_cols, self.proj = self.x_rows.T, free[: k_rows * T * B].reshape(k_rows, T * B)
@@ -214,7 +192,10 @@ class _Plan(dict):
         self.rec_blocks = self.rec.reshape(*self.u_blocks[:-1], B)
         self.d_gates = [d[lay.block[n]] if n in lay.block else None for n in GATE_NAMES]
         self.d_blocks = d[:gr], d[gr:], d[d0:], d[:d0].reshape(d0 // n_h, n_h, B)
-        self.hs, self.h_past = _stacked(self["hs"])
+        self.hs, self.h_past = _stacked(arrays["hs"])
+
+    def __iter__(self):
+        return (Step(cand, c_t) for _, _, _, _, cand, _, _, _, c_t, *_ in self.steps)
 
 
 def _stacked(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,9 +220,8 @@ def forward_sequence(
     (``init_params`` returns one Params for both). ``seq`` is one sequence
     (T, n_in), or a list of T input vectors, or a batch (T, B, n_in).
     Returns the head logits of the final hidden state, (n_out,) or
-    (B, n_out), and the Trace that the backward pass consumes. The trace
-    and its copy of the inputs are carved from ``ws`` (or a private one),
-    together with its backward pass's arrays.
+    (B, n_out), and the Trace that the backward pass consumes: ``ws``'s
+    own for this (layout, T, B), or a private one's.
     """
     x = np.asarray(seq, dtype=np.float64)
     single = x.ndim == 2
@@ -252,31 +232,29 @@ def forward_sequence(
             f"inputs of shape {x.shape} are not a nonempty (T, [B,] n_in={p.n_in}) array"
         )
     T, B, _ = x.shape
-    n_h = p.n_h
-    lay = p.layout
+    n_h, lay = p.n_h, p.layout
     if lay.variant is not spec.variant:
         raise ValueError(f"parameters of {lay.variant.value} given for {spec.variant.value}")
-    room = (Workspace() if ws is None else ws).carve(lay, T, B)
-    x_in, x = x, room["x"]
-    x[...] = x_in
-    h, c = room["h"], room.get("c")
+    trace = (Workspace() if ws is None else ws).carve(lay, T, B)
+    trace.x[...] = x
+    trace.cell, trace.head, trace.activation = p, head, spec.activation
     gr, d0, b0 = lay.gate_rows, lay.dense_from, lay.bias_from
     W, U, b = (p.stacks[k] for k in "WUb")
-    h[0] = 0.0
+    trace.h[0] = 0.0
     if lay.memory:
-        c[0] = 0.0
+        trace.c[0] = 0.0
     # the biases and u are repeated over the batch once, so that no ufunc broadcasts a length-1
     # axis (the biases' repeat at B = 1 would only copy them)
     b = np.repeat(b[:, None], B, axis=1) if B > 1 else b[:, None]
-    np.matmul(W, room.x_cols, out=room.proj)
-    np.add(room.proj_steps, b[d0 - b0 :], out=room.pre[:, d0:])
+    np.matmul(W, trace.x_cols, out=trace.proj)
+    np.add(trace.proj_steps, b[d0 - b0 :], out=trace.pre[:, d0:])
 
     i_unit, o_unit = "i" in lay.unit, "o" in lay.unit
-    act, sig_c = ACTIVATIONS[spec.activation][0], room.get("sig_c")
+    act, sig_c = ACTIVATIONS[spec.activation][0], trace.sig_c
     if d0:  # point-wise gates: u_g * h_{t-1}, plus a bias on rows b0 .. d0
         u, b_pw = np.repeat(p.stacks["u"].reshape(-1, n_h, 1), B, axis=2), b[: d0 - b0]
-    U, rec, rec_blocks = U.reshape(room.u_blocks), room.rec, room.rec_blocks
-    for dense, pw, biased, gates, cand, h_prev, h_t, c_prev, c_t, i, f, o, _ in room.steps:
+    U, rec, rec_blocks = U.reshape(trace.u_blocks), trace.rec, trace.rec_blocks
+    for dense, pw, biased, gates, cand, h_prev, h_t, c_prev, c_t, i, f, o, _ in trace.steps:
         np.matmul(U, h_prev, out=rec_blocks)
         dense += rec
         if d0:
@@ -295,8 +273,7 @@ def forward_sequence(
         else:
             np.multiply(o, act(c_t, out=sig_c), out=h_t)
 
-    logits = (head["W_hy"] @ h[T]).T + head["b_y"]
-    trace = Trace(x=x, pre=room.pre, h=h, c=c, cell=p, head=head, activation=spec.activation, room=room)
+    logits = (head["W_hy"] @ trace.h[T]).T + head["b_y"]
     return (logits[0] if single else logits), trace
 
 
@@ -336,7 +313,7 @@ def backward_sequence(trace: Trace, dlogits: np.ndarray) -> Params:
     for them, so the trace may be walked back any number of times.
     """
     T, B, _ = trace.x.shape
-    p, head, room = trace.cell, trace.head, trace.room
+    p, head = trace.cell, trace.head
     (act, act_d), sig_d = ACTIVATIONS[trace.activation], ACTIVATIONS[Activation.SIGMOID][1]
     dl = np.atleast_2d(dlogits)
     if dl.shape != (B, head.n_out):
@@ -345,22 +322,20 @@ def backward_sequence(trace: Trace, dlogits: np.ndarray) -> Params:
     lay, n_h = p.layout, p.n_h
     gr, d0 = lay.gate_rows, lay.dense_from
     i_unit, o_unit = "i" in lay.unit, "o" in lay.unit
-    h = trace.h
     Ut = p.stacks["U"].T
     dh = head["W_hy"].T @ dl.T
     # Each step's deltas go into one (m, B) slab ``d``, built from its gate
     # and act' factors, and are copied into that step of ``deltas``, which
     # lies side by side as (m, T*B) against the inputs and hidden states.
-    d, dgates, dact, sig_c = room["d"], room["dgates"], room["dact"], room.get("sig_c")
-    d_i, d_f, d_o = room.d_gates
-    d_sig, d_cand, d_dense, d_pw = room.d_blocks
+    d, dgates, dact, sig_c, dc = trace.d, trace.dgates, trace.dact, trace.sig_c, trace.dc
+    d_i, d_f, d_o = trace.d_gates
+    d_sig, d_cand, d_dense, d_pw = trace.d_blocks
     if lay.memory:
-        dc = room["dc"]
         dc[...] = 0.0
     if d0:
         u = p.stacks["u"].reshape(-1, n_h)
     for t in range(T - 1, -1, -1):
-        _, _, _, gates, cand, _, h_t, c_prev, c_t, i, f, o, step = room.steps[t]
+        _, _, _, gates, cand, _, h_t, c_prev, c_t, i, f, o, step = trace.steps[t]
         if lay.memory:  # act(c_t): h_t itself when o is fixed at 1, else recomputed from the kept c_t
             act_c = h_t if o_unit else act(c_t, out=sig_c)
             if d_o is not None:  # h_t = o * act(c_t)
@@ -391,16 +366,16 @@ def backward_sequence(trace: Trace, dlogits: np.ndarray) -> Params:
         if lay.memory:
             dc *= f
 
-    deltas, h_past = room.deltas, room.h_past
-    room.hs[...] = h[:T]
+    deltas, h_past = trace.deltas, trace.h_past
+    trace.hs[...] = trace.h[:T]
     grads = Params(lay)
     g = grads.stacks
-    np.matmul(deltas[d0:], room.x_rows, out=g["W"])
+    np.matmul(deltas[d0:], trace.x_rows, out=g["W"])
     np.matmul(deltas[d0:], h_past.T, out=g["U"])
     deltas[lay.bias_from :].sum(axis=1, out=g["b"])
     if d0:
         np.einsum("gnk,nk->gn", deltas[:d0].reshape(-1, n_h, T * B), h_past, out=g["u"].reshape(-1, n_h))
-    np.matmul(dl.T, h[T].T, out=grads["W_hy"])
+    np.matmul(dl.T, trace.h[T].T, out=grads["W_hy"])
     dl.sum(axis=0, out=grads["b_y"])
     return grads
 

@@ -35,21 +35,28 @@ DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
 BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_")
 
 
-def _pin_blas() -> None:
-    """Set numpy's bundled OpenBLAS to one thread, or say on stderr that it stays unpinned."""
+def openblas_function(name: str):
+    """Function ``name`` of numpy's bundled OpenBLAS, named like the first of ``BLAS_SET_THREADS`` it exports, or None."""
     for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         try:
             blas = ctypes.CDLL(str(path))
         except OSError:
             continue
-        for name in BLAS_SET_THREADS:
-            if hasattr(blas, name):
-                set_threads = getattr(blas, name)
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
-                return
-    print("note: numpy's BLAS exports no known thread setter; it runs unpinned, "
-          "so results may differ between thread counts", file=sys.stderr)
+        for setter in BLAS_SET_THREADS:
+            if hasattr(blas, setter):
+                return getattr(blas, setter.replace("set_num_threads", name))
+    return None
+
+
+def _pin_blas() -> None:
+    """Set numpy's bundled OpenBLAS to one thread, or say on stderr that it stays unpinned."""
+    set_threads = openblas_function("set_num_threads")
+    if set_threads is None:
+        print("note: numpy's BLAS exports no known thread setter; it runs unpinned, "
+              "so results may differ between thread counts", file=sys.stderr)
+    else:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -132,14 +139,16 @@ def _cmd_count_params(args: argparse.Namespace) -> int:
 def _cmd_grad_check(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
-    results = check_all(seeds=tuple(range(args.seed, args.seed + args.trials)))
-    for r in results:
+    seeds = tuple(range(args.seed, args.seed + args.trials))
+    # B = 1 runs the engine's stacked products, B > 1 its per-step ones (see bptt), as training does
+    results = [(B, r) for B in (1, 3) for r in check_all(seeds=seeds, batch_size=B)]
+    for B, r in results:
         print(
-            f"{r.variant.value:6s} {r.activation.value:7s} seed={r.seed:<3d} "
+            f"{r.variant.value:6s} {r.activation.value:7s} seed={r.seed:<3d} B={B} "
             f"max_rel_err={r.max_rel_err:.3e} compared={r.compared:<4d} "
             f"skipped={r.skipped:<3d} {'PASS' if r.passed else 'FAIL'}"
         )
-    failed = sum(not r.passed for r in results)
+    failed = sum(not r.passed for _, r in results)
     print(f"tolerance {REL_TOL:g}: {'all passed' if failed == 0 else f'{failed} FAILED'}")
     return 0 if failed == 0 else 1
 

@@ -1,13 +1,14 @@
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from slimrnn import bptt
 from slimrnn.bptt import Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
-from slimrnn.cells import Activation, Variant, VariantSpec, init_params, layout
+from slimrnn.cells import Activation, Params, Variant, VariantSpec, init_params, layout
 from slimrnn.data import SequenceBatch, Split
 from slimrnn.gradcheck import check_gradients
 from slimrnn.harness import evaluate
@@ -83,7 +84,7 @@ def test_trace_keeps_the_candidate_pre_activations_and_values(variant):
     p, _ = init_params(spec, 3, 5, 4, seed=0)
     x = stream(1, TAG_GRADCHECK).uniform(-1.0, 1.0, size=(4, 3, 3))
     _, trace = forward_sequence(spec, p, p, x)
-    assert trace.pre[:, -5:].shape == (4, 5, 3) and "act" not in trace.room
+    assert trace.pre[:, -5:].shape == (4, 5, 3) and "act" not in bptt._carved(p.layout, 4, 3)
     for t, step in enumerate(trace):
         a = p["W_c"] @ x[t].T + p["U_c"] @ trace.h[t] + p["b_c"][:, None]
         assert (a < 0.0).any() and (a > 0.0).any()
@@ -294,6 +295,37 @@ def test_trace_owns_its_input(variant):
     assert np.array_equal(backward_sequence(trace, dlogits).vec, want)
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_a_forward_returns_its_workspaces_trace_and_the_next_refills_it(variant):
+    # the trace is the workspace's carve for its (layout, T, B): a second
+    # forward of that shape returns the same object, which then describes
+    # the second call and walks back as a fresh workspace's trace does
+    x = stream(1, TAG_GRADCHECK).uniform(0.0, 1.0, size=(4, 3, 3))
+    ws = Workspace()
+    first_spec, spec = VariantSpec.make(variant, "tanh"), VariantSpec.make(variant, "relu")
+    p, _ = init_params(first_spec, 3, 5, 4, seed=0)
+    _, first = forward_sequence(first_spec, p, p, x, ws)
+    assert first is ws.carve(p.layout, 4, 3)
+    cell, _ = init_params(spec, 3, 5, 4, seed=1)
+    head = Params(cell.layout, cell.vec.copy())
+    logits, second = forward_sequence(spec, cell, head, x, ws)
+    assert second is first
+    assert second.cell is cell and second.head is head and second.activation is Activation.RELU
+    fresh_logits, fresh = forward_sequence(spec, cell, head, x, Workspace())
+    _, dlogits = softmax_xent(logits, np.array([0, 1, 3]))
+    assert logits.tobytes() == fresh_logits.tobytes()
+    assert backward_sequence(second, dlogits).vec.tobytes() == backward_sequence(fresh, dlogits).vec.tobytes()
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_a_forward_without_a_workspace_returns_a_trace_nothing_else_holds(variant):
+    spec, cell, head, seq, _ = random_setup(variant, "tanh")
+    _, trace = forward_sequence(spec, cell, head, seq)
+    held = weakref.ref(trace)
+    del trace
+    assert held() is None
+
+
 @pytest.mark.parametrize("activation", ALL_ACTIVATIONS)
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_workspace_reuse_is_bitwise_neutral(variant, activation):
@@ -362,8 +394,8 @@ def test_workspace_is_sized_to_what_a_batch_takes(variant, B, n_h, T):
     logits, trace = forward_sequence(spec, p, p, np.swapaxes(batch.inputs, 0, 1), ws)
     backward_sequence(trace, softmax_xent(logits, batch.labels)[1])
     assert len(ws._buf) == floats(bptt._carved(p.layout, T, B))
-    assert list(trace.room) == list(bptt._carved(p.layout, T, B))
-    assert all(np.shares_memory(a, ws._buf) for a in trace.room.values() if a.size)
+    assert trace is ws.carve(p.layout, T, B)
+    assert all(np.shares_memory(a, ws._buf) for a in arrays_of(trace) if a.size)
 
 
 def test_workspace_cuts_a_cached_plan_again_in_a_grown_buffer(monkeypatch):
@@ -371,13 +403,13 @@ def test_workspace_cuts_a_cached_plan_again_in_a_grown_buffer(monkeypatch):
     ws = Workspace()
     # x and h, the srn's pre being h_1 (3 floats); the deltas, one step's deltas and act' factor, and h_0 (4 floats)
     first = ws.carve(a, 1, 1)
-    assert len(ws._buf) == 7 and all(np.shares_memory(x, ws._buf) for x in first.values() if x.size)
+    assert len(ws._buf) == 7 and all(np.shares_memory(x, ws._buf) for x in arrays_of(first) if x.size)
     ws.carve(b, 2, 2)  # the buffer grows
     assert len(ws._buf) == floats(bptt._carved(b, 2, 2)) > 7
     again = ws.carve(a, 1, 1)  # a smaller call keeps it, and cuts a's arrays from it
     assert len(ws._buf) == floats(bptt._carved(b, 2, 2))
-    assert all(np.shares_memory(x, ws._buf) for x in again.values() if x.size)
-    assert not any(np.shares_memory(x, first["x"]) for x in again.values())
+    assert all(np.shares_memory(x, ws._buf) for x in arrays_of(again) if x.size)
+    assert not any(np.shares_memory(x, first.x) for x in arrays_of(again))
 
     planned = []
     monkeypatch.setattr(bptt, "_carved", lambda *key: planned.append(key))
@@ -399,11 +431,11 @@ def test_alternating_carves_of_two_layouts_build_each_plan_once(monkeypatch):
 
 
 def arrays_of(obj) -> list[np.ndarray]:
-    """Every array held by ``obj``, a plan's arrays and views included, however deeply nested."""
+    """Every array held by ``obj``, a trace's arrays and views included, however deeply nested."""
     if isinstance(obj, np.ndarray):
         return [obj]
-    if isinstance(obj, bptt._Plan):
-        obj = [dict(obj), vars(obj)]
+    if isinstance(obj, bptt.Trace):
+        obj = vars(obj)
     items = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, (list, tuple)) else []
     return [a for item in items for a in arrays_of(item)]
 
@@ -417,10 +449,10 @@ def test_a_grown_buffer_keeps_no_view_of_the_old_one(variant):
     old = ws._buf
     ws.carve(large, 4, 1)
     ws.carve(small, 4, 3)
-    assert ws._buf is not old and len(ws._plans) == 2
-    kept = list(ws._plans.values())
-    views = arrays_of(kept)
-    assert len(views) > sum(map(len, kept)) and all(np.shares_memory(v, ws._buf) for v in views if v.size)
+    assert ws._buf is not old and len(ws._traces) == 2
+    views = arrays_of(list(ws._traces.values()))
+    assert len(views) > sum(len(bptt._carved(*key)) for key in ws._traces)
+    assert all(np.shares_memory(v, ws._buf) for v in views if v.size)
     assert not any(np.shares_memory(v, old) for v in views)
 
 
@@ -468,15 +500,15 @@ def test_the_projection_goes_straight_into_pre_where_every_product_is_a_gemm(var
     T, n_h, B = shape
     lay = layout(variant, 28, n_h, 10)
     k_rows = lay.gate_rows + n_h - lay.dense_from
-    room = Workspace().carve(lay, T, B)
+    trace = Workspace().carve(lay, T, B)
     per_step = B > 1 and k_rows > 1
-    assert np.shares_memory(room.proj, room.pre) == per_step
-    assert within(room.proj, room.pre if per_step else room["deltas"])
-    assert room.proj_steps.shape == (T, k_rows, B)
+    assert np.shares_memory(trace.proj, trace.pre) == per_step
+    assert within(trace.proj, trace.pre if per_step else trace.deltas)
+    assert trace.proj_steps.shape == (T, k_rows, B)
     # the recurrent products' scratch lies in the deltas' room, one (n_h, n_h) @ (n_h, B) product per dense block
-    assert room.rec.shape == (k_rows, B) and within(room.rec, room["deltas"])
-    assert np.shares_memory(room.rec_blocks, room.rec)
-    assert room.u_blocks == ((k_rows // n_h, n_h, n_h) if per_step else (k_rows, n_h))
+    assert trace.rec.shape == (k_rows, B) and within(trace.rec, trace.deltas)
+    assert np.shares_memory(trace.rec_blocks, trace.rec)
+    assert trace.u_blocks == ((k_rows // n_h, n_h, n_h) if per_step else (k_rows, n_h))
 
 
 @pytest.mark.parametrize("shape", [*itertools.product((1, 2, 3), repeat=3), (28, 400, 32)])
@@ -484,7 +516,8 @@ def test_stacked_deltas_are_side_by_side_as_a_view(shape):
     # numpy's reshape copies silently where it cannot make a view; a copy
     # here would hold nothing the backward pass writes into its steps
     T, r, B = shape
-    steps, side = bptt._stacked(Workspace().carve(layout("srn", 1, r, 2), T, B)["hs"])  # the srn's hs is (T, r, B)
+    trace = Workspace().carve(layout("srn", 1, r, 2), T, B)  # the srn's hidden states h_0 .. h_{T-1} are (T, r, B)
+    steps, side = trace.hs, trace.h_past
     assert steps.shape == (T, r, B) and side.shape == (r, T * B)
     steps[...] = np.arange(steps.size).reshape(steps.shape)
     assert np.shares_memory(steps, side)

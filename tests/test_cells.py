@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from slimrnn import bptt
 from slimrnn.bptt import forward_sequence
 from slimrnn.cells import (
     ACTIVATIONS,
@@ -285,7 +286,7 @@ def test_srn_carries_cell_state_untouched():
     spec = VariantSpec.make("srn", "tanh")
     cell, head = init_params(spec, 3, 4, 2, seed=1)
     _, trace = forward_sequence(spec, cell, head, np.ones((3, 3)))
-    assert trace.c is None and not {"c", "sig_c"} & set(trace.room)
+    assert trace.c is None and trace.sig_c is None and not {"c", "sig_c"} & set(bptt._carved(cell.layout, 3, 1))
     assert all(step.c is None for step in trace)
     assert not np.array_equal(trace.h[1:], np.zeros((3, 4, 1)))
 

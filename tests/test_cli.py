@@ -287,7 +287,9 @@ def test_grad_check_cli_smoke(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "all passed" in out
-    assert out.count("PASS") == 21
+    assert out.count("PASS") == 42
+    assert [line.count(" B=1 ") for line in out.splitlines()[:-1]] == [1] * 21 + [0] * 21
+    assert [line.count(" B=3 ") for line in out.splitlines()[:-1]] == [0] * 21 + [1] * 21
 
 
 @pytest.mark.parametrize("trials", ["0", "-2"])

@@ -378,10 +378,10 @@ def test_train_grows_its_workspace_once():
     class Counted(Workspace):
         def carve(self, *args):
             before = self._buf
-            room = super().carve(*args)
+            trace = super().carve(*args)
             if self._buf is not before:
                 grown.append(len(self._buf))
-            return room
+            return trace
 
     config = small_config(variant="lstm", epochs=1, batch_size=32, n_h=100)
     train(config, dataset=synth_dataset(40, 8), ws=Counted())

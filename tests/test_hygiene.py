@@ -1,9 +1,11 @@
-"""Source hygiene of src/slimrnn, read with ast: no unused import, no orphaned name.
+"""Source hygiene of src/slimrnn, read with ast: no unused import, no orphaned name or attribute.
 
 A deletion that leaves an import or a module-level ``_private`` helper or
 constant behind with no reader fails here, and so does a module-level
 public function, class or constant that only tests read: every one needs
 a reader in src/ or in the benchmark, perfbench/ (its own tests aside).
+So does an attribute that a class sets, on ``self`` or as a class-level
+annotation, and that only tests read.
 """
 
 import ast
@@ -68,6 +70,34 @@ def references(trees: list[ast.Module]) -> set[str]:
     return out
 
 
+def attributes_set(tree: ast.Module) -> list[str]:
+    """``Class.name`` of every attribute a class sets on ``self`` or annotates in its body."""
+    names = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        names += [f"{cls.name}.{n.target.id}" for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+        names += [
+            f"{cls.name}.{n.attr}" for n in ast.walk(cls)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) and isinstance(n.value, ast.Name) and n.value.id == "self"
+        ]
+    return list(dict.fromkeys(names))
+
+
+def attributes_read(trees: list[ast.Module]) -> set[str]:
+    """Every attribute name that an expression of ``trees`` reads, augmented assignments included."""
+    out = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                out.add(node.attr)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                out.add(node.target.attr)
+    return out
+
+
+def readers_outside_tests() -> list[Path]:
+    return sorted([*SRC.rglob("*.py"), *(p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.parts)])
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(parse(path)) == []
@@ -81,9 +111,14 @@ def test_every_private_name_has_a_reader():
 
 
 def test_every_public_name_has_a_reader_outside_tests():
-    readers = [*SRC.rglob("*.py"), *(p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.parts)]
-    read = references([parse(path) for path in sorted(readers)])
+    read = references([parse(path) for path in readers_outside_tests()])
     orphans = [f"{path.stem}.{name}" for path in MODULES for name in public_definitions(parse(path)) if name not in read]
+    assert orphans == []
+
+
+def test_every_attribute_has_a_reader_outside_tests():
+    read = attributes_read([parse(path) for path in readers_outside_tests()])
+    orphans = [f"{path.stem}.{name}" for path in MODULES for name in attributes_set(parse(path)) if name.split(".")[1] not in read]
     assert orphans == []
 
 
@@ -93,3 +128,8 @@ def test_checks_flag_a_planted_orphan():
     assert unused_imports(tree) == ["os"]
     assert [n for n in private_definitions(tree) if n not in references([tree])] == ["_LIMIT", "_helper"]
     assert [n for n in public_definitions(tree) if n not in references([tree])] == ["TAG", "Spare"]
+    tree = ast.parse("class Kept:\n    size: int\n    spare: int\n\n    def __init__(self):\n        self.count = 0\n"
+                     "        self.stale = self.count\n        self.total = 0\n\n    def add(self, k):\n"
+                     "        self.total += k\n        return self.size\n")
+    read = attributes_read([tree])
+    assert [n for n in attributes_set(tree) if n.split(".")[1] not in read] == ["Kept.spare", "Kept.stale"]

@@ -42,15 +42,16 @@ def test_workspace_takes_what_carved_lists_and_reuse_is_bitwise_neutral(variant,
     ws = Workspace()
     logits, trace = forward_sequence(spec, p, p, np.swapaxes(batch.inputs, 0, 1), ws)
     assert len(ws._buf) == sum(map(math.prod, plan.values()))
-    assert {name: a.shape for name, a in trace.room.items()} == plan
+    assert trace is ws.carve(p.layout, T, B)
     _, dlogits = softmax_xent(logits, batch.labels)
     once = backward_sequence(trace, dlogits)
 
-    # the backward's arrays and sig_c, NaN-filled: a second walk back reads none of them before writing them
+    # the backward's arrays, carved last, and sig_c, NaN-filled: a second walk back reads none of them before writing them
     buf = ws._buf
-    names = list(trace.room)
-    for name in names[names.index("deltas") :] + [n for n in names if n == "sig_c"]:
-        trace.room[name].fill(np.nan)
+    names = list(plan)
+    buf[sum(math.prod(plan[name]) for name in names[: names.index("deltas")]) :].fill(np.nan)
+    if trace.sig_c is not None:
+        trace.sig_c.fill(np.nan)
     twice = backward_sequence(trace, dlogits)
     assert ws._buf is buf and twice.vec.tobytes() == once.vec.tobytes()
 
