@@ -2,10 +2,10 @@
 
 Run from the root of a checkout, one run per command, back to back:
 
-    python bench/phases.py --out BENCH_24.json --label parent --src ../parent/src
-    python bench/phases.py --out BENCH_24.json --label change
-    python bench/phases.py --out BENCH_24.json --label parent --src ../parent/src
-    python bench/phases.py --out BENCH_24.json --label change
+    python bench/phases.py --out BENCH_25.json --label parent --src ../parent/src
+    python bench/phases.py --out BENCH_25.json --label change
+    python bench/phases.py --out BENCH_25.json --label parent --src ../parent/src
+    python bench/phases.py --out BENCH_25.json --label change
 
 A run imports slimrnn from ``--src`` (this checkout's ``src`` by default),
 pins numpy's OpenBLAS to one thread through ``cli._pin_blas`` and takes the
@@ -25,8 +25,9 @@ timings are:
   optimizer walk (``batch_loss_and_grads`` then ``rmsprop_step``, over the
   training batches of one epoch) and of ``harness.evaluate``;
 * per variant at ``check_all``'s shapes (n_in = 3, n_h = 5, n_out = 4,
-  T = 4): ``check_gradients`` ms per configuration, 3 activations x seeds
-  0-2 through ``check_all``;
+  T = 4): ms per configuration of ``check_all`` over 3 activations x seeds
+  0-2, at batch sizes 1 and 3 (``check_all_b1``, ``check_all_b3``), the
+  two that ``slimrnn grad-check`` runs;
 * context: the peak RSS, numpy's version, the OpenBLAS config string and
   core name (through ``cli.openblas_function``), and the min ms of the
   reference kernel.
@@ -184,10 +185,12 @@ def measure(shapes: dict, repeat: int) -> dict:
             "walk": timing(walk, repeat, ref, "ms/example", len(train)),
             "evaluation": timing(lambda: evaluate(spec, model, test, ws), repeat, ref, "ms/example", len(test)),
         }
-        def check():
-            check_all(seeds=seeds, variants=(variant,), **shapes["gradcheck"])
+        def check(batch_size):
+            return lambda: check_all(seeds=seeds, variants=(variant,), batch_size=batch_size, **shapes["gradcheck"])
 
-        gradcheck[variant.value] = {"check_gradients": timing(check, repeat, ref, "ms/config", 3 * len(seeds))}
+        gradcheck[variant.value] = {
+            f"check_all_b{B}": timing(check(B), repeat, ref, "ms/config", 3 * len(seeds)) for B in (1, 3)
+        }
     context = {
         "python": platform.python_version(), "numpy": np.__version__, **openblas(cli),
         "reference_ms": metric(1e3 * min(ref() for _ in range(repeat)), "ms"),

@@ -35,6 +35,13 @@ once per (layout, R) and cached; each check fills a fresh zero vector
 through that map, and each pass writes its vectors' +/- EPS entries into
 it in place and undoes them afterwards.
 
+``check_all`` draws each seed's input batch once and initializes each
+(variant, seed)'s model once (``init_params`` reads only the variant),
+both read-only, and hands them to ``check_gradients`` for every
+configuration that uses them: over three activations one model serves
+three configurations, and one batch serves every configuration of its
+seed. They are built anew by each call; nothing is kept across calls.
+
 relu has a kink at zero, where no finite difference is trustworthy. A
 coordinate is only compared when every relu input (candidate
 pre-activations and cell states fed to the output activation, at every
@@ -204,23 +211,22 @@ def check_gradients(
     batch_size: int = 1,
     *,
     ws: Workspace,
+    model: Params | None = None,
+    batch: SequenceBatch | None = None,
 ) -> CheckResult:
     """Compare batch BPTT gradients against central differences for one config.
 
     The loss is the mean over ``batch_size`` random sequences, and the
-    relu kink rule covers all of them. Every pass carves from ``ws``.
+    relu kink rule covers all of them. Every pass carves from ``ws``. The
+    model and the batch are built from ``seed`` unless given, read-only, as
+    ``check_all`` gives the ones its configurations share.
     """
     spec = VariantSpec.make(variant, activation)
-    cell, head = init_params(spec, n_in, n_h, n_out, seed)
-    rng = stream(seed, TAG_GRADCHECK)
-    batch = SequenceBatch(
-        inputs=rng.uniform(0.0, 1.0, size=(batch_size, T, n_in)),
-        labels=rng.integers(0, n_out, size=batch_size),
-    )
-
-    _, grads, _ = batch_loss_and_grads(spec, cell, head, batch, ws)
+    model = _model(spec, n_in, n_h, n_out, seed) if model is None else model
+    batch = _batch(seed, n_in, n_out, T, batch_size) if batch is None else batch
+    _, grads, _ = batch_loss_and_grads(spec, model, model, batch, ws)
     analytic = grads.vec
-    losses, same = sweep_losses(spec, cell, np.swapaxes(batch.inputs, 0, 1), batch.labels, ws)
+    losses, same = sweep_losses(spec, model, np.swapaxes(batch.inputs, 0, 1), batch.labels, ws)
     numeric = (losses[1::2] - losses[2::2]) / (2.0 * EPS)
     compared = same[1::2] & same[2::2]
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), _ERR_FLOOR)
@@ -240,11 +246,40 @@ def check_all(
     activations: tuple[Activation, ...] = tuple(Activation),
     **dims,
 ) -> list[CheckResult]:
-    """The full verification matrix: variants x activations x seeds, sharing one Workspace."""
+    """The full verification matrix: variants x activations x seeds, at ``check_gradients``' ``dims``.
+
+    Its configurations share one Workspace, each seed's batch and each
+    (variant, seed)'s model, all built by this call.
+    """
+    n_in, n_h, n_out, T, batch_size = _dims(**dims)
     ws = Workspace()
-    return [
-        check_gradients(v, a, seed=s, ws=ws, **dims)
-        for v in variants
-        for a in activations
-        for s in seeds
-    ]
+    batches = {s: _batch(s, n_in, n_out, T, batch_size) for s in seeds}
+    results = []
+    for v in variants:  # init_params reads only the variant: one model per seed serves every activation
+        models = {s: _model(VariantSpec.make(v, a), n_in, n_h, n_out, s) for a in activations[:1] for s in seeds}
+        results += [check_gradients(v, a, seed=s, ws=ws, model=models[s], batch=batches[s], **dims)
+                    for a in activations for s in seeds]
+    return results
+
+
+def _dims(n_in: int = 3, n_h: int = 5, n_out: int = 4, T: int = 4, batch_size: int = 1) -> tuple[int, ...]:
+    """``check_gradients``' shapes and batch size, with its defaults."""
+    return n_in, n_h, n_out, T, batch_size
+
+
+def _model(spec: VariantSpec, n_in: int, n_h: int, n_out: int, seed: int) -> Params:
+    """``init_params``' model for ``seed``, over a read-only vector: the cell and the head."""
+    model, _ = init_params(spec, n_in, n_h, n_out, seed)
+    model.vec.flags.writeable = False
+    return Params(model.layout, model.vec)  # views taken of a read-only vector are read-only
+
+
+def _batch(seed: int, n_in: int, n_out: int, T: int, batch_size: int) -> SequenceBatch:
+    """``batch_size`` uniform sequences of T steps and their labels from ``seed``'s gradcheck stream, read-only."""
+    rng = stream(seed, TAG_GRADCHECK)
+    batch = SequenceBatch(
+        inputs=rng.uniform(0.0, 1.0, size=(batch_size, T, n_in)),
+        labels=rng.integers(0, n_out, size=batch_size),
+    )
+    batch.inputs.flags.writeable = batch.labels.flags.writeable = False
+    return batch

@@ -10,6 +10,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "bench" / "phases.py"
 UNITS = {"forward_sequence": "ms/call", "softmax_xent": "ms/call", "backward_sequence": "ms/call",
          "rmsprop_step": "ms/call", "walk": "ms/example", "evaluation": "ms/example"}
 REF_UNITS = {name: unit.replace("ms", "ref") for name, unit in UNITS.items()}
+CHECKS = ("check_all_b1", "check_all_b3")  # check_all at batch sizes 1 and 3
 
 
 def test_phases_writes_every_phase_of_every_variant_with_its_unit(tmp_path):
@@ -29,13 +30,15 @@ def test_phases_writes_every_phase_of_every_variant_with_its_unit(tmp_path):
     for variant in variants:
         assert {name: m["unit"] for name, m in run["phases"][variant].items()} == UNITS
         assert {name: m["per_ref"]["unit"] for name, m in run["phases"][variant].items()} == REF_UNITS
-        check = run["gradcheck"][variant]["check_gradients"]
-        assert (check["unit"], check["per_ref"]["unit"]) == ("ms/config", "ref/config")
+        checks = run["gradcheck"][variant]
+        assert {name: (m["unit"], m["per_ref"]["unit"]) for name, m in checks.items()} == {
+            name: ("ms/config", "ref/config") for name in CHECKS
+        }
     context = run["context"]
     assert {"python", "numpy", "openblas_config", "openblas_core"} <= context.keys()
     assert (context["reference_ms"]["unit"], context["peak_rss_mb"]["unit"]) == ("ms", "MB")
 
-    timings = {f"phases.{v}.{name}" for v in variants for name in UNITS} | {f"gradcheck.{v}.check_gradients" for v in variants}
+    timings = {f"phases.{v}.{name}" for v in variants for name in UNITS} | {f"gradcheck.{v}.{name}" for v in variants for name in CHECKS}
     paths = timings | {f"{t}.per_ref" for t in timings} | {"context.reference_ms", "context.peak_rss_mb"}
     for label in ("parent", "change"):
         summary = doc["summary"][label]

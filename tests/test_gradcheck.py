@@ -170,6 +170,35 @@ def test_check_all_builds_one_workspace(monkeypatch):
     assert len(made) == 1
 
 
+def test_check_all_builds_each_model_and_each_batch_once(monkeypatch):
+    # the model depends on (variant, seed) and the batch on the seed: one variant x 3 activations x
+    # seeds 0-2 is 9 configurations from 3 models and 3 batches
+    inits, draws = [], []
+    monkeypatch.setattr(gradcheck, "init_params", lambda *args: inits.append(args) or init_params(*args))
+    monkeypatch.setattr(gradcheck, "stream", lambda seed, tag: draws.append((seed, tag)) or stream(seed, tag))
+    assert len(check_all(seeds=(0, 1, 2), variants=(Variant.LSTM5,))) == 9
+    assert [args[-1] for args in inits] == [0, 1, 2]
+    assert draws == [(seed, TAG_GRADCHECK) for seed in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_check_all_equals_single_checks_over_read_only_inputs(batch_size, monkeypatch):
+    seeds = (0, 1, 2)
+    single = [check_gradients(v, a, seed=s, batch_size=batch_size, ws=Workspace())
+              for v in Variant for a in Activation for s in seeds]
+    shared, check = [], gradcheck.check_gradients
+    monkeypatch.setattr(gradcheck, "check_gradients",
+                        lambda *args, **kwargs: shared.append((kwargs["model"], kwargs["batch"])) or check(*args, **kwargs))
+    results = check_all(seeds=seeds, batch_size=batch_size)
+    assert [r.max_rel_err.hex() for r in results] == [r.max_rel_err.hex() for r in single]
+    assert results == single
+    models, batches = {id(m): m for m, _ in shared}.values(), {id(b): b for _, b in shared}.values()
+    assert (len(models), len(batches)) == (len(Variant) * len(seeds), len(seeds))
+    arrays = [a for m in models for a in (m.vec, *m.values(), *m.stacks.values())]
+    arrays += [a for b in batches for a in (b.inputs, b.labels)]
+    assert not any(a.flags.writeable for a in arrays)
+
+
 def test_interleaved_checks_match_fresh_ones():
     # a check must not see the vector or trace of one at another layout, nor what a kept plan last held:
     # all 21 configurations, their models' and replica cells' layouts interleaved on one workspace,
