@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slimrnn.cli import _pin_blas
 from slimrnn.data import (
     IMAGE_MAGIC,
     LABEL_MAGIC,
@@ -13,9 +14,13 @@ from slimrnn.data import (
     TRAIN_IMAGES,
     TRAIN_LABELS,
     Dataset,
+    SequenceBatch,
     Split,
 )
 from slimrnn.rng import stream
+
+# One BLAS thread, as every CLI command runs: the bit fixtures hold only there, whatever test ran first.
+_pin_blas()
 
 TAG_SYNTH = 4  # the synthetic datasets' purpose tag, apart from every tag in slimrnn.rng
 
@@ -43,6 +48,12 @@ def _write_bytes(path, payload: bytes) -> None:
             f.write(payload)
     else:
         path.write_bytes(payload)
+
+
+def seeded_batch(key, B: int, T: int, n_in: int, n_out: int) -> SequenceBatch:
+    """B sequences of uniform [0, 1) inputs and then their labels, drawn from ``default_rng(list(key))``."""
+    rng = np.random.default_rng(list(key))
+    return SequenceBatch(inputs=rng.uniform(0.0, 1.0, size=(B, T, n_in)), labels=rng.integers(0, n_out, size=B))
 
 
 def synth_images(n: int, seed: int, rows: int = 28, cols: int = 28) -> tuple[np.ndarray, np.ndarray]:

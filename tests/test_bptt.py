@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 import weakref
 
@@ -14,17 +13,15 @@ from slimrnn.gradcheck import check_gradients
 from slimrnn.harness import evaluate
 from slimrnn.rng import TAG_GRADCHECK, stream
 
-from .conftest import traced_peak_mb
-from .fixtures import freeze_batch_digests as digests
-from .fixtures import freeze_paper_digests as paper
-from .fixtures.freeze_batch_grads import BATCH_SIZES, N_H, N_IN, N_OUT, OUT, fixed_batch
+from .conftest import seeded_batch, traced_peak_mb
+from .fixtures import freeze
+from .fixtures.freeze import GRAD_SIZES, N_H, N_IN, N_OUT, fixed_batch
 from .test_cells import zeroed_params
 
 ALL_VARIANTS = list(Variant)
 ALL_ACTIVATIONS = list(Activation)
-with np.load(OUT) as frozen:
-    FROZEN = dict(frozen)
-FROZEN_DIGESTS = json.loads(digests.OUT.read_text())
+FROZEN = freeze.load("batch_grads.npz")
+FROZEN_DIGESTS = freeze.load("batch_digests.json")
 
 
 def floats(plan) -> int:
@@ -244,7 +241,7 @@ def test_batch_mean_is_hand_average():
 def test_batch_matches_frozen_per_example_engine(variant, activation):
     # fixtures/batch_grads.npz holds what the per-example engine returned
     spec = VariantSpec.make(variant, activation)
-    for size in BATCH_SIZES:
+    for size in GRAD_SIZES:
         cell, head = init_params(spec, N_IN, N_H, N_OUT, seed=size)
         loss, grads, correct = batch_loss_and_grads(spec, cell, head, fixed_batch(size))
         want = FROZEN[f"{spec.variant.value}/{spec.activation.value}/{size}"]
@@ -334,19 +331,19 @@ def test_workspace_reuse_is_bitwise_neutral(variant, activation):
     # writing shows up as NaN. Both must match the bits frozen from the
     # engine before it took a workspace (fixtures/batch_digests.json).
     spec = VariantSpec.make(variant, activation)
-    p = digests.digest_params(spec)
+    p = freeze.digest_params(spec)
     ws = Workspace()
-    batch_loss_and_grads(spec, p, p, digests.digest_batch(32), ws)  # room for an evaluation chunk too
-    for size in digests.BATCH_SIZES:
-        batch = digests.digest_batch(size)
+    batch_loss_and_grads(spec, p, p, freeze.digest_batch(32), ws)  # room for an evaluation chunk too
+    for size in freeze.DIGEST_SIZES:
+        batch = freeze.digest_batch(size)
         fresh = batch_loss_and_grads(spec, p, p, batch)
         ws._buf.fill(np.nan)
         loss, grads, correct = batch_loss_and_grads(spec, p, p, batch, ws)
         assert not np.isnan(ws._buf).all(), "the call did not use the workspace"
         assert (loss, correct) == (fresh[0], fresh[2]) and np.array_equal(grads.vec, fresh[1].vec), size
-        assert digests.digest(*fresh) == FROZEN_DIGESTS[f"{spec.variant.value}/{spec.activation.value}/{size}"]
+        assert freeze.digest(*fresh) == FROZEN_DIGESTS[f"{spec.variant.value}/{spec.activation.value}/{size}"]
 
-    batch = digests.digest_batch(40)  # two evaluation chunks, the second one short
+    batch = freeze.digest_batch(40)  # two evaluation chunks, the second one short
     split = Split(sequences=np.rint(batch.inputs * 255).astype(np.uint8), labels=batch.labels)
     buf = ws._buf
     buf.fill(np.nan)
@@ -361,8 +358,7 @@ def test_workspace_batch_allocates_under_2mb(variant):
     # 4.7 MB (srn) to 18.7 MB (lstm).
     spec = VariantSpec.make(variant, "tanh")
     p, _ = init_params(spec, 28, 100, 10, seed=0)
-    rng = np.random.default_rng(1)
-    batch = SequenceBatch(inputs=rng.uniform(0.0, 1.0, size=(32, 28, 28)), labels=rng.integers(0, 10, size=32))
+    batch = seeded_batch([1], 32, 28, 28, 10)
     ws = Workspace()
     batch_loss_and_grads(spec, p, p, batch, ws)
     assert traced_peak_mb(lambda: batch_loss_and_grads(spec, p, p, batch, ws)) <= 2.0
@@ -374,8 +370,7 @@ def test_batch_without_a_workspace_allocates_one_buffer(variant):
     # the backward must carve them there instead of reserving them again
     spec = VariantSpec.make(variant, "tanh")
     p, _ = init_params(spec, 28, 100, 10, seed=0)
-    rng = np.random.default_rng(1)
-    batch = SequenceBatch(inputs=rng.uniform(0.0, 1.0, size=(32, 28, 28)), labels=rng.integers(0, 10, size=32))
+    batch = seeded_batch([1], 32, 28, 28, 10)
     buffer_mb = 8 * floats(bptt._carved(p.layout, 28, 32)) / 1e6
     assert traced_peak_mb(lambda: batch_loss_and_grads(spec, p, p, batch)) <= buffer_mb + 2.0
 
@@ -388,8 +383,7 @@ def test_workspace_is_sized_to_what_a_batch_takes(variant, B, n_h, T):
     # T, the rows or B at 1 make _stacked carve (T, r, B), whose side-by-side form is a view
     spec = VariantSpec.make(variant, "relu")
     p, _ = init_params(spec, 3, n_h, 4, seed=0)
-    rng = np.random.default_rng(2)
-    batch = SequenceBatch(inputs=rng.uniform(0.0, 1.0, size=(B, T, 3)), labels=rng.integers(0, 4, size=B))
+    batch = seeded_batch([2], B, T, 3, 4)
     ws = Workspace()
     logits, trace = forward_sequence(spec, p, p, np.swapaxes(batch.inputs, 0, 1), ws)
     backward_sequence(trace, softmax_xent(logits, batch.labels)[1])
@@ -480,7 +474,7 @@ CARVED_FLOATS = {
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_the_memory_plan_keeps_its_size(variant):
     # the forward's scratch lies in the deltas' room, so the form of its products adds nothing
-    shapes = (paper.PAPER, *paper.EDGES)
+    shapes = (freeze.PAPER, *freeze.EDGES)
     got = tuple(floats(bptt._carved(layout(variant, 28, n_h, 10), T, B)) for T, n_h, B in shapes)
     assert got == CARVED_FLOATS[variant.value]
 
@@ -492,7 +486,7 @@ def within(a: np.ndarray, room: np.ndarray) -> bool:
 
 @pytest.mark.parametrize(
     "shape",
-    dict.fromkeys([paper.PAPER, *paper.EDGES, *itertools.product((4,), (1, 5), (1, 3, 8))]),
+    dict.fromkeys([freeze.PAPER, *freeze.EDGES, *itertools.product((4,), (1, 5), (1, 3, 8))]),
     ids=lambda shape: "x".join(map(str, shape)),
 )
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -526,8 +520,8 @@ def test_stacked_deltas_are_side_by_side_as_a_view(shape):
 
 def test_paper_shape_bits_match_the_frozen_engine():
     # n_h = 100 and B = 32, the shapes of every benchmark op, and the edge
-    # shapes where _stacked's two layouts meet (fixtures/paper_digests.json).
-    # freeze() pins BLAS to one thread, as the CLI does, for this process.
-    frozen = json.loads(paper.OUT.read_text())
-    got = paper.freeze()
+    # shapes where _stacked's two layouts meet (fixtures/paper_digests.json),
+    # at the one BLAS thread conftest pins.
+    frozen = freeze.load("paper_digests.json")
+    got = freeze.paper_digests()
     assert len(frozen) == 42 and [k for k in frozen if got[k] != frozen[k]] == []

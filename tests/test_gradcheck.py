@@ -1,6 +1,5 @@
 """The central-difference check: its replica passes and their cached map, its counts, and that it catches a wrong gradient."""
 
-import json
 import math
 
 import numpy as np
@@ -12,12 +11,12 @@ from slimrnn.cells import Activation, Variant, VariantSpec, init_params, layout
 from slimrnn.gradcheck import EPS, REL_TOL, check_all, check_gradients, relu_pattern, sweep_losses
 from slimrnn.rng import TAG_GRADCHECK, stream
 
-from .fixtures.freeze_gradcheck_counts import BATCH_SIZES, COARSE_EPS, DIMS, OUT, SEEDS
+from .fixtures.freeze import CHECK_SIZES, COARSE_EPS, DIMS, SEEDS, load
 
-FROZEN = json.loads(OUT.read_text())
+FROZEN = load("gradcheck_counts.json")
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("batch_size", CHECK_SIZES)
 def test_counts_match_frozen_one_coordinate_check(batch_size, monkeypatch):
     # fixtures/gradcheck_counts.json holds what the check counted with one
     # forward pass per perturbed coordinate
@@ -32,7 +31,7 @@ def test_counts_match_frozen_one_coordinate_check(batch_size, monkeypatch):
         key = f"{r.variant.value}/relu/{r.seed}/{batch_size}/eps={COARSE_EPS:g}"
         assert [r.compared, r.skipped] == FROZEN[key], key
         seen += 1
-    assert seen == len(FROZEN) // len(BATCH_SIZES)
+    assert seen == len(FROZEN) // len(CHECK_SIZES)
 
 
 def sweep_setup(variant, activation, batch_size=3, n_in=3, n_h=5, n_out=4, T=4, seed=0):
@@ -78,7 +77,7 @@ def test_replica_losses_match_standalone_forward(variant, activation, replica_un
         assert same[k] == (pattern is None or np.array_equal(pattern, base_pattern)), k
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("batch_size", CHECK_SIZES)
 @pytest.mark.parametrize("variant, coordinate", [  # a cell coordinate, then the head's two arrays
     pytest.param(v, name, id=v.value if name == "W_c" else f"{v.value}-{name}")
     for name in ("W_c", "W_hy", "b_y") for v in Variant
@@ -121,7 +120,7 @@ def check_with_one_small_gradient_scaled(variant, batch_size, monkeypatch, below
     return result
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("batch_size", CHECK_SIZES)
 @pytest.mark.parametrize("variant", list(Variant))
 def test_check_fails_on_a_small_gradient_off_by_half_a_percent(variant, batch_size, monkeypatch):
     # A coordinate with 1e-4 < |g| < 1e-3 is measured against its own size, so scaled by 1.005 it is off
@@ -132,7 +131,7 @@ def test_check_fails_on_a_small_gradient_off_by_half_a_percent(variant, batch_si
     assert not result.passed
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("batch_size", CHECK_SIZES)
 @pytest.mark.parametrize("variant", list(Variant))
 def test_check_fails_on_a_small_gradient_off_by_two_in_ten_thousand(variant, batch_size, monkeypatch):
     # Scaled by 1.0002, a coordinate with 1e-4 < |g| < 5e-4 is off by 2e-4 of itself, twice REL_TOL, and
@@ -142,7 +141,7 @@ def test_check_fails_on_a_small_gradient_off_by_two_in_ten_thousand(variant, bat
     assert not result.passed
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("batch_size", CHECK_SIZES)
 @pytest.mark.parametrize("variant", list(Variant))
 def test_sweep_is_bitwise_equal_with_cold_and_warm_replica_map(variant, batch_size):
     spec, cell, _, seqs, labels = sweep_setup(variant, "relu", batch_size=batch_size)

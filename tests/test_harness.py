@@ -1,4 +1,3 @@
-import json
 import math
 import statistics
 from dataclasses import replace
@@ -24,8 +23,7 @@ from slimrnn.harness import (
 )
 
 from .conftest import synth_dataset, synth_split, traced_peak_mb
-from .fixtures.freeze_train_metrics import OUT as FROZEN_METRICS
-from .fixtures.freeze_train_metrics import metrics_text
+from .fixtures.freeze import load, metrics_text
 from .test_cells import zeroed_params
 
 
@@ -200,7 +198,7 @@ def test_train_reproduces_frozen_trajectories():
     # 21 short runs as an earlier commit's code wrote them: any change to
     # the initial draws, a gradient or the RMSprop update's floating-point
     # order shows up as a changed byte
-    frozen = json.loads(FROZEN_METRICS.read_text())
+    frozen = load("train_metrics.json")
     assert len(frozen) == len(Variant) * len(Activation)
     for v in Variant:
         for a in Activation:

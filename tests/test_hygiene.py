@@ -1,5 +1,9 @@
 """Source hygiene of src/slimrnn, read with ast: no unused import, no orphaned name or attribute.
 
+No module of src/slimrnn, tests/ or bench/ may import a name it never
+reads, and every data file in tests/fixtures/ but batch_grads.npz needs a
+writer in tests/fixtures/freeze.py that gives back its bytes.
+
 A deletion that leaves an import or a module-level ``_private`` helper or
 constant behind with no reader fails here, and so does a module-level
 public function, class or constant that only tests read: every one needs
@@ -13,9 +17,12 @@ from pathlib import Path
 
 import pytest
 
+from .fixtures import freeze
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 MODULES = sorted((SRC / "slimrnn").glob("*.py"))
+IMPORTERS = [*MODULES, *sorted((ROOT / "tests").rglob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]
 
 
 def parse(path: Path) -> ast.Module:
@@ -98,7 +105,7 @@ def readers_outside_tests() -> list[Path]:
     return sorted([*SRC.rglob("*.py"), *(p for p in (ROOT / "perfbench").rglob("*.py") if "tests" not in p.parts)])
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda p: p.name if p in MODULES else p.relative_to(ROOT).as_posix())
 def test_every_import_is_used(path):
     assert unused_imports(parse(path)) == []
 
@@ -133,3 +140,12 @@ def test_checks_flag_a_planted_orphan():
                      "        self.total += k\n        return self.size\n")
     read = attributes_read([tree])
     assert [n for n in attributes_set(tree) if n.split(".")[1] not in read] == ["Kept.spare", "Kept.stale"]
+
+
+def test_every_fixture_has_a_writer_that_keeps_its_bytes():
+    # each format writes back the committed file from what load() read of it;
+    # batch_grads.npz alone has no writer (see tests/fixtures/freeze.py)
+    for name, (_, text) in freeze.WRITERS.items():
+        assert text(freeze.load(name)) == (freeze.HERE / name).read_text(), name
+    data = sorted(p.name for p in freeze.HERE.iterdir() if p.is_file() and p.suffix != ".py")
+    assert data == sorted([*freeze.WRITERS, "batch_grads.npz"])

@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from slimrnn import bptt
 from slimrnn.bptt import Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
 from slimrnn.cells import ACTIVATIONS, Activation, Variant, VariantSpec, init_params
-from slimrnn.data import SequenceBatch, Split, batches, read_idx_images
+from slimrnn.data import Split, batches, read_idx_images
 from slimrnn.gradcheck import EPS, check_gradients, sweep_losses
 
-from .conftest import write_idx_images
+from .conftest import seeded_batch, write_idx_images
 
 SWEEP = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -35,8 +35,7 @@ SWEEP = settings(derandomize=True, database=None, max_examples=150, deadline=Non
 def test_workspace_takes_what_carved_lists_and_reuse_is_bitwise_neutral(variant, activation, n_in, n_h, n_out, T, B):
     spec = VariantSpec.make(variant, activation)
     p, _ = init_params(spec, n_in, n_h, n_out, seed=T * B)
-    rng = np.random.default_rng([n_in, n_h, n_out, T, B])
-    batch = SequenceBatch(inputs=rng.uniform(0.0, 1.0, size=(B, T, n_in)), labels=rng.integers(0, n_out, size=B))
+    batch = seeded_batch([n_in, n_h, n_out, T, B], B, T, n_in, n_out)
     plan = bptt._carved(p.layout, T, B)
 
     ws = Workspace()
