@@ -118,20 +118,25 @@ class Layout:
     A step's pre-activations are row blocks of n_h (see ``bptt``): one per
     learned gate, point-wise gates before dense ones, then the candidate.
     Point-wise gates without a bias come before those with one, and dense
-    gates always have one, so the biased blocks and the k dense blocks
-    each form a run at the bottom. The vector follows the same order,
-    after the fused-RNN stacking of Appleyard, Kocisky & Blunsom (2016,
-    arXiv:1604.01946): the point-wise gate vectors ``u``, the biases ``b``
-    of the biased rows, the dense blocks' input maps ``W`` (k*n_h, n_in)
-    and recurrent maps ``U`` (k*n_h, n_h), then the head's W_hy (n_out,
-    n_h) and b_y (n_out,). ``stacks`` gives the (slice, shape) of u, b, W
-    and U in the vector, so the engine reads each as one array without
-    copying; ``fields`` gives the same for every named array (W_c, u_i,
-    b_y, ...), in initialization order: gates i, f, o, then the candidate,
-    W, U, u, b within each, the head last. ``size`` is the parameter count.
-    ``memory`` is False for the srn, which keeps no cell state; ``fixed``
-    maps each fixed gate to its value, and ``unit`` names those fixed at 1.
-    Built once per (variant, n_in, n_h, n_out) by ``layout``.
+    gates always have one, so the biased point-wise blocks and the k dense
+    blocks each form a run. The vector follows the same order, after the
+    fused-RNN stacking of Appleyard, Kocisky & Blunsom (2016,
+    arXiv:1604.01946) taken one step further: the point-wise gate vectors
+    ``u``, the biases ``b`` of the biased point-wise rows, then one
+    ``dense`` stack of shape (k*n_h, n_h + n_in + 1) whose row r is [U row
+    | W row | bias] of the dense block it belongs to, so that one product
+    with [h_{t-1}; x_t; 1] gives a dense block's pre-activations, then the
+    head's W_hy (n_out, n_h) and b_y (n_out,). ``stacks`` gives the
+    (slice, shape) of u, b and the dense stack in the vector, so the
+    engine reads each as one array without copying. ``fields`` gives, for
+    every named array (W_c, u_i, b_y, ...), a (slice, shape, index) whose
+    ``vec[slice].reshape(shape)[index]`` is a view of it: U_g, W_g and b_g
+    are column views into the dense stack. They come in initialization
+    order: gates i, f, o, then the candidate, W, U, u, b within each, the
+    head last. ``size`` is the parameter count. ``memory`` is False for the
+    srn, which keeps no cell state; ``fixed`` maps each fixed gate to its
+    value, and ``unit`` names those fixed at 1. Built once per (variant,
+    n_in, n_h, n_out) by ``layout``.
     """
 
     def __init__(self, variant: Variant | str, n_in: int, n_h: int, n_out: int) -> None:
@@ -145,31 +150,31 @@ class Layout:
         self.gates = sorted((n for n in wiring if n not in self.fixed), key=lambda n: _KINDS.index(wiring[n]))
         self.pointwise = [n for n in self.gates if wiring[n] != "dense"]
         self.dense = [n for n in self.gates if wiring[n] == "dense"] + ["c"]
-        biased = [n for n in self.gates if wiring[n] != "pw"] + ["c"]
+        biased = [n for n in self.pointwise if wiring[n] == "pw+b"]
         self.gate_rows = len(self.gates) * n_h  # the candidate block starts here
         self.dense_from = len(self.pointwise) * n_h
-        self.bias_from = self.gate_rows + n_h - len(biased) * n_h
+        self.bias_from = self.dense_from - len(biased) * n_h
         self.block = {n: slice(j * n_h, (j + 1) * n_h) for j, n in enumerate(self.gates)}
         # Gates fixed at exactly 1 need no multiply: x * 1.0 == x.
         self.unit = {n for n, g in self.fixed.items() if g == 1.0}
 
-        self.size = 0
+        self.size, self.stacks, fields = 0, {}, {}
 
         def take(shape: tuple[int, ...]) -> tuple[slice, tuple[int, ...]]:
             start, self.size = self.size, self.size + int(np.prod(shape))
             return slice(start, self.size), shape
 
-        self.stacks: dict[str, tuple[slice, tuple[int, ...]]] = {}
-        fields = {}
-        for kind, names, cols in (("u", self.pointwise, ()), ("b", biased, ()),
-                                  ("W", self.dense, (n_in,)), ("U", self.dense, (n_h,))):
-            start = self.size
-            for name in names:
-                fields[f"{kind}_{name}"] = take((n_h, *cols))
+        for kind, names in (("u", self.pointwise), ("b", biased)):
             if names:
-                self.stacks[kind] = (slice(start, self.size), (len(names) * n_h, *cols))
-        fields["W_hy"] = take((n_out, n_h))
-        fields["b_y"] = take((n_out,))
+                self.stacks[kind] = stack = take((len(names) * n_h,))
+                fields.update({f"{kind}_{n}": (*stack, slice(j * n_h, (j + 1) * n_h)) for j, n in enumerate(names)})
+        self.stacks["dense"] = stack = take((len(self.dense) * n_h, n_h + n_in + 1))
+        for j, n in enumerate(self.dense):
+            rows = slice(j * n_h, (j + 1) * n_h)
+            for kind, cols in (("U", slice(0, n_h)), ("W", slice(n_h, n_h + n_in)), ("b", -1)):
+                fields[f"{kind}_{n}"] = (*stack, (rows, cols))
+        fields["W_hy"] = (*take((n_out, n_h)), ...)
+        fields["b_y"] = (*take((n_out,)), ...)
         order = [f"{kind}_{g}" for g in (*GATE_NAMES, "c") for kind in "WUub"] + ["W_hy", "b_y"]
         self.fields = {name: fields[name] for name in order if name in fields}
 
@@ -184,9 +189,9 @@ class Params(Mapping):
     """A model's trainable arrays: named views into one flat float64 vector.
 
     ``vec`` holds the cell and the output head in the order of ``layout``;
-    ``p["W_c"]`` is a view into it, and so is each of ``p.stacks`` (u, b,
-    W, U, as Layout describes them). Writing ``p[name] = values`` copies
-    into the vector. Gradients come back as a Params of the same layout.
+    ``p["W_c"]`` is a view into it (a column view of the dense stack), and
+    so is each of ``p.stacks`` (u, b and dense, as Layout describes them).
+    Writing ``p[name] = values`` copies into the vector. Gradients come back as a Params of the same layout.
     """
 
     def __init__(self, layout: Layout, vec: np.ndarray | None = None) -> None:
@@ -194,7 +199,7 @@ class Params(Mapping):
         self.vec = np.zeros(layout.size) if vec is None else vec
         self.n_in, self.n_h, self.n_out = layout.n_in, layout.n_h, layout.n_out
         self.stacks = {k: self.vec[sl].reshape(shape) for k, (sl, shape) in layout.stacks.items()}
-        self._arrays = {k: self.vec[sl].reshape(shape) for k, (sl, shape) in layout.fields.items()}
+        self._arrays = {k: self.vec[sl].reshape(shape)[ix] for k, (sl, shape, ix) in layout.fields.items()}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]
@@ -244,8 +249,9 @@ def init_params(spec: VariantSpec, n_in: int, n_h: int, n_out: int, seed: int) -
             a[...] = rng.uniform(-0.1, 0.1, size=a.shape)
     # Each Gaussian U_* becomes the Q of its QR, sign-fixed so that R's
     # diagonal is positive: that makes the decomposition, and hence the
-    # init, unique for a given draw. One stacked QR factors them all.
-    U = p.stacks["U"].reshape(-1, n_h, n_h)
+    # init, unique for a given draw. One stacked QR factors them all, and
+    # its Q goes back through the U columns of the dense stack.
+    U = p.stacks["dense"].reshape(-1, n_h, n_h + n_in + 1)[:, :, :n_h]
     q, r = np.linalg.qr(U)
     d = np.sign(np.diagonal(r, axis1=1, axis2=2))
     d[d == 0] = 1.0

@@ -31,16 +31,18 @@ a standalone forward pass only in the summation order of the matrix
 products. REPLICA_UNITS bounds the memory of a pass. The replica cell's
 layout, the map from each copy's coordinates to its vector and every
 index array of the sweep (each pass's slots, the head's logits) are built
-once per (layout, R) and cached; each check fills a fresh zero vector
-through that map, and each pass writes its vectors' +/- EPS entries into
-it in place and undoes them afterwards.
+once per (layout, R) and cached. The replica vector, a zero vector filled
+with the model's values through that map, serves a whole sweep: each
+pass writes its vectors' +/- EPS entries into it in place and undoes them
+afterwards, so it leaves the sweep as it came.
 
 ``check_all`` draws each seed's input batch once and initializes each
 (variant, seed)'s model once (``init_params`` reads only the variant),
-both read-only, and hands them to ``check_gradients`` for every
-configuration that uses them: over three activations one model serves
-three configurations, and one batch serves every configuration of its
-seed. They are built anew by each call; nothing is kept across calls.
+both read-only, and builds that model's replica vector once, and hands
+them to ``check_gradients`` for every configuration that uses them: over
+three activations one model and one replica vector serve three
+configurations, and one batch serves every configuration of its seed.
+They are built anew by each call; nothing is kept across calls.
 
 relu has a kink at zero, where no finite difference is trustworthy. A
 coordinate is only compared when every relu input (candidate
@@ -114,8 +116,8 @@ def _replica_map(
     lay = layout(variant, n_in, n_h, n_out)
     replica = Params(layout(variant, n_in, R * n_h, R * n_out))
     ids = np.arange(1, R * lay.size + 1).reshape(R, lay.size)
-    for name, (sl, shape) in lay.fields.items():
-        replica[name] = _replicate(name, ids[:, sl].reshape(R, *shape))
+    for name, at in Params(lay, np.arange(lay.size)).items():  # each array's positions in the vector
+        replica[name] = _replicate(name, ids[:, at])
     filled = np.flatnonzero(replica.vec)
     where = np.empty((R, lay.size), dtype=np.intp)
     where.flat[replica.vec[filled].astype(np.intp) - 1] = filled
@@ -134,8 +136,19 @@ def _replica_map(
     return replica.layout, where, coord, tuple(passes), head
 
 
+def _replica(params: Params) -> tuple[Params, tuple]:
+    """A replica cell holding R copies of ``params``, and its ``_replica_map``."""
+    lay = params.layout
+    R = min(max(1, REPLICA_UNITS // lay.n_h), 2 * lay.fields["W_hy"][0].start + 1)  # no more copies than vectors
+    replica_map = _replica_map(lay.variant, lay.n_in, lay.n_h, lay.n_out, R)
+    replica = Params(replica_map[0])
+    replica.vec[replica_map[1]] = params.vec
+    return replica, replica_map
+
+
 def sweep_losses(
-    spec: VariantSpec, params: Params, seqs: np.ndarray, labels: np.ndarray, ws: Workspace
+    spec: VariantSpec, params: Params, seqs: np.ndarray, labels: np.ndarray, ws: Workspace,
+    replica: tuple[Params, tuple] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean loss over the time-major batch ``seqs`` (T, B, n_in) at every vector of the sweep.
 
@@ -145,18 +158,15 @@ def sweep_losses(
     vector 0 and the cell's coordinates take replica passes; every pass
     carves its trace from ``ws`` and is read before the next starts it
     over. The head's vectors move one of vector 0's logits, and one
-    ``softmax_xent`` call takes every vector's logits.
+    ``softmax_xent`` call takes every vector's logits. The passes run the
+    cell of ``replica``, ``_replica(params)`` unless given, and leave it as
+    it was.
     """
     lay, base = params.layout, params.vec
     P, cell = base.size, lay.fields["W_hy"][0].start
     n, n_cell = 2 * P + 1, 2 * cell + 1
-    R = min(max(1, REPLICA_UNITS // lay.n_h), n_cell)
-    rep_layout, where, coord, passes, (head_rows, head_logit) = _replica_map(
-        lay.variant, lay.n_in, lay.n_h, lay.n_out, R
-    )
-    replica = Params(rep_layout)
-    work = replica.vec
-    work[where] = base
+    replica, (_, _, coord, passes, (head_rows, head_logit)) = _replica(params) if replica is None else replica
+    work, R = replica.vec, replica.n_h // lay.n_h
 
     value = base[coord] + np.where(np.arange(n_cell) % 2, EPS, -EPS)
     B = len(labels)
@@ -213,20 +223,22 @@ def check_gradients(
     ws: Workspace,
     model: Params | None = None,
     batch: SequenceBatch | None = None,
+    replica: tuple[Params, tuple] | None = None,
 ) -> CheckResult:
     """Compare batch BPTT gradients against central differences for one config.
 
     The loss is the mean over ``batch_size`` random sequences, and the
     relu kink rule covers all of them. Every pass carves from ``ws``. The
     model and the batch are built from ``seed`` unless given, read-only, as
-    ``check_all`` gives the ones its configurations share.
+    ``check_all`` gives the ones its configurations share, and so is the
+    model's replica cell (``sweep_losses``).
     """
     spec = VariantSpec.make(variant, activation)
     model = _model(spec, n_in, n_h, n_out, seed) if model is None else model
     batch = _batch(seed, n_in, n_out, T, batch_size) if batch is None else batch
     _, grads, _ = batch_loss_and_grads(spec, model, model, batch, ws)
     analytic = grads.vec
-    losses, same = sweep_losses(spec, model, np.swapaxes(batch.inputs, 0, 1), batch.labels, ws)
+    losses, same = sweep_losses(spec, model, np.swapaxes(batch.inputs, 0, 1), batch.labels, ws, replica)
     numeric = (losses[1::2] - losses[2::2]) / (2.0 * EPS)
     compared = same[1::2] & same[2::2]
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), _ERR_FLOOR)
@@ -249,7 +261,7 @@ def check_all(
     """The full verification matrix: variants x activations x seeds, at ``check_gradients``' ``dims``.
 
     Its configurations share one Workspace, each seed's batch and each
-    (variant, seed)'s model, all built by this call.
+    (variant, seed)'s model and replica cell, all built by this call.
     """
     n_in, n_h, n_out, T, batch_size = _dims(**dims)
     ws = Workspace()
@@ -257,7 +269,8 @@ def check_all(
     results = []
     for v in variants:  # init_params reads only the variant: one model per seed serves every activation
         models = {s: _model(VariantSpec.make(v, a), n_in, n_h, n_out, s) for a in activations[:1] for s in seeds}
-        results += [check_gradients(v, a, seed=s, ws=ws, model=models[s], batch=batches[s], **dims)
+        replicas = {s: _replica(model) for s, model in models.items()}
+        results += [check_gradients(v, a, seed=s, ws=ws, model=models[s], batch=batches[s], replica=replicas[s], **dims)
                     for a in activations for s in seeds]
     return results
 

@@ -8,20 +8,22 @@ all 21 variant x activation configurations, under keys ``<variant>/<activation>/
     (T = n_in = 28; n_h = 6, n_out = 10), the SHA-256 of what
     ``bptt.batch_loss_and_grads`` returns (mean loss, correct count and
     gradient vector, as float64 bytes), under ``.../<B>``. The digests pin
-    the engine's rounding, not only its values. At B = 1 the weight-gradient
-    products read F-ordered views of the deltas and hidden states; a
-    C-ordered copy of them sends BLAS to another kernel and moves the last
-    bits of all 21 configurations at B = 1. The committed file was written
-    by the engine before it took a workspace (commit cf7993a).
+    the engine's rounding, not only its values. The committed file was
+    re-frozen, with the three below, when the dense rows of the parameters
+    became one [U | W | b] stack and every batch size took the engine's one
+    product form; until then it held the bits of the engine before it took
+    a workspace (commit cf7993a), which the B = 1 form and the F-ordered
+    views of the old weight-gradient products kept. Across that re-freeze
+    no loss moved by more than 2.1e-15 and no gradient array by more than
+    1.4e-12, relative to its largest entry.
 
 ``paper_digests.json``
     The same digests where the benchmark and the paper run: T = n_in = 28,
     n_h = 100 and a batch of 32, under ``.../28x100x32``. For each variant
     at relu it also pins three edge shapes (T x n_h x B) at which one of T,
-    the rows of a delta block or B is 1: 4x1x2, 1x5x3 and 4x5x1. There the
-    engine's stacked deltas and hidden states are views of another layout,
-    and the BLAS kernel that reads them, with its rounding, changes with
-    their strides. At these shapes OpenBLAS splits a GEMM between threads
+    n_h or B is 1: 4x1x2, 1x5x3 and 4x5x1; at B = 1 every product of a step
+    is a matrix-vector one, which BLAS runs with another kernel and another
+    rounding. At these shapes OpenBLAS splits a GEMM between threads
     when it has more than one, and the split moves its rounding, so the
     digests hold at one BLAS thread, as the CLI runs; they then pin the BLAS
     kernels of the machine that wrote them.
@@ -39,7 +41,8 @@ all 21 variant x activation configurations, under keys ``<variant>/<activation>/
     reference. The committed file was written by the check with one forward
     pass per coordinate that preceded the replica passes (commit c7a187b):
     batching the central differences changed neither the kink rule's
-    verdicts nor the coordinates covered.
+    verdicts nor the coordinates covered, and re-freezing it with the
+    digests above left it byte for byte as it was.
 
 ``train_metrics.json``
     Two epochs on the synthetic stripe data of ``tests/conftest.py`` (41
@@ -48,9 +51,12 @@ all 21 variant x activation configurations, under keys ``<variant>/<activation>/
     ``harness.train`` streams, without its ``epoch_seconds`` column. Every
     number in those rows depends on the initial draw order, on every
     gradient and on the RMSprop update's floating-point order, so the file
-    pins the whole trajectory bit for bit. The committed file was written
-    by the code before the parameters moved into one flat vector (commit
-    fa05651).
+    pins the whole trajectory bit for bit. The committed file was re-frozen
+    with the digests above; before that it held the rows of the code before
+    the parameters moved into one flat vector (commit fa05651). The
+    re-freeze moved the last digits of train_loss in 8 rows of 5
+    configurations (lstm4a/tanh, lstm4a/relu, lstm5a/tanh, lstm6/tanh,
+    lstm6/relu), by at most 7.1e-11 relative, and no accuracy.
 
 ``batch_grads.npz`` has no writer, on purpose. For batches of 1, 3 and 5
 sequences at the small shape above it holds, under ``.../<B>``, one vector

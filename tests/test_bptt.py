@@ -380,7 +380,7 @@ def test_batch_without_a_workspace_allocates_one_buffer(variant):
 @pytest.mark.parametrize("B", [1, 3, 32])
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_workspace_is_sized_to_what_a_batch_takes(variant, B, n_h, T):
-    # T, the rows or B at 1 make _stacked carve (T, r, B), whose side-by-side form is a view
+    # T, the rows or B at 1 must not change the side-by-side forms, which are views
     spec = VariantSpec.make(variant, "relu")
     p, _ = init_params(spec, 3, n_h, 4, seed=0)
     batch = seeded_batch([2], B, T, 3, 4)
@@ -395,11 +395,12 @@ def test_workspace_is_sized_to_what_a_batch_takes(variant, B, n_h, T):
 def test_workspace_cuts_a_cached_plan_again_in_a_grown_buffer(monkeypatch):
     a, b = layout("srn", 1, 1, 1), layout("lstm", 2, 3, 2)
     ws = Workspace()
-    # x and h, the srn's pre being h_1 (3 floats); the deltas, one step's deltas and act' factor, and h_0 (4 floats)
+    # z, [h; x; 1] at two steps with the srn's pre in it, and one step's operand (9 floats); the deltas,
+    # one step's deltas, act' factor and dh (4 floats)
     first = ws.carve(a, 1, 1)
-    assert len(ws._buf) == 7 and all(np.shares_memory(x, ws._buf) for x in arrays_of(first) if x.size)
+    assert len(ws._buf) == 13 and all(np.shares_memory(x, ws._buf) for x in arrays_of(first) if x.size)
     ws.carve(b, 2, 2)  # the buffer grows
-    assert len(ws._buf) == floats(bptt._carved(b, 2, 2)) > 7
+    assert len(ws._buf) == floats(bptt._carved(b, 2, 2)) > 13
     again = ws.carve(a, 1, 1)  # a smaller call keeps it, and cuts a's arrays from it
     assert len(ws._buf) == floats(bptt._carved(b, 2, 2))
     assert all(np.shares_memory(x, ws._buf) for x in arrays_of(again) if x.size)
@@ -465,15 +466,15 @@ def test_lstm_workspace_at_paper_shapes_holds_only_the_live_trace():
 
 # every variant's float64 count of _carved at (T, n_h, B), n_in = 28: the paper's shape and paper_digests' edges
 CARVED_FLOATS = {
-    "srn": (303488, 254, 174, 187), "lstm": (1049088, 336, 429, 392), "lstm4": (1049088, 336, 429, 392),
-    "lstm5": (1049088, 336, 429, 392), "lstm4a": (674688, 294, 294, 287), "lstm5a": (674688, 294, 294, 287),
-    "lstm6": (489088, 274, 234, 237),
+    "srn": (223040, 374, 366, 239), "lstm": (978240, 462, 666, 459), "lstm4": (968640, 456, 621, 444),
+    "lstm5": (968640, 456, 621, 444), "lstm4a": (594240, 414, 486, 339), "lstm5a": (594240, 414, 486, 339),
+    "lstm6": (408640, 394, 426, 289),
 }
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_the_memory_plan_keeps_its_size(variant):
-    # the forward's scratch lies in the deltas' room, so the form of its products adds nothing
+    # [h; x; 1] of every step kept once, side by side, in place of the inputs, the hidden states and their copy
     shapes = (freeze.PAPER, *freeze.EDGES)
     got = tuple(floats(bptt._carved(layout(variant, 28, n_h, 10), T, B)) for T, n_h, B in shapes)
     assert got == CARVED_FLOATS[variant.value]
@@ -491,36 +492,42 @@ def within(a: np.ndarray, room: np.ndarray) -> bool:
 )
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_the_projection_goes_straight_into_pre_where_every_product_is_a_gemm(variant, shape):
+    # at every T, n_h and B: one (n_h, n_h + n_in + 1) product per dense block and step, from one contiguous
+    # operand [h; x; 1] straight into pre's dense rows, which for the srn are h_t in z
     T, n_h, B = shape
     lay = layout(variant, 28, n_h, 10)
-    k_rows = lay.gate_rows + n_h - lay.dense_from
     trace = Workspace().carve(lay, T, B)
-    per_step = B > 1 and k_rows > 1
-    assert np.shares_memory(trace.proj, trace.pre) == per_step
-    assert within(trace.proj, trace.pre if per_step else trace.deltas)
-    assert trace.proj_steps.shape == (T, k_rows, B)
-    # the recurrent products' scratch lies in the deltas' room, one (n_h, n_h) @ (n_h, B) product per dense block
-    assert trace.rec.shape == (k_rows, B) and within(trace.rec, trace.deltas)
-    assert np.shares_memory(trace.rec_blocks, trace.rec)
-    assert trace.u_blocks == ((k_rows // n_h, n_h, n_h) if per_step else (k_rows, n_h))
+    assert trace.zt.shape == (n_h + 29, B) and trace.zt.flags.c_contiguous
+    assert trace.z.shape == (n_h + 29, T + 1, B) and within(trace.x, trace.z) and within(trace.h, trace.z)
+    k = (lay.gate_rows + n_h - lay.dense_from) // n_h
+    for t, (dense, *_, cand, h_t, x_next, _, _, _, _, _, _) in enumerate(trace.steps):
+        assert dense.shape == (k, n_h, B) and within(dense, trace.pre[t, lay.dense_from :])
+        assert np.shares_memory(cand, dense) and np.shares_memory(h_t, trace.h[t + 1])
+        assert np.shares_memory(x_next, trace.z[n_h:-1, t + 1])
+    if not lay.memory:
+        assert within(trace.pre, trace.z)
 
 
 @pytest.mark.parametrize("shape", [*itertools.product((1, 2, 3), repeat=3), (28, 400, 32)])
 def test_stacked_deltas_are_side_by_side_as_a_view(shape):
     # numpy's reshape copies silently where it cannot make a view; a copy
-    # here would hold nothing the backward pass writes into its steps
+    # here would hold nothing the backward pass writes into its steps, nor
+    # the hidden states and inputs the forward writes into z
     T, r, B = shape
-    trace = Workspace().carve(layout("srn", 1, r, 2), T, B)  # the srn's hidden states h_0 .. h_{T-1} are (T, r, B)
-    steps, side = trace.hs, trace.h_past
+    trace = Workspace().carve(layout("srn", 1, r, 2), T, B)  # the srn's deltas are (r, B) per step
+    steps, side = np.array([step[-1] for step in trace.steps]), trace.deltas
     assert steps.shape == (T, r, B) and side.shape == (r, T * B)
-    steps[...] = np.arange(steps.size).reshape(steps.shape)
-    assert np.shares_memory(steps, side)
-    assert np.array_equal(side, steps.transpose(1, 0, 2).reshape(r, T * B))
+    for t, step in enumerate(trace.steps):
+        step[-1][...] = np.arange(r * B).reshape(r, B) + t * r * B
+    assert np.array_equal(side, np.array([step[-1] for step in trace.steps]).transpose(1, 0, 2).reshape(r, T * B))
+    trace.z[...] = np.arange(trace.z.size).reshape(trace.z.shape)
+    assert trace.z_past.shape == (r + 2, T * B) and np.shares_memory(trace.z_past, trace.z)
+    assert np.array_equal(trace.z_past, trace.z[:, :T].reshape(r + 2, T * B))
 
 
 def test_paper_shape_bits_match_the_frozen_engine():
     # n_h = 100 and B = 32, the shapes of every benchmark op, and the edge
-    # shapes where _stacked's two layouts meet (fixtures/paper_digests.json),
+    # shapes where one of T, n_h and B is 1 (fixtures/paper_digests.json),
     # at the one BLAS thread conftest pins.
     frozen = freeze.load("paper_digests.json")
     got = freeze.paper_digests()

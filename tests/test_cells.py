@@ -7,6 +7,7 @@ from slimrnn.cells import (
     ACTIVATIONS,
     GATES,
     Activation,
+    Params,
     Variant,
     VariantSpec,
     init_params,
@@ -127,6 +128,20 @@ def test_layout_wiring_per_variant(variant):
     blocks = [(n, slice(5 * j, 5 * j + 5)) for j, n in enumerate(WIRING[variant][0])]
     assert (list(lay.block.items()), lay.gate_rows, lay.dense_from, lay.bias_from, lay.unit, lay.fixed,
             lay.memory) == (blocks, *WIRING[variant][1:])
+
+
+# lstm at n_in = 3, n_h = 5: the dense stack's rows are the i, f, o and c blocks of 5, each row [U | W | b],
+# so U takes columns 0-4, W columns 5-7 and the bias column 8
+@pytest.mark.parametrize("name, block, cols", [("U_f", 1, slice(0, 5)), ("W_c", 3, slice(5, 8)), ("b_o", 2, 8)])
+def test_a_named_dense_array_is_its_block_of_the_stack(name, block, cols):
+    p = Params(layout("lstm", 3, 5, 4))
+    marker = np.arange(1.0, p[name].size + 1).reshape(p[name].shape)
+    p[name] = marker
+    want = np.zeros((20, 9))
+    want[5 * block : 5 * block + 5, cols] = marker
+    assert np.array_equal(p.stacks["dense"], want) and np.shares_memory(p.stacks["dense"], p.vec)
+    assert np.count_nonzero(p.vec) == marker.size  # nothing outside the stack moved either
+    assert np.array_equal(p[name], marker)
 
 
 def test_layout_cache_accepts_variant_names():

@@ -180,6 +180,23 @@ def test_check_all_builds_each_model_and_each_batch_once(monkeypatch):
     assert draws == [(seed, TAG_GRADCHECK) for seed in (0, 1, 2)]
 
 
+def test_check_all_builds_one_replica_cell_per_model_and_each_sweep_leaves_it_as_it_was(monkeypatch):
+    # one variant x 3 activations x seeds 0-2: 3 replica cells, each run by the sweeps of 3 configurations
+    built, replicate, sweeps, sweep = [], gradcheck._replica, [], gradcheck.sweep_losses
+    monkeypatch.setattr(gradcheck, "_replica", lambda model: built.append(replicate(model)) or built[-1])
+
+    def recorded(spec, params, seqs, labels, ws, replica):
+        before = replica[0].vec.tobytes()
+        out = sweep(spec, params, seqs, labels, ws, replica)
+        sweeps.append((replica, replica[0].vec.tobytes() == before))
+        return out
+
+    monkeypatch.setattr(gradcheck, "sweep_losses", recorded)
+    assert len(check_all(seeds=(0, 1, 2), variants=(Variant.LSTM5,))) == 9
+    assert len(built) == 3 and [id(r) for r, _ in sweeps] == [id(r) for r in built] * 3
+    assert all(kept for _, kept in sweeps)
+
+
 @pytest.mark.parametrize("batch_size", [1, 3])
 def test_check_all_equals_single_checks_over_read_only_inputs(batch_size, monkeypatch):
     seeds = (0, 1, 2)
