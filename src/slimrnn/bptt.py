@@ -11,22 +11,19 @@ parameters hold them as one stack whose rows are [U | W | b]
 (``cells.Layout``), so
 
 * each step of the forward runs one (n_h, n_h + n_in + 1) product per
-  dense block with its operand [h_{t-1}; x_t; 1], which one contiguous
-  (n_h + n_in + 1, B) array ``zt`` holds, written straight into ``pre``'s
-  dense rows: recurrent product, input projection and bias in one GEMM,
-  in the same form at every batch size. The step then leaves h_t in
-  ``zt`` and in the trace, and copies x_{t+1} in beside it;
+  dense block with a contiguous operand [h_{t-1}; x_t; 1], written
+  straight into ``pre``'s dense rows: recurrent product, input projection
+  and bias in one GEMM, the one form at every batch size. Two operands
+  take turns: a step forms h_t in the other and copies x_{t+1} in;
 * point-wise gates add u_g * h_{t-1} per step, and fixed gates are
   broadcast constants that produce no parameter gradients;
 * every step writes in place into the arrays of a Trace: each block's
   value (a gate's sigmoid, the candidate's activation) overwrites its
   pre-activation, and each derivative factor is formed from a value.
 
-The operands of all steps live side by side in one (n_h + n_in + 1, T+1,
-B) array ``z``, whose column t is [h_t; x_{t+1}; 1]: it holds the hidden
-states h_0 .. h_T, which the forward writes there, and a copy of the
-inputs, and its first T columns are, as a view, the (n_h + n_in + 1, T*B)
-operand of the backward's one weight-gradient product.
+The trace keeps the operands side by side in one (n_h + n_in + 1, T+1, B)
+array ``z``, whose column t is [h_t; x_{t+1}; 1]: its first T columns are,
+as a view, the operand of the backward's one weight-gradient product.
 
 One memory plan, ``_carved``, names every array of a forward pass and of
 its backward pass with its shape, in carve order. ``Workspace.carve`` cuts
@@ -46,13 +43,11 @@ Classification reads the final hidden state only: logits = W_hy h_T + b_y.
 The backward pass is hand-derived and reads all it needs from the trace
 (the pullback of reverse-mode AD). It walks the trace in reverse carrying
 dL/dh_t and dL/dc_t, builds each step's pre-activation deltas in one
-(m, B) slab, carries them back with one (n_h, n_h) @ (n_h, B) product per
-dense block, through the transposed U columns of the stack, and their
-sum, and copies them into an (m, T, B) array, which holds all T*B of
-them side by side. One product of its dense rows with the side-by-side
-operands then gives every dense W, U and bias gradient, written straight
-into the dense stack of one gradient vector, a ``cells.Params`` of the
-parameters' layout.
+(m, B) slab, carries them back with the sum of one U_g^T product per
+dense block (U_g^T a view of the stack) and copies them into an (m, T, B)
+array, side by side as (m, T*B). One product of its dense rows with ``z``
+then gives every dense W, U and bias gradient, straight into the dense
+stack of one gradient vector, a ``cells.Params`` of the parameters' layout.
 
 All seven cells run the same time loop in each direction. The srn is the
 cell without a cell state: its only block is the candidate, whose value
@@ -102,20 +97,20 @@ class Workspace:
 def _carved(lay: Layout, T: int, B: int) -> dict[str, tuple[int, ...]]:
     """The memory plan: the name and shape of every array of a forward pass and then its backward pass.
 
-    The forward's are the trace's: the side-by-side operands ``z``, one
-    step's contiguous operand ``zt``, pre (memory cells only: the srn's is
-    a view of h in z) and, for memory cells, c, plus, unless o is fixed at
-    1, one step's act(c_t) as ``sig_c``, which the backward refills from c.
+    The forward's are the trace's: the side-by-side operands ``z``, the
+    two contiguous operands ``zt`` the steps take in turns, pre (memory
+    cells only: the srn's is a view of h in z) and, for memory cells, c,
+    plus, unless o is fixed at 1, one step's act(c_t) as ``sig_c``, which
+    the backward refills from c.
     The backward's are every step's ``deltas``, one step's deltas ``d``,
     gate and act' factors, the per-dense-block products ``dh`` whose first
     block is dL/dh, and ``dc`` for memory cells.
     """
-    n_h, gr, m = lay.n_h, lay.gate_rows, lay.gate_rows + lay.n_h
-    rows, k_rows = n_h + lay.n_in + 1, gr + n_h - lay.dense_from
-    plan = {"z": (rows, T + 1, B), "zt": (rows, B), **({"pre": (T, m, B)} if lay.memory else {})}
+    n_h, gr, m, rows = lay.n_h, lay.gate_rows, lay.gate_rows + lay.n_h, lay.n_h + lay.n_in + 1
+    plan = {"z": (rows, T + 1, B), "zt": (2, rows, B), **({"pre": (T, m, B)} if lay.memory else {})}
     if lay.memory:
         plan.update(c=(T + 1, n_h, B), **({} if "o" in lay.unit else {"sig_c": (n_h, B)}))
-    plan.update(deltas=(m, T, B), d=(m, B), dgates=(gr, B), dact=(n_h, B), dh=(k_rows // n_h, n_h, B))
+    plan.update(deltas=(m, T, B), d=(m, B), dgates=(gr, B), dact=(n_h, B), dh=(len(lay.dense), n_h, B))
     if lay.memory:
         plan["dc"] = (n_h, B)
     return plan
@@ -147,15 +142,18 @@ class Trace:
     Memory cells also keep ``c`` (T+1, n_h, B), the cell states from zero,
     None for the srn. Iterating yields one Step per time step.
 
-    As views: ``steps[t]`` holds step t's, in the order the forward
-    unpacks them: ``pre``'s dense rows as (k, n_h, B), point-wise rows as
-    (g, n_h, B), biased point-wise rows, gate rows and candidate block;
-    h_t and x_{t+1} in ``z``; c_{t-1} and c_t (None for the srn); i_t, f_t
-    and o_t (gate rows, a fixed value, or None); and step t of the deltas.
-    The rest serve a whole call: the contiguous operand ``zt``; one step's
-    deltas ``d``, its ``d_gates`` and ``d_blocks``, its factors ``dgates``
-    and ``dact``, ``dh``, ``dc`` and ``sig_c`` (None where not carved); and
-    the side-by-side ``deltas``.
+    As views: ``forward_steps[t]`` holds step t's, in the order the
+    forward unpacks them: its operand and that operand's h_{t-1}; ``pre``'s
+    dense rows as (k, n_h, B), point-wise rows as (g, n_h, B), biased
+    point-wise rows, gate rows and candidate block (the srn's dense rows and
+    candidate are the next operand's h rows); the next operand's h rows, h_t
+    in ``z``, the next operand's x rows, x_{t+1} in ``z``; c_{t-1} and c_t
+    (None for the srn); i_t, f_t and o_t (gate rows, a fixed value, or
+    None). ``steps[t]`` holds what the backward reads: gate rows, candidate,
+    h_t, c_{t-1}, c_t, i_t, f_t, o_t as kept, and step t of the deltas. The
+    rest serve a whole call: the operands ``zt``; one step's deltas ``d``,
+    its ``d_gates`` and ``d_blocks``, its factors ``dgates`` and ``dact``,
+    ``dh``, ``dc`` and ``sig_c`` (None where not carved); and ``deltas``.
     """
 
     cell: Params
@@ -171,19 +169,24 @@ class Trace:
         self.x = z[n_h : n_h + lay.n_in, :T].transpose(1, 2, 0)
         self.z_past = z[:, :T].reshape(len(z), T * B)
         pre = self.pre = arrays["pre"] if lay.memory else h[1:]  # the srn's only block is its candidate, h_t itself
-        blocks = (pre[:, d0:].reshape(T, -1, n_h, B), pre[:, :d0].reshape(T, d0 // n_h, n_h, B),
-                  pre[:, b0:d0], pre[:, :gr], pre[:, gr:])
         c = (self.c, self.c[1:]) if lay.memory else ([None] * T,) * 2
         gates = [pre[:, lay.block[n]] if n in lay.block else [lay.fixed.get(n)] * T for n in GATE_NAMES]
         deltas = arrays["deltas"]
         self.deltas = deltas.reshape(len(deltas), T * B)
+        ops = [self.zt[t % 2] for t in range(T + 1)]  # step t reads ops[t] and leaves the next in ops[t + 1]
+        h_ops, x_ops = [op[:n_h] for op in ops], [op[n_h:-1] for op in ops]
+        dense, cand = pre[:, d0:].reshape(T, -1, n_h, B), pre[:, gr:]
+        if not lay.memory:  # the srn's candidate is h_t: formed in the next operand, then kept in z
+            dense, cand = [h_op.reshape(1, n_h, B) for h_op in h_ops[1:]], h_ops[1:]
         x_next = z[n_h:-1, 1:].transpose(1, 0, 2)  # the last step's is never read
-        self.steps = list(zip(*blocks, h[1:], x_next, *c, *gates, deltas.transpose(1, 0, 2)))
+        pw = pre[:, :d0].reshape(T, d0 // n_h, n_h, B), pre[:, b0:d0], pre[:, :gr]
+        self.forward_steps = list(zip(ops, h_ops, dense, *pw, cand, h_ops[1:], h[1:], x_ops[1:], x_next, *c, *gates))
+        self.steps = list(zip(pre[:, :gr], pre[:, gr:], h[1:], *c, *gates, deltas.transpose(1, 0, 2)))
         self.d_gates = [d[lay.block[n]] if n in lay.block else None for n in GATE_NAMES]
         self.d_blocks = d[:gr], d[gr:], d[d0:].reshape(-1, n_h, B), d[:d0].reshape(d0 // n_h, n_h, B)
 
     def __iter__(self):
-        return (Step(cand, c_t) for _, _, _, _, cand, _, _, _, c_t, *_ in self.steps)
+        return (Step(cand, c_t) for _, cand, _, _, c_t, *_ in self.steps)
 
 
 def forward_sequence(
@@ -217,35 +220,33 @@ def forward_sequence(
     z, zt = trace.z, trace.zt
     z[:n_h, 0] = 0.0  # h_0
     z[-1] = 1.0  # the bias column's operand
-    zt[...] = z[:, 0]  # the first step's operand; each step leaves the next one's
+    zt[0], zt[1, -1] = z[:, 0], 1.0  # the first step's operand, and the bias row of the other
     if lay.memory:
         trace.c[0] = 0.0
-    stack, h_op, x_op = p.stacks["dense"].reshape(-1, n_h, len(zt)), zt[:n_h], zt[n_h:-1]
+    stack = p.stacks["dense"].reshape(-1, n_h, len(z))
 
     i_unit, o_unit = "i" in lay.unit, "o" in lay.unit
     act, sig_c = ACTIVATIONS[spec.activation][0], trace.sig_c
     if d0:  # point-wise gates: u_g * h_{t-1}, plus a bias on rows b0 .. d0, each repeated over the batch
         u = np.repeat(p.stacks["u"].reshape(-1, n_h, 1), B, axis=2)  # once, so that no ufunc broadcasts
         b_pw = np.repeat(p.stacks["b"][:, None], B, axis=1) if b0 < d0 else None
-    for dense, pw, biased, gates, cand, h_t, x_next, c_prev, c_t, i, f, o, _ in trace.steps:
-        np.matmul(stack, zt, out=dense)
+    for op, h_prev, dense, pw, biased, gates, cand, h_op, h_t, x_op, x_next, c_prev, c_t, i, f, o in trace.forward_steps:
+        np.matmul(stack, op, out=dense)
         if d0:
-            np.multiply(u, h_op, out=pw)
+            np.multiply(u, h_prev, out=pw)
             if b0 < d0:
                 biased += b_pw
         if gr:
             sigmoid(gates, out=gates)
         act(cand, out=cand)
-        if lay.memory:  # h_t goes into the next operand, and from there into the trace
+        if lay.memory:  # h_t goes into the next step's operand
             np.multiply(f, c_prev, out=c_t)
             c_t += cand if i_unit else i * cand
             if o_unit:
                 act(c_t, out=h_op)
             else:
                 np.multiply(o, act(c_t, out=sig_c), out=h_op)
-            np.copyto(h_t, h_op)
-        else:  # the srn's candidate is h_t in the trace
-            np.copyto(h_op, h_t)
+        np.copyto(h_t, h_op)  # and the trace keeps it in z
         np.copyto(x_op, x_next)
 
     logits = (head["W_hy"] @ trace.h[T]).T + head["b_y"]
@@ -297,7 +298,7 @@ def backward_sequence(trace: Trace, dlogits: np.ndarray) -> Params:
     lay, n_h = p.layout, p.n_h
     gr, d0, b0 = lay.gate_rows, lay.dense_from, lay.bias_from
     i_unit, o_unit = "i" in lay.unit, "o" in lay.unit
-    Ut = p.stacks["dense"].reshape(-1, n_h, len(trace.zt))[:, :, :n_h].transpose(0, 2, 1)  # each block's U^T
+    Ut = p.stacks["dense"].reshape(-1, n_h, len(trace.z))[:, :, :n_h].transpose(0, 2, 1)  # each block's U^T
     # Each step's deltas go into one (m, B) slab ``d``, built from its gate
     # and act' factors, and are copied into that step of ``deltas``, which
     # lies side by side as (m, T*B) against the operands in ``z``.
@@ -311,7 +312,7 @@ def backward_sequence(trace: Trace, dlogits: np.ndarray) -> Params:
     if d0:
         u = p.stacks["u"].reshape(-1, n_h)
     for t in range(T - 1, -1, -1):
-        _, _, _, gates, cand, h_t, _, c_prev, c_t, i, f, o, step = trace.steps[t]
+        gates, cand, h_t, c_prev, c_t, i, f, o, step = trace.steps[t]
         if lay.memory:  # act(c_t): h_t itself when o is fixed at 1, else recomputed from the kept c_t
             act_c = h_t if o_unit else act(c_t, out=sig_c)
             if d_o is not None:  # h_t = o * act(c_t)

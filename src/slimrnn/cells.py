@@ -117,21 +117,19 @@ class Layout:
 
     A step's pre-activations are row blocks of n_h (see ``bptt``): one per
     learned gate, point-wise gates before dense ones, then the candidate.
-    Point-wise gates without a bias come before those with one, and dense
-    gates always have one, so the biased point-wise blocks and the k dense
-    blocks each form a run. The vector follows the same order, after the
-    fused-RNN stacking of Appleyard, Kocisky & Blunsom (2016,
-    arXiv:1604.01946) taken one step further: the point-wise gate vectors
-    ``u``, the biases ``b`` of the biased point-wise rows, then one
-    ``dense`` stack of shape (k*n_h, n_h + n_in + 1) whose row r is [U row
-    | W row | bias] of the dense block it belongs to, so that one product
-    with [h_{t-1}; x_t; 1] gives a dense block's pre-activations, then the
-    head's W_hy (n_out, n_h) and b_y (n_out,). ``stacks`` gives the
-    (slice, shape) of u, b and the dense stack in the vector, so the
-    engine reads each as one array without copying. ``fields`` gives, for
-    every named array (W_c, u_i, b_y, ...), a (slice, shape, index) whose
-    ``vec[slice].reshape(shape)[index]`` is a view of it: U_g, W_g and b_g
-    are column views into the dense stack. They come in initialization
+    Point-wise gates without a bias come before those with one, so the
+    biased point-wise blocks and the k dense blocks each form a run. The
+    vector follows the same order, after the fused-RNN stacking of
+    Appleyard, Kocisky & Blunsom (2016, arXiv:1604.01946) taken one step
+    further: the point-wise gate vectors ``u``, the biases ``b`` of the
+    biased point-wise rows, one ``dense`` stack (k*n_h, n_h + n_in + 1)
+    whose rows are [U | W | b], so that one product with [h_{t-1}; x_t; 1]
+    gives a dense block's pre-activations, then the head's W_hy (n_out,
+    n_h) and b_y (n_out,). ``stacks`` gives the (slice, shape) of u, b and
+    the dense stack, so the engine reads each as one array without
+    copying; ``fields`` gives, for every named array (W_c, u_i, b_y, ...),
+    a (slice, shape, index) whose ``vec[slice].reshape(shape)[index]`` is
+    it (U_g, W_g and b_g are column views of the stack), in initialization
     order: gates i, f, o, then the candidate, W, U, u, b within each, the
     head last. ``size`` is the parameter count. ``memory`` is False for the
     srn, which keeps no cell state; ``fixed`` maps each fixed gate to its
@@ -191,7 +189,8 @@ class Params(Mapping):
     ``vec`` holds the cell and the output head in the order of ``layout``;
     ``p["W_c"]`` is a view into it (a column view of the dense stack), and
     so is each of ``p.stacks`` (u, b and dense, as Layout describes them).
-    Writing ``p[name] = values`` copies into the vector. Gradients come back as a Params of the same layout.
+    Writing ``p[name] = values`` copies into the vector. Gradients come
+    back as a Params of the same layout.
     """
 
     def __init__(self, layout: Layout, vec: np.ndarray | None = None) -> None:

@@ -140,7 +140,7 @@ def _cmd_grad_check(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
     seeds = tuple(range(args.seed, args.seed + args.trials))
-    # B = 1 runs the engine's stacked products, B > 1 its per-step ones (see bptt), as training does
+    # at B = 1 each step's products are matrix-vector ones, at B > 1 GEMMs, as in training
     results = [(B, r) for B in (1, 3) for r in check_all(seeds=seeds, batch_size=B)]
     for B, r in results:
         print(

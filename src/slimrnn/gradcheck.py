@@ -270,8 +270,8 @@ def check_all(
     for v in variants:  # init_params reads only the variant: one model per seed serves every activation
         models = {s: _model(VariantSpec.make(v, a), n_in, n_h, n_out, s) for a in activations[:1] for s in seeds}
         replicas = {s: _replica(model) for s, model in models.items()}
-        results += [check_gradients(v, a, seed=s, ws=ws, model=models[s], batch=batches[s], replica=replicas[s], **dims)
-                    for a in activations for s in seeds]
+        results += [check_gradients(v, a, seed=s, ws=ws, model=models[s], batch=batches[s], replica=replicas[s],
+                                    **dims) for a in activations for s in seeds]
     return results
 
 

@@ -395,12 +395,12 @@ def test_workspace_is_sized_to_what_a_batch_takes(variant, B, n_h, T):
 def test_workspace_cuts_a_cached_plan_again_in_a_grown_buffer(monkeypatch):
     a, b = layout("srn", 1, 1, 1), layout("lstm", 2, 3, 2)
     ws = Workspace()
-    # z, [h; x; 1] at two steps with the srn's pre in it, and one step's operand (9 floats); the deltas,
+    # z, [h; x; 1] at two steps with the srn's pre in it, and two operands (12 floats); the deltas,
     # one step's deltas, act' factor and dh (4 floats)
     first = ws.carve(a, 1, 1)
-    assert len(ws._buf) == 13 and all(np.shares_memory(x, ws._buf) for x in arrays_of(first) if x.size)
+    assert len(ws._buf) == 16 and all(np.shares_memory(x, ws._buf) for x in arrays_of(first) if x.size)
     ws.carve(b, 2, 2)  # the buffer grows
-    assert len(ws._buf) == floats(bptt._carved(b, 2, 2)) > 13
+    assert len(ws._buf) == floats(bptt._carved(b, 2, 2)) > 16
     again = ws.carve(a, 1, 1)  # a smaller call keeps it, and cuts a's arrays from it
     assert len(ws._buf) == floats(bptt._carved(b, 2, 2))
     assert all(np.shares_memory(x, ws._buf) for x in arrays_of(again) if x.size)
@@ -452,7 +452,7 @@ def test_a_grown_buffer_keeps_no_view_of_the_old_one(variant):
 
 
 def test_lstm_workspace_at_paper_shapes_holds_only_the_live_trace():
-    # 8.4 MB: the trace plus one step's scratch. One more whole-trace
+    # 7.8 MB, under 8.4: the trace plus one step's scratch. One more whole-trace
     # (T, n_h, B) array, such as every step's candidate values next to
     # their pre-activations or every step's act(c_t), is 0.7 MB.
     assert 8 * floats(bptt._carved(layout("lstm", 28, 100, 10), 28, 32)) <= 8.4e6
@@ -466,9 +466,9 @@ def test_lstm_workspace_at_paper_shapes_holds_only_the_live_trace():
 
 # every variant's float64 count of _carved at (T, n_h, B), n_in = 28: the paper's shape and paper_digests' edges
 CARVED_FLOATS = {
-    "srn": (223040, 374, 366, 239), "lstm": (978240, 462, 666, 459), "lstm4": (968640, 456, 621, 444),
-    "lstm5": (968640, 456, 621, 444), "lstm4a": (594240, 414, 486, 339), "lstm5a": (594240, 414, 486, 339),
-    "lstm6": (408640, 394, 426, 289),
+    "srn": (227168, 434, 468, 273), "lstm": (982368, 522, 768, 493), "lstm4": (972768, 516, 723, 478),
+    "lstm5": (972768, 516, 723, 478), "lstm4a": (598368, 474, 588, 373), "lstm5a": (598368, 474, 588, 373),
+    "lstm6": (412768, 454, 528, 323),
 }
 
 
@@ -492,17 +492,20 @@ def within(a: np.ndarray, room: np.ndarray) -> bool:
 )
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_the_projection_goes_straight_into_pre_where_every_product_is_a_gemm(variant, shape):
-    # at every T, n_h and B: one (n_h, n_h + n_in + 1) product per dense block and step, from one contiguous
-    # operand [h; x; 1] straight into pre's dense rows, which for the srn are h_t in z
+    # at every T, n_h and B: one (n_h, n_h + n_in + 1) product per dense block and step, from a contiguous
+    # operand [h; x; 1] straight into pre's dense rows, or for the srn, whose pre is h_1 .. h_T in z, into
+    # the next step's operand; the two operands take turns
     T, n_h, B = shape
     lay = layout(variant, 28, n_h, 10)
     trace = Workspace().carve(lay, T, B)
-    assert trace.zt.shape == (n_h + 29, B) and trace.zt.flags.c_contiguous
+    assert trace.zt.shape == (2, n_h + 29, B) and trace.zt.flags.c_contiguous
     assert trace.z.shape == (n_h + 29, T + 1, B) and within(trace.x, trace.z) and within(trace.h, trace.z)
-    k = (lay.gate_rows + n_h - lay.dense_from) // n_h
-    for t, (dense, *_, cand, h_t, x_next, _, _, _, _, _, _) in enumerate(trace.steps):
-        assert dense.shape == (k, n_h, B) and within(dense, trace.pre[t, lay.dense_from :])
-        assert np.shares_memory(cand, dense) and np.shares_memory(h_t, trace.h[t + 1])
+    for t, (op, h_prev, dense, *_, cand, h_op, h_t, x_op, x_next, _, _, _, _, _) in enumerate(trace.forward_steps):
+        assert op.shape == (n_h + 29, B) and within(op, trace.zt[t % 2]) and within(h_prev, op)
+        assert within(h_op, trace.zt[(t + 1) % 2])
+        assert dense.shape == (len(lay.dense), n_h, B) and np.shares_memory(cand, dense)
+        assert within(dense, trace.pre[t, lay.dense_from :] if lay.memory else h_op)
+        assert np.shares_memory(h_t, trace.h[t + 1]) and within(x_op, trace.zt[(t + 1) % 2])
         assert np.shares_memory(x_next, trace.z[n_h:-1, t + 1])
     if not lay.memory:
         assert within(trace.pre, trace.z)
