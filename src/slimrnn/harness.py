@@ -32,7 +32,7 @@ SUMMARY_HEADER = "variant,activation,eta,best_train,best_test,params,best_test_e
 DEFAULT_ETAS = (1e-4, 1e-3, 2e-3)
 # Examples per evaluation forward pass: the paper's batch size, so a chunk
 # fits in the room a training batch reserves in the workspace (lstm at the
-# paper's shapes: a 4.6 MB trace in 7.8 MB). Chunks of 128 would reserve
+# paper's shapes: a 4.7 MB trace in 7.9 MB). Chunks of 128 would reserve
 # 34 MB and evaluate slower (lstm, one BLAS thread: 0.118 against 0.100 ms per example).
 EVAL_CHUNK = 32
 

@@ -452,7 +452,7 @@ def test_a_grown_buffer_keeps_no_view_of_the_old_one(variant):
 
 
 def test_lstm_workspace_at_paper_shapes_holds_only_the_live_trace():
-    # 7.8 MB, under 8.4: the trace plus one step's scratch. One more whole-trace
+    # 7.9 MB, under 8.4: the trace plus one step's scratch. One more whole-trace
     # (T, n_h, B) array, such as every step's candidate values next to
     # their pre-activations or every step's act(c_t), is 0.7 MB.
     assert 8 * floats(bptt._carved(layout("lstm", 28, 100, 10), 28, 32)) <= 8.4e6
