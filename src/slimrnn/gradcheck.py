@@ -36,13 +36,13 @@ with the model's values through that map, serves a whole sweep: each
 pass writes its vectors' +/- EPS entries into it in place and undoes them
 afterwards, so it leaves the sweep as it came.
 
-``check_all`` draws each seed's input batch once and initializes each
-(variant, seed)'s model once (``init_params`` reads only the variant),
-both read-only, and builds that model's replica vector once, and hands
-them to ``check_gradients`` for every configuration that uses them: over
-three activations one model and one replica vector serve three
-configurations, and one batch serves every configuration of its seed.
-They are built anew by each call; nothing is kept across calls.
+``check_all`` alone builds a check's inputs; ``check_gradients`` only
+checks the ones it is given. Each call of ``check_all`` draws each seed's
+batch and initializes each (variant, seed)'s model once (``init_params``
+reads only the variant), both read-only, and fills that model's replica
+vector once: over three activations one model and one replica vector
+serve three configurations, and one batch every configuration of its
+seed. Nothing is kept across calls.
 
 relu has a kink at zero, where no finite difference is trustworthy. A
 coordinate is only compared when every relu input (candidate
@@ -119,8 +119,13 @@ def _replica_map(
     for name, at in Params(lay, np.arange(lay.size)).items():  # each array's positions in the vector
         replica[name] = _replicate(name, ids[:, at])
     filled = np.flatnonzero(replica.vec)
-    where = np.empty((R, lay.size), dtype=np.intp)
-    where.flat[replica.vec[filled].astype(np.intp) - 1] = filled
+    labels = replica.vec[filled].astype(np.intp) - 1
+    covered = np.bincount(labels, minlength=R * lay.size)  # by how many named arrays each label was placed
+    if (covered != 1).any():  # overlapping views or a gap would leave ``where`` wrong or unset
+        j = int(np.argmax(covered != 1))
+        raise ValueError(f"{variant.value}: coordinate {j % lay.size} is covered by {covered[j]} named arrays, not 1")
+    where = np.full((R, lay.size), -1, dtype=np.intp)
+    where.flat[labels] = filled
 
     cell = lay.fields["W_hy"][0].start  # the head's coordinates come last
     n_cell = 2 * cell + 1
@@ -148,7 +153,7 @@ def _replica(params: Params) -> tuple[Params, tuple]:
 
 def sweep_losses(
     spec: VariantSpec, params: Params, seqs: np.ndarray, labels: np.ndarray, ws: Workspace,
-    replica: tuple[Params, tuple] | None = None,
+    replica: tuple[Params, tuple],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean loss over the time-major batch ``seqs`` (T, B, n_in) at every vector of the sweep.
 
@@ -159,13 +164,12 @@ def sweep_losses(
     carves its trace from ``ws`` and is read before the next starts it
     over. The head's vectors move one of vector 0's logits, and one
     ``softmax_xent`` call takes every vector's logits. The passes run the
-    cell of ``replica``, ``_replica(params)`` unless given, and leave it as
-    it was.
+    cell of ``replica``, ``_replica(params)``, and leave it as it was.
     """
     lay, base = params.layout, params.vec
     P, cell = base.size, lay.fields["W_hy"][0].start
     n, n_cell = 2 * P + 1, 2 * cell + 1
-    replica, (_, _, coord, passes, (head_rows, head_logit)) = _replica(params) if replica is None else replica
+    replica, (_, _, coord, passes, (head_rows, head_logit)) = replica
     work, R = replica.vec, replica.n_h // lay.n_h
 
     value = base[coord] + np.where(np.arange(n_cell) % 2, EPS, -EPS)
@@ -211,31 +215,16 @@ class CheckResult:
 
 
 def check_gradients(
-    variant: Variant | str,
-    activation: Activation | str,
-    n_in: int = 3,
-    n_h: int = 5,
-    n_out: int = 4,
-    T: int = 4,
-    seed: int = 0,
-    batch_size: int = 1,
-    *,
-    ws: Workspace,
-    model: Params | None = None,
-    batch: SequenceBatch | None = None,
-    replica: tuple[Params, tuple] | None = None,
+    spec: VariantSpec, seed: int, model: Params, batch: SequenceBatch, replica: tuple[Params, tuple], ws: Workspace,
 ) -> CheckResult:
-    """Compare batch BPTT gradients against central differences for one config.
+    """Compare batch BPTT gradients against central differences for one configuration.
 
-    The loss is the mean over ``batch_size`` random sequences, and the
-    relu kink rule covers all of them. Every pass carves from ``ws``. The
-    model and the batch are built from ``seed`` unless given, read-only, as
-    ``check_all`` gives the ones its configurations share, and so is the
-    model's replica cell (``sweep_losses``).
+    ``model`` is the configuration's model, ``batch`` the sequences drawn
+    from ``seed`` and ``replica`` the model's replica cell (``_replica``),
+    as ``check_all`` builds them: all three are only read. The loss is the
+    mean over the batch, and the relu kink rule covers all of it. Every
+    pass carves from ``ws``.
     """
-    spec = VariantSpec.make(variant, activation)
-    model = _model(spec, n_in, n_h, n_out, seed) if model is None else model
-    batch = _batch(seed, n_in, n_out, T, batch_size) if batch is None else batch
     _, grads, _ = batch_loss_and_grads(spec, model, model, batch, ws)
     analytic = grads.vec
     losses, same = sweep_losses(spec, model, np.swapaxes(batch.inputs, 0, 1), batch.labels, ws, replica)
@@ -253,31 +242,24 @@ def check_gradients(
 
 
 def check_all(
-    seeds: tuple[int, ...] = (0, 1, 2),
-    variants: tuple[Variant, ...] = tuple(Variant),
+    seeds: tuple[int, ...] = (0, 1, 2), variants: tuple[Variant, ...] = tuple(Variant),
     activations: tuple[Activation, ...] = tuple(Activation),
-    **dims,
+    n_in: int = 3, n_h: int = 5, n_out: int = 4, T: int = 4, batch_size: int = 1,
 ) -> list[CheckResult]:
-    """The full verification matrix: variants x activations x seeds, at ``check_gradients``' ``dims``.
+    """The verification matrix variants x activations x seeds, each a mean over ``batch_size`` sequences.
 
     Its configurations share one Workspace, each seed's batch and each
     (variant, seed)'s model and replica cell, all built by this call.
     """
-    n_in, n_h, n_out, T, batch_size = _dims(**dims)
     ws = Workspace()
     batches = {s: _batch(s, n_in, n_out, T, batch_size) for s in seeds}
     results = []
     for v in variants:  # init_params reads only the variant: one model per seed serves every activation
         models = {s: _model(VariantSpec.make(v, a), n_in, n_h, n_out, s) for a in activations[:1] for s in seeds}
         replicas = {s: _replica(model) for s, model in models.items()}
-        results += [check_gradients(v, a, seed=s, ws=ws, model=models[s], batch=batches[s], replica=replicas[s],
-                                    **dims) for a in activations for s in seeds]
+        results += [check_gradients(VariantSpec.make(v, a), s, models[s], batches[s], replicas[s], ws)
+                    for a in activations for s in seeds]
     return results
-
-
-def _dims(n_in: int = 3, n_h: int = 5, n_out: int = 4, T: int = 4, batch_size: int = 1) -> tuple[int, ...]:
-    """``check_gradients``' shapes and batch size, with its defaults."""
-    return n_in, n_h, n_out, T, batch_size
 
 
 def _model(spec: VariantSpec, n_in: int, n_h: int, n_out: int, seed: int) -> Params:

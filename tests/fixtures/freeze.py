@@ -31,7 +31,7 @@ all 21 variant x activation configurations, under keys ``<variant>/<activation>/
 ``gradcheck_counts.json``
     For the 63-configuration matrix (seeds 0-2; n_in = 3, n_h = 5,
     n_out = 4, T = 4) at batch sizes 1 and 3, the pair ``[compared,
-    skipped]`` that ``gradcheck.check_gradients`` counts, under
+    skipped]`` of each ``CheckResult`` of ``gradcheck.check_all``, under
     ``.../<seed>/<B>``. At eps = 1e-5 no relu input of that matrix comes
     near the kink, so every count has skipped == 0; the relu rows are
     written once more with ``gradcheck.EPS`` set to the coarse step 0.03

@@ -9,7 +9,7 @@ from slimrnn import bptt
 from slimrnn.bptt import Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
 from slimrnn.cells import Activation, Params, Variant, VariantSpec, init_params, layout
 from slimrnn.data import SequenceBatch, Split
-from slimrnn.gradcheck import check_gradients
+from slimrnn.gradcheck import check_all
 from slimrnn.harness import evaluate
 from slimrnn.rng import TAG_GRADCHECK, stream
 
@@ -182,7 +182,7 @@ def test_backward_rejects_mismatched_caches():
     [("lstm", "tanh"), ("lstm4", "sigmoid"), ("lstm4a", "relu"), ("srn", "relu")],
 )
 def test_gradients_match_finite_differences(variant, activation):
-    result = check_gradients(variant, activation, seed=0, ws=Workspace())
+    [result] = check_all(seeds=(0,), variants=(variant,), activations=(activation,))
     assert result.compared > 0
     assert result.max_rel_err < 1e-4
 
@@ -258,7 +258,7 @@ def test_batch_matches_frozen_per_example_engine(variant, activation):
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_batch_gradients_match_finite_differences(variant, activation):
     # gradcheck's bound, eps and relu kink rule, on a mean over three sequences
-    result = check_gradients(variant, activation, seed=0, batch_size=3, ws=Workspace())
+    [result] = check_all(seeds=(0,), variants=(variant,), activations=(activation,), batch_size=3)
     assert result.compared > 0
     assert result.max_rel_err < 1e-4
 

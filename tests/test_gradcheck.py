@@ -7,7 +7,7 @@ import pytest
 
 from slimrnn import bptt, gradcheck
 from slimrnn.bptt import Workspace, forward_sequence, softmax_xent
-from slimrnn.cells import Activation, Variant, VariantSpec, init_params, layout
+from slimrnn.cells import Activation, Layout, Variant, VariantSpec, init_params, layout
 from slimrnn.gradcheck import EPS, REL_TOL, check_all, check_gradients, relu_pattern, sweep_losses
 from slimrnn.rng import TAG_GRADCHECK, stream
 
@@ -58,7 +58,7 @@ def test_replica_losses_match_standalone_forward(variant, activation, replica_un
     widths = []
     monkeypatch.setattr(gradcheck, "forward_sequence",
                         lambda s, p, h, x, ws: widths.append(p.n_h) or forward_sequence(s, p, h, x, ws))
-    losses, same = sweep_losses(spec, cell, seqs, labels, Workspace())
+    losses, same = sweep_losses(spec, cell, seqs, labels, Workspace(), gradcheck._replica(cell))
     assert widths == [R * cell.n_h] * math.ceil((2 * P_cell + 1) / R)
     assert losses.shape == same.shape == (2 * P + 1,)
 
@@ -91,7 +91,7 @@ def test_check_fails_on_one_corrupted_analytic_coordinate(variant, coordinate, b
         return loss, grads, correct
 
     monkeypatch.setattr(gradcheck, "batch_loss_and_grads", corrupted)
-    result = check_gradients(variant, "tanh", seed=0, batch_size=batch_size, ws=Workspace())
+    [result] = check_all(seeds=(0,), variants=(variant,), activations=("tanh",), batch_size=batch_size)
     assert result.max_rel_err > REL_TOL
     assert not result.passed
 
@@ -113,7 +113,7 @@ def check_with_one_small_gradient_scaled(variant, batch_size, monkeypatch, below
 
     monkeypatch.setattr(gradcheck, "batch_loss_and_grads", corrupted)
     for seed in range(10):
-        result = check_gradients(variant, "tanh", seed=seed, batch_size=batch_size, ws=Workspace())
+        [result] = check_all(seeds=(seed,), variants=(variant,), activations=("tanh",), batch_size=batch_size)
         if scaled:
             break
     assert len(scaled) == 1
@@ -146,9 +146,9 @@ def test_check_fails_on_a_small_gradient_off_by_two_in_ten_thousand(variant, bat
 def test_sweep_is_bitwise_equal_with_cold_and_warm_replica_map(variant, batch_size):
     spec, cell, _, seqs, labels = sweep_setup(variant, "relu", batch_size=batch_size)
     gradcheck._replica_map.cache_clear()
-    cold = sweep_losses(spec, cell, seqs, labels, Workspace())
+    cold = sweep_losses(spec, cell, seqs, labels, Workspace(), gradcheck._replica(cell))
     assert gradcheck._replica_map.cache_info().misses == 1
-    warm = sweep_losses(spec, cell, seqs, labels, Workspace())
+    warm = sweep_losses(spec, cell, seqs, labels, Workspace(), gradcheck._replica(cell))
     assert gradcheck._replica_map.cache_info().hits == 1
     for a, b in zip(cold, warm):
         assert a.tobytes() == b.tobytes()
@@ -180,7 +180,9 @@ def test_check_all_builds_each_model_and_each_batch_once(monkeypatch):
     assert draws == [(seed, TAG_GRADCHECK) for seed in (0, 1, 2)]
 
 
-def test_check_all_builds_one_replica_cell_per_model_and_each_sweep_leaves_it_as_it_was(monkeypatch):
+@pytest.mark.parametrize("batch_size", CHECK_SIZES)
+@pytest.mark.parametrize("variant", list(Variant))
+def test_check_all_builds_one_replica_cell_per_model_and_each_sweep_leaves_it_as_it_was(variant, batch_size, monkeypatch):
     # one variant x 3 activations x seeds 0-2: 3 replica cells, each run by the sweeps of 3 configurations
     built, replicate, sweeps, sweep = [], gradcheck._replica, [], gradcheck.sweep_losses
     monkeypatch.setattr(gradcheck, "_replica", lambda model: built.append(replicate(model)) or built[-1])
@@ -192,7 +194,7 @@ def test_check_all_builds_one_replica_cell_per_model_and_each_sweep_leaves_it_as
         return out
 
     monkeypatch.setattr(gradcheck, "sweep_losses", recorded)
-    assert len(check_all(seeds=(0, 1, 2), variants=(Variant.LSTM5,))) == 9
+    assert len(check_all(seeds=(0, 1, 2), variants=(variant,), batch_size=batch_size)) == 9
     assert len(built) == 3 and [id(r) for r, _ in sweeps] == [id(r) for r in built] * 3
     assert all(kept for _, kept in sweeps)
 
@@ -200,11 +202,11 @@ def test_check_all_builds_one_replica_cell_per_model_and_each_sweep_leaves_it_as
 @pytest.mark.parametrize("batch_size", [1, 3])
 def test_check_all_equals_single_checks_over_read_only_inputs(batch_size, monkeypatch):
     seeds = (0, 1, 2)
-    single = [check_gradients(v, a, seed=s, batch_size=batch_size, ws=Workspace())
+    single = [check_all(seeds=(s,), variants=(v,), activations=(a,), batch_size=batch_size)[0]
               for v in Variant for a in Activation for s in seeds]
     shared, check = [], gradcheck.check_gradients
     monkeypatch.setattr(gradcheck, "check_gradients",
-                        lambda *args, **kwargs: shared.append((kwargs["model"], kwargs["batch"])) or check(*args, **kwargs))
+                        lambda *args: shared.append(args[2:4]) or check(*args))  # (spec, seed, model, batch, ...)
     results = check_all(seeds=seeds, batch_size=batch_size)
     assert [r.max_rel_err.hex() for r in results] == [r.max_rel_err.hex() for r in single]
     assert results == single
@@ -219,18 +221,24 @@ def test_interleaved_checks_match_fresh_ones():
     # a check must not see the vector or trace of one at another layout, nor what a kept plan last held:
     # all 21 configurations, their models' and replica cells' layouts interleaved on one workspace,
     # the second time round with every float of its buffer NaN before each check
-    configs = [dict(variant=v, activation=a) for v in Variant for a in Activation]
-    configs.insert(1, dict(variant="lstm6", activation="relu", n_in=2, n_h=7, n_out=3))
+    configs = [(v, a, 3, 5, 4) for v in Variant for a in Activation]
+    configs.insert(1, (Variant.LSTM6, Activation.RELU, 2, 7, 3))
     fresh = []
-    for config in configs:
+    for v, a, n_in, n_h, n_out in configs:
         gradcheck._replica_map.cache_clear()
-        fresh.append(check_gradients(batch_size=3, ws=Workspace(), **config))
+        fresh += check_all(seeds=(0,), variants=(v,), activations=(a,), n_in=n_in, n_h=n_h, n_out=n_out, batch_size=3)
+
+    def check(v, a, n_in, n_h, n_out, ws):  # what check_all builds for seed 0 at T = 4 and B = 3, checked on ws
+        spec = VariantSpec.make(v, a)
+        model = gradcheck._model(spec, n_in, n_h, n_out, 0)
+        return check_gradients(spec, 0, model, gradcheck._batch(0, n_in, n_out, 4, 3), gradcheck._replica(model), ws)
+
     ws = Workspace()
-    assert [check_gradients(batch_size=3, ws=ws, **config) for config in configs] == fresh
+    assert [check(*config, ws) for config in configs] == fresh
     buf, again = ws._buf, []
     for config in configs:
         buf.fill(np.nan)
-        again.append(check_gradients(batch_size=3, ws=ws, **config))
+        again.append(check(*config, ws))
     assert ws._buf is buf and again == fresh
     assert all(r.passed for r in fresh)
 
@@ -247,9 +255,29 @@ def test_cached_replica_map_is_read_only():
 def test_replica_map_is_cached_per_replica_count(monkeypatch):
     spec, cell, _, seqs, labels = sweep_setup("lstm6", "tanh")
     gradcheck._replica_map.cache_clear()
-    sweep_losses(spec, cell, seqs, labels, Workspace())
+    sweep_losses(spec, cell, seqs, labels, Workspace(), gradcheck._replica(cell))
     monkeypatch.setattr(gradcheck, "REPLICA_UNITS", 5)
-    sweep_losses(spec, cell, seqs, labels, Workspace())
-    sweep_losses(spec, cell, seqs, labels, Workspace())
+    sweep_losses(spec, cell, seqs, labels, Workspace(), gradcheck._replica(cell))
+    sweep_losses(spec, cell, seqs, labels, Workspace(), gradcheck._replica(cell))
     info = gradcheck._replica_map.cache_info()
     assert (info.currsize, info.misses, info.hits) == (2, 2, 1)
+
+
+@pytest.mark.parametrize("shift, message", [
+    (-1, "lstm: coordinate 4 is covered by 2 named arrays, not 1"),  # U's last column, read by W too
+    (1, "lstm: coordinate 5 is covered by 0 named arrays, not 1"),  # W's first column, read by nothing
+])
+def test_replica_map_rejects_named_arrays_that_overlap_or_leave_a_gap(shift, message, monkeypatch):
+    # every W view of a fresh lstm layout shifted by one column of its dense stack's [U | W | b] rows;
+    # the cached layout("lstm", 3, 5, 4) that other tests read is left as it is
+    lay = Layout("lstm", 3, 5, 4)
+    for name in ("W_i", "W_f", "W_o", "W_c"):
+        at, shape, (rows, cols) = lay.fields[name]
+        lay.fields[name] = (at, shape, (rows, slice(cols.start + shift, cols.stop + shift)))
+    monkeypatch.setattr(gradcheck, "layout", lambda *dims: lay if dims == ("lstm", 3, 5, 4) else layout(*dims))
+    gradcheck._replica_map.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gradcheck._replica_map(Variant.LSTM, 3, 5, 4, 32)
+    finally:
+        gradcheck._replica_map.cache_clear()

@@ -11,11 +11,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slimrnn import bptt
+from slimrnn import bptt, gradcheck
 from slimrnn.bptt import Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
 from slimrnn.cells import ACTIVATIONS, Activation, Variant, VariantSpec, init_params
 from slimrnn.data import Split, batches, read_idx_images
-from slimrnn.gradcheck import EPS, check_gradients, sweep_losses
+from slimrnn.gradcheck import EPS, check_all, sweep_losses
 
 from .conftest import seeded_batch, write_idx_images
 
@@ -86,8 +86,8 @@ def test_relu_value_is_positive_exactly_where_its_pre_activation_is(xs):
 )
 def test_gradient_check_passes_at_any_shape(variant, activation, n_in, n_h, n_out, T, B, seed):
     # the analytic pass and the replica sweep carve two layouts in turn from one workspace
-    result = check_gradients(
-        variant, activation, n_in=n_in, n_h=n_h, n_out=n_out, T=T, seed=seed, batch_size=B, ws=Workspace()
+    [result] = check_all(
+        seeds=(seed,), variants=(variant,), activations=(activation,), n_in=n_in, n_h=n_h, n_out=n_out, T=T, batch_size=B
     )
     assert result.passed, result
 
@@ -108,7 +108,7 @@ def test_sweep_head_vectors_match_standalone_forward(variant, activation, n_in, 
     p, _ = init_params(spec, n_in, n_h, n_out, seed=n_h * T + B)
     rng = np.random.default_rng([n_in, n_h, n_out, T, B])
     seqs, labels = rng.uniform(0.0, 1.0, size=(T, B, n_in)), rng.integers(0, n_out, size=B)
-    losses, same = sweep_losses(spec, p, seqs, labels, Workspace())
+    losses, same = sweep_losses(spec, p, seqs, labels, Workspace(), gradcheck._replica(p))
     cell = p.layout.fields["W_hy"][0].start  # the head's coordinates come last
     assert same[2 * cell + 1 :].all()
     for k in [0, *range(2 * cell + 1, 2 * p.vec.size + 1)]:
