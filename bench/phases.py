@@ -1,54 +1,46 @@
-"""Per-phase timings of the engine's public calls, gathered into one BENCH json.
+"""Per-phase timings of the engine's public calls, a change against its parent in one process, into one BENCH json.
 
-Run from the root of a checkout, one run per command, back to back:
+Run from the root of a checkout, with the parent's ``src`` extracted beside it:
 
-    python bench/phases.py --out BENCH_25.json --label parent --src ../parent/src
-    python bench/phases.py --out BENCH_25.json --label change
-    python bench/phases.py --out BENCH_25.json --label parent --src ../parent/src
-    python bench/phases.py --out BENCH_25.json --label change
+    mkdir -p ../parent && git archive HEAD~1 src | tar -x -C ../parent
+    python bench/phases.py --against ../parent/src --out BENCH_30.json
 
-A run imports slimrnn from ``--src`` (this checkout's ``src`` by default),
-pins numpy's OpenBLAS to one thread through ``cli._pin_blas`` and takes the
-min of ``--repeat`` rounds of each timing, a round being as many calls as
-fill ROUND_S, on seeded synthetic 28 x 28 uint8 images with about 15% ink
-(the MNIST files need not be present). Each timing also comes in units of
-a fixed reference kernel (tanh of 100 x 100 matrix-vector products), as
-``per_ref`` next to its ms: the median over the rounds of a round's time
-over the kernel's mean time just before and just after it. The host's
-speed drifts by tens of percent over minutes, and the kernel slows with
-it, so this ratio moves far less between runs than the ms do. The
-timings are:
+Three copies of slimrnn load side by side as packages of their own names,
+with caches of their own (``src`` imports only relatively), and leave
+``sys.modules["slimrnn"]`` alone: side A from ``--against``, and side B and
+its control B' (``b2``), a second copy of B, from ``--src`` (by default
+this checkout's ``src``). B's ``cli._pin_blas`` pins BLAS to one thread.
+The data are seeded synthetic 28 x 28 uint8 images, about 15% ink. Per
+variant:
 
-* per variant at the paper's shapes (T = 28, n_in = 28, n_h = 100, batch
-  32, tanh): ms per call of ``forward_sequence``, ``softmax_xent``,
-  ``backward_sequence`` and ``rmsprop_step``, and ms per example of the
-  optimizer walk (``batch_loss_and_grads`` then ``rmsprop_step``, over the
-  training batches of one epoch) and of ``harness.evaluate``;
-* per variant at ``check_all``'s shapes (n_in = 3, n_h = 5, n_out = 4,
-  T = 4): ms per configuration of ``check_all`` over 3 activations x seeds
-  0-2, at batch sizes 1 and 3 (``check_all_b1``, ``check_all_b3``), the
-  two that ``slimrnn grad-check`` runs;
-* context: the peak RSS, numpy's version, the OpenBLAS config string and
-  core name (through ``cli.openblas_function``), and the min ms of the
-  reference kernel.
+* at the paper's shapes (T = 28, n_in = 28, n_h = 100, batch 32, tanh): ms
+  per call of ``forward_sequence``, ``softmax_xent``, ``backward_sequence``
+  and ``rmsprop_step``, and ms per example of the optimizer walk
+  (``batch_loss_and_grads`` then ``rmsprop_step`` over one epoch's
+  training batches) and of ``harness.evaluate``;
+* at ``check_all``'s shapes (n_in = 3, n_h = 5, n_out = 4, T = 4): ms per
+  configuration of ``check_all`` over 3 activations x seeds 0-2 at batch
+  sizes 1 and 3 (``check_all_b1``, ``check_all_b3``), as ``slimrnn
+  grad-check`` runs it.
 
-Each run is appended to ``runs[label]`` of ``--out`` (created if missing),
-and the file's ``summary`` is rebuilt: per label and metric, the min over
-the label's runs and their spread, (max - min) / min. With runs labelled
-``parent`` and ``change`` present, ``delta`` holds change / parent - 1 of
-those mins. ``--tiny`` shrinks every shape for a smoke run; its numbers are
-not comparable with full ones.
+Each timing runs ``--repeat`` rounds; in a round every side makes the same
+number of calls, as many as fill ROUND_S, in an order that rotates by one
+per round. ``rmsprop_step``'s operands are 64-byte aligned, since their
+heap placement moves that call by more than the control band. ``ab`` holds
+per variant and timing each side's min ms and ``compare``'s record;
+``context`` the peak RSS, numpy's version and OpenBLAS's config string and
+core name. ``--out`` must not exist. ``--tiny`` is for smoke runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import importlib.util
 import json
 import math
 import platform
 import resource
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -63,12 +55,7 @@ TINY = {"rows": 3, "cols": 4, "n_h": 3, "batch": 4, "train": 8, "test": 6,
 N_OUT = 10
 ETA = 1e-3
 ROUND_S = 0.02
-REF_ITERATIONS = 1200  # products in one reference kernel call, about 3.5 ms
 DARK_BELOW = 218  # uniform bytes under this become background: about 15% ink
-
-
-def metric(value: float, unit: str) -> dict:
-    return {"value": value, "unit": unit}
 
 
 def aligned(a: np.ndarray) -> np.ndarray:
@@ -80,46 +67,51 @@ def aligned(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_kernel():
-    """A call that runs the reference kernel once and returns its seconds.
+def load(src: Path, name: str):
+    """slimrnn from ``src``, imported afresh as package ``name`` with every submodule (``cli`` imports them all)."""
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
+    init = src.resolve() / "slimrnn" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    package = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.cli")
+    return package
 
-    Its arrays start on 64-byte boundaries: where the heap puts a 100 x 100
-    matrix moves the kernel's time by 15-20% (16 or 48 bytes past a 64-byte
-    boundary against 0 or 32), which would shift every ``per_ref`` of a run.
+
+def ratio(num, den) -> dict:
+    """Per-round ``num / den`` as median and quartiles, and the rounds in which ``num`` took less time."""
+    r = np.asarray(num) / np.asarray(den)
+    q1, median, q3 = np.percentile(r, [25, 50, 75])
+    return {"median": median, "q1": q1, "q3": q3, "won": int((r < 1.0).sum())}
+
+
+def compare(a, b, b2) -> dict:
+    """B against A from each side's per-round seconds: the ratios B/A and B'/B, the control band and the verdict.
+
+    The band is 1 +/- d, d the larger distance of B'/B's quartiles from 1;
+    only a B/A whose quartiles both lie beyond it reads faster or slower.
     """
-    rng = np.random.default_rng(0)
-    m, x, y = aligned(rng.normal(size=(100, 100)) / 10.0), aligned(rng.normal(size=100)), aligned(np.empty(100))
-
-    def seconds() -> float:
-        start = time.perf_counter()
-        for _ in range(REF_ITERATIONS):
-            np.tanh(np.matmul(m, x, out=y), out=x)
-        return time.perf_counter() - start
-
-    return seconds
+    b_a, b2_b = ratio(b, a), ratio(b2, b)
+    band = max(abs(b2_b["q1"] - 1.0), abs(b2_b["q3"] - 1.0))
+    verdict = "faster" if b_a["q3"] < 1.0 - band else "slower" if b_a["q1"] > 1.0 + band else "inside"
+    return {"b/a": b_a, "b2/b": b2_b, "band": band, "verdict": verdict}
 
 
-def timing(fn, repeat: int, ref, unit: str, count: int = 1) -> dict:
-    """``fn``'s ms per call over ``count``: the min over ``repeat`` rounds of at least ROUND_S of calls each.
-
-    Next to it, as ``per_ref``, the same in reference kernels: the median
-    over the rounds of a round's mean time per call over the mean of the
-    kernel's seconds from ``ref()`` just before and just after the round.
-    """
+def rounds(fns: dict, repeat: int, count: int) -> dict[str, list[float]]:
+    """Each side's seconds per ``count`` in each of ``repeat`` rounds, the sides' order rotating by one per round."""
     start = time.perf_counter()
-    fn()
-    number = max(1, math.ceil(ROUND_S / (time.perf_counter() - start)))
-    rounds, ratios, before = [], [], ref()
-    for _ in range(repeat):
-        start = time.perf_counter()
-        for _ in range(number):
-            fn()
-        rounds.append((time.perf_counter() - start) / number)
-        after = ref()
-        ratios.append(rounds[-1] / ((before + after) / 2.0))
-        before = after
-    per_ref = metric(statistics.median(ratios) / count, unit.replace("ms", "ref", 1))
-    return {**metric(1e3 * min(rounds) / count, unit), "per_ref": per_ref}
+    for fn in fns.values():
+        fn()
+    number = max(1, math.ceil(len(fns) * ROUND_S / (time.perf_counter() - start)))
+    names, seconds = list(fns), {name: [] for name in fns}
+    for r in range(repeat):
+        for name in names[r % len(names):] + names[: r % len(names)]:
+            start = time.perf_counter()
+            for _ in range(number):
+                fns[name]()
+            seconds[name].append((time.perf_counter() - start) / number / count)
+    return seconds
 
 
 def synthetic_split(data, count: int, rows: int, cols: int, seed: int):
@@ -132,111 +124,89 @@ def synthetic_split(data, count: int, rows: int, cols: int, seed: int):
     return data.Split(sequences=images, labels=labels)
 
 
-def openblas(cli) -> dict:
-    """The config string and core name of numpy's bundled OpenBLAS, where ``cli`` finds them."""
+def calls(side, value: str, shapes: dict) -> dict:
+    """One side's timed calls for variant ``value``: name -> (call, unit, count it is divided by)."""
+    data, bptt = side.data, side.bptt
+    rows, cols, B = shapes["rows"], shapes["cols"], shapes["batch"]
+    train = synthetic_split(data, shapes["train"], rows, cols, seed=1)
+    test = synthetic_split(data, shapes["test"], rows, cols, seed=2)
+    seeds = tuple(shapes["gradcheck_seeds"])
+    variant = side.cells.Variant(value)
+    spec = side.cells.VariantSpec.make(variant, "tanh")
+    model, _ = side.cells.init_params(spec, cols, shapes["n_h"], N_OUT, seed=0)
+    ws = bptt.Workspace()
+    batch = data.batches(train, B, seed=0, epoch=1)[0]
+    x = np.swapaxes(batch.inputs, 0, 1)
+    logits, trace = bptt.forward_sequence(spec, model, model, x, ws)
+    _, dlogits = bptt.softmax_xent(logits, batch.labels)
+    dlogits /= B
+    grads = bptt.backward_sequence(trace, dlogits)
+    w, g, acc = aligned(model.vec), aligned(grads.vec), aligned(np.zeros_like(model.vec))
+
+    def walk():
+        walked, walked_acc = side.cells.Params(model.layout, model.vec.copy()), np.zeros_like(model.vec)
+        for b in data.batches(train, B, seed=0, epoch=1):
+            _, walked_g, _ = bptt.batch_loss_and_grads(spec, walked, walked, b, ws)
+            side.optim.rmsprop_step(walked.vec, walked_g.vec, walked_acc, ETA)
+
+    def check(batch_size):
+        return lambda: side.gradcheck.check_all(
+            seeds=seeds, variants=(variant,), batch_size=batch_size, **shapes["gradcheck"])
+
+    return {
+        "forward_sequence": (lambda: bptt.forward_sequence(spec, model, model, x, ws), "ms/call", 1),
+        "softmax_xent": (lambda: bptt.softmax_xent(logits, batch.labels), "ms/call", 1),
+        "backward_sequence": (lambda: bptt.backward_sequence(trace, dlogits), "ms/call", 1),
+        "rmsprop_step": (lambda: side.optim.rmsprop_step(w, g, acc, ETA), "ms/call", 1),
+        "walk": (walk, "ms/example", len(train)),
+        "evaluation": (lambda: side.harness.evaluate(spec, model, test, ws), "ms/example", len(test)),
+        **{f"check_all_b{n}": (check(n), "ms/config", 3 * len(seeds)) for n in (1, 3)},
+    }
+
+
+def openblas(sides) -> dict:
+    """The config string and core name of numpy's bundled OpenBLAS, through the first side's ``cli`` that can find them."""
+    lookup = next((s.cli.openblas_function for s in sides if hasattr(s.cli, "openblas_function")), None)
     found = {}
     for key, name in (("openblas_config", "get_config"), ("openblas_core", "get_corename")):
-        fn = cli.openblas_function(name)
+        fn = lookup and lookup(name)
         if fn is not None:
             fn.argtypes, fn.restype = [], ctypes.c_char_p
         found[key] = None if fn is None else fn().decode()
     return found
 
 
-def measure(shapes: dict, repeat: int) -> dict:
-    """One run: every phase of every variant, the gradient check and the context."""
-    from slimrnn import cli, data
-    from slimrnn.bptt import Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
-    from slimrnn.cells import Params, Variant, VariantSpec, init_params
-    from slimrnn.gradcheck import check_all
-    from slimrnn.harness import evaluate
-    from slimrnn.optim import rmsprop_step
-
-    cli._pin_blas()
-    ref = reference_kernel()
-    rows, cols, n_h, B = shapes["rows"], shapes["cols"], shapes["n_h"], shapes["batch"]
-    train = synthetic_split(data, shapes["train"], rows, cols, seed=1)
-    test = synthetic_split(data, shapes["test"], rows, cols, seed=2)
-    seeds = tuple(shapes["gradcheck_seeds"])
-    phases, gradcheck = {}, {}
-    for variant in Variant:
-        spec = VariantSpec.make(variant, "tanh")
-        model, _ = init_params(spec, cols, n_h, N_OUT, seed=0)
-        ws = Workspace()
-        batch = data.batches(train, B, seed=0, epoch=1)[0]
-        x = np.swapaxes(batch.inputs, 0, 1)
-        logits, trace = forward_sequence(spec, model, model, x, ws)
-        _, dlogits = softmax_xent(logits, batch.labels)
-        dlogits /= B
-        grads = backward_sequence(trace, dlogits)
-        w, acc = model.vec.copy(), np.zeros_like(model.vec)
-
-        def walk():
-            walked, walked_acc = Params(model.layout, model.vec.copy()), np.zeros_like(model.vec)
-            for b in data.batches(train, B, seed=0, epoch=1):
-                _, g, _ = batch_loss_and_grads(spec, walked, walked, b, ws)
-                rmsprop_step(walked.vec, g.vec, walked_acc, ETA)
-
-        phases[variant.value] = {
-            "forward_sequence": timing(lambda: forward_sequence(spec, model, model, x, ws), repeat, ref, "ms/call"),
-            "softmax_xent": timing(lambda: softmax_xent(logits, batch.labels), repeat, ref, "ms/call"),
-            "backward_sequence": timing(lambda: backward_sequence(trace, dlogits), repeat, ref, "ms/call"),
-            "rmsprop_step": timing(lambda: rmsprop_step(w, grads.vec, acc, ETA), repeat, ref, "ms/call"),
-            "walk": timing(walk, repeat, ref, "ms/example", len(train)),
-            "evaluation": timing(lambda: evaluate(spec, model, test, ws), repeat, ref, "ms/example", len(test)),
-        }
-        def check(batch_size):
-            return lambda: check_all(seeds=seeds, variants=(variant,), batch_size=batch_size, **shapes["gradcheck"])
-
-        gradcheck[variant.value] = {
-            f"check_all_b{B}": timing(check(B), repeat, ref, "ms/config", 3 * len(seeds)) for B in (1, 3)
-        }
+def measure(sides: dict, shapes: dict, repeat: int) -> dict:
+    """Every timing of every variant on each side, compared, and the run's context."""
+    sides["b"].cli._pin_blas()
+    ab = {}
+    for variant in sides["b"].cells.Variant:
+        per_side = {name: calls(side, variant.value, shapes) for name, side in sides.items()}
+        ab[variant.value] = {}
+        for timing, (_, unit, count) in per_side["b"].items():
+            seconds = rounds({name: c[timing][0] for name, c in per_side.items()}, repeat, count)
+            ms = {name: 1e3 * min(s) for name, s in seconds.items()}
+            ab[variant.value][timing] = {"unit": unit, "ms": ms, "rounds": repeat, **compare(*seconds.values())}
     context = {
-        "python": platform.python_version(), "numpy": np.__version__, **openblas(cli),
-        "reference_ms": metric(1e3 * min(ref() for _ in range(repeat)), "ms"),
-        "peak_rss_mb": metric(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
+        "python": platform.python_version(), "numpy": np.__version__, **openblas(sides.values()),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
-    return {"shapes": shapes, "repeat": repeat, "context": context, "phases": phases, "gradcheck": gradcheck}
-
-
-def leaves(tree: dict, path: str = "") -> dict[str, dict]:
-    """The metrics of a run by dotted path: every nested dict that holds a value and a unit."""
-    found = {path: tree} if "value" in tree and "unit" in tree else {}
-    subtrees = ((f"{path}.{name}" if path else name, sub) for name, sub in tree.items() if isinstance(sub, dict))
-    return found | {k: m for sub_path, sub in subtrees for k, m in leaves(sub, sub_path).items()}
-
-
-def summarize(runs: dict[str, list[dict]]) -> dict:
-    summary = {}
-    for label, group in runs.items():
-        paths = [leaves(run) for run in group]
-        summary[label] = {}
-        for path, first in paths[0].items():
-            values = [p[path]["value"] for p in paths]
-            low = min(values)
-            summary[label][path] = {
-                "min": low, "spread": (max(values) - low) / low if low else 0.0, "unit": first["unit"]
-            }
-    return summary
+    return {"shapes": shapes, "context": context, "ab": ab}
 
 
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--out", type=Path, required=True, help="the BENCH json to add this run to")
-    p.add_argument("--label", required=True, help="the runs to add it to, e.g. parent or change")
-    p.add_argument("--src", type=Path, default=ROOT / "src", help="the src directory to import slimrnn from")
-    p.add_argument("--repeat", type=int, default=21, help="rounds per timing; the min is kept")
+    p.add_argument("--out", type=Path, required=True, help="the BENCH json to write; must not exist")
+    p.add_argument("--against", type=Path, required=True, help="side A: a src directory, e.g. the parent's")
+    p.add_argument("--src", type=Path, default=ROOT / "src", help="sides B and B': a src directory")
+    p.add_argument("--repeat", type=int, default=15, help="rounds per timing")
     p.add_argument("--tiny", action="store_true", help="tiny shapes, for a smoke run")
     args = p.parse_args(argv)
-    sys.path.insert(0, str(args.src.resolve()))
+    if args.out.exists():
+        p.error(f"{args.out} exists; give a new --out")
 
-    run = measure(TINY if args.tiny else FULL, args.repeat)
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": {}}
-    doc["runs"].setdefault(args.label, []).append(run)
-    doc["summary"] = summarize(doc["runs"])
-    if {"parent", "change"} <= doc["summary"].keys():
-        parent, change = doc["summary"]["parent"], doc["summary"]["change"]
-        doc["delta"] = {k: change[k]["min"] / parent[k]["min"] - 1.0 for k in change if parent.get(k, {}).get("min")}
+    sides = {name: load(src, f"slimrnn_{name}") for name, src in (("a", args.against), ("b", args.src), ("b2", args.src))}
+    doc = measure(sides, TINY if args.tiny else FULL, args.repeat)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
