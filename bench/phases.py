@@ -204,6 +204,8 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     if args.out.exists():
         p.error(f"{args.out} exists; give a new --out")
+    if args.repeat < 1:
+        p.error(f"--repeat {args.repeat}: give at least one round")
 
     sides = {name: load(src, f"slimrnn_{name}") for name, src in (("a", args.against), ("b", args.src), ("b2", args.src))}
     doc = measure(sides, TINY if args.tiny else FULL, args.repeat)

@@ -33,6 +33,7 @@ views into it, and gradients and optimizer state share its layout.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -159,7 +160,7 @@ class Layout:
         self.size, self.stacks, fields = 0, {}, {}
 
         def take(shape: tuple[int, ...]) -> tuple[slice, tuple[int, ...]]:
-            start, self.size = self.size, self.size + int(np.prod(shape))
+            start, self.size = self.size, self.size + math.prod(shape)
             return slice(start, self.size), shape
 
         for kind, names in (("u", self.pointwise), ("b", biased)):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import gzip
 import math
+import zlib
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -122,7 +123,7 @@ def _open_idx(path: str | Path) -> Iterator[BinaryIO]:
     try:
         with gzip.open(path, "rb") as f:
             yield f
-    except (OSError, EOFError) as e:
+    except (OSError, EOFError, zlib.error) as e:
         raise IdxFormatError(f"{path}: cannot decompress: {e}") from e
 
 

@@ -87,17 +87,6 @@ def relu_pattern(trace: Trace) -> np.ndarray | None:
     return np.concatenate([on, trace.c[1:] > 0.0])
 
 
-def _replicate(name: str, blocks: np.ndarray) -> np.ndarray:
-    """R copies (R, *shape) of one parameter array, laid out for a cell of R*n_h units."""
-    if not (name.startswith("U_") or name == "W_hy"):
-        return blocks.reshape(-1, *blocks.shape[2:])  # rows are units or classes: stack them
-    R, rows, cols = blocks.shape  # columns read the hidden state: block-diagonal
-    out = np.zeros((R, rows, R, cols), dtype=blocks.dtype)
-    diag = np.arange(R)
-    out[diag, :, diag, :] = blocks
-    return out.reshape(R * rows, R * cols)
-
-
 @lru_cache(maxsize=64)
 def _replica_map(
     variant: Variant, n_in: int, n_h: int, n_out: int, R: int
@@ -105,27 +94,25 @@ def _replica_map(
     """The layout of R copies of a cell as one replica cell, ``where``, and the sweep's index arrays.
 
     ``where[r, j]`` is the position of copy r's coordinate j in the
-    replica cell's vector. Entry j of copy r is labelled r*P + j + 1 and
-    the labels are laid out like the replica cell's arrays (0 marks an
-    off-diagonal zero), so each label's position is its entry's. Then, for
+    replica cell's vector, read off both vectors' positions. Then, for
     ``sweep_losses``: the coordinate each cell vector moves; per replica
     pass, its vectors, those that move a coordinate, their slots in the
     replica vector and their coordinates; and per head coordinate, its
     row of the head's features and the logit it moves. All are read-only.
     """
     lay = layout(variant, n_in, n_h, n_out)
-    replica = Params(layout(variant, n_in, R * n_h, R * n_out))
-    ids = np.arange(1, R * lay.size + 1).reshape(R, lay.size)
-    for name, at in Params(lay, np.arange(lay.size)).items():  # each array's positions in the vector
-        replica[name] = _replicate(name, ids[:, at])
-    filled = np.flatnonzero(replica.vec)
-    labels = replica.vec[filled].astype(np.intp) - 1
-    covered = np.bincount(labels, minlength=R * lay.size)  # by how many named arrays each label was placed
+    rep = layout(variant, n_in, R * n_h, R * n_out)
+    at, slots = Params(lay, np.arange(lay.size)), Params(rep, np.arange(rep.size))  # each array's positions
+    covered = np.bincount(np.concatenate([a.ravel() for a in at.values()]), minlength=lay.size)
     if (covered != 1).any():  # overlapping views or a gap would leave ``where`` wrong or unset
         j = int(np.argmax(covered != 1))
-        raise ValueError(f"{variant.value}: coordinate {j % lay.size} is covered by {covered[j]} named arrays, not 1")
-    where = np.full((R, lay.size), -1, dtype=np.intp)
-    where.flat[labels] = filled
+        raise ValueError(f"{variant.value}: coordinate {j} is covered by {covered[j]} named arrays, not 1")
+    where, diag = np.empty((R, lay.size), dtype=np.intp), np.arange(R)
+    for name, a in at.items():
+        if name.startswith("U_") or name == "W_hy":  # columns read the hidden state: copy r is diagonal block r
+            where[:, a] = slots[name].reshape(R, a.shape[0], R, a.shape[1])[diag, :, diag]
+        else:  # rows are units or classes: copy r is row block r
+            where[:, a] = slots[name].reshape(R, *a.shape)
 
     cell = lay.fields["W_hy"][0].start  # the head's coordinates come last
     n_cell = 2 * cell + 1
@@ -138,7 +125,7 @@ def _replica_map(
     head = np.arange(lay.size - cell), np.concatenate([np.repeat(np.arange(n_out), n_h), np.arange(n_out)])
     for a in (where, coord, *(a for one_pass in passes for a in one_pass), *head):
         a.flags.writeable = False
-    return replica.layout, where, coord, tuple(passes), head
+    return rep, where, coord, tuple(passes), head
 
 
 def _replica(params: Params) -> tuple[Params, tuple]:

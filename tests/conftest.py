@@ -50,6 +50,11 @@ def _write_bytes(path, payload: bytes) -> None:
         path.write_bytes(payload)
 
 
+def invert_40_to_59(raw: bytes) -> bytes:
+    """``raw`` with bytes 40-59 inverted: in a gzipped IDX file, a deflate stream that no longer inflates."""
+    return raw[:40] + bytes(255 - b for b in raw[40:60]) + raw[60:]
+
+
 def seeded_batch(key, B: int, T: int, n_in: int, n_out: int) -> SequenceBatch:
     """B sequences of uniform [0, 1) inputs and then their labels, drawn from ``default_rng(list(key))``."""
     rng = np.random.default_rng(list(key))

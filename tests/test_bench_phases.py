@@ -85,3 +85,12 @@ def test_tiny_aa_run_times_every_call_on_three_isolated_copies_and_refuses_an_ex
     with pytest.raises(SystemExit) as refused:
         phases.main(argv)
     assert refused.value.code == 2 and out.read_bytes() == written and len(loaded) == 3
+
+
+@pytest.mark.parametrize("repeat", ["0", "-1"])
+def test_fewer_than_one_round_is_refused_before_any_work(tmp_path, monkeypatch, repeat):
+    loaded, out = [], tmp_path / "BENCH.json"
+    monkeypatch.setattr(phases, "load", lambda src, name: loaded.append(name))
+    with pytest.raises(SystemExit) as refused:
+        phases.main(["--out", str(out), "--against", str(ROOT / "src"), "--repeat", repeat])
+    assert refused.value.code == 2 and not out.exists() and loaded == []

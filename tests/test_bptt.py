@@ -411,6 +411,14 @@ def test_workspace_cuts_a_cached_plan_again_in_a_grown_buffer(monkeypatch):
     assert ws.carve(a, 1, 1) is again and planned == []
 
 
+def test_a_grown_buffer_starts_on_a_cache_line():
+    # where the heap places the buffer must not set the engine's speed: every grown buffer starts on 64 bytes
+    ws = Workspace()
+    for lay in (layout("lstm", 3, n_h, 4) for n_h in (1, 5, 40, 160, 1000)):  # each grows the buffer
+        ws.carve(lay, 4, 3)
+        assert ws._buf.ctypes.data % 64 == 0 and len(ws._buf) == floats(bptt._carved(lay, 4, 3))
+
+
 def test_alternating_carves_of_two_layouts_build_each_plan_once(monkeypatch):
     # a check's model (n_h = 5, B = 3) and its replica cell of 32 copies (n_h = 160, B = 3), in turn
     model, replica = (layout("lstm", 3, n_h, 4) for n_h in (5, 160))

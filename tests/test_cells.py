@@ -48,6 +48,19 @@ def test_param_count_reference_sizes(variant, expected):
     assert layout(variant, 28, 100, 10).size == expected
 
 
+# (k, g) per variant: its dense blocks, the candidate's among them, and its point-wise gate vectors plus biases
+BLOCKS = {"srn": (1, 0), "lstm": (4, 0), "lstm4": (1, 3), "lstm5": (1, 6), "lstm4a": (1, 1), "lstm5a": (1, 2), "lstm6": (1, 0)}
+
+
+@pytest.mark.parametrize("n_h", [100, 3_000_000_000])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_param_count_is_exact_at_any_size(variant, n_h):
+    # k blocks of n_h rows [U | W | b], n_h + 28 + 1 wide, g vectors of n_h, then the head. At 3e9 units
+    # the lstm's count, 3.6e19, is past int64; counting allocates nothing
+    k, g = BLOCKS[variant.value]
+    assert layout(variant, 28, n_h, 10).size == k * n_h * (n_h + 29) + g * n_h + 10 * (n_h + 1)
+
+
 # pre-activations at the origin (both signs), the relu kink, deep saturation and beyond
 EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, 30.0, -30.0, 1e300, -1e300, np.inf, -np.inf])
 

@@ -1,3 +1,4 @@
+import gzip
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from slimrnn.cli import main
 from slimrnn.data import IMAGE_MAGIC, TEST_IMAGES, TEST_LABELS, TRAIN_IMAGES
 from slimrnn.harness import EpochMetrics, TrainConfig
 
-from .conftest import synth_images, write_idx_images, write_idx_labels, write_mnist_dir
+from .conftest import invert_40_to_59, synth_images, write_idx_images, write_idx_labels, write_mnist_dir
 
 
 def test_count_params_reference_values(capsys):
@@ -82,6 +83,9 @@ def _spoil(directory, problem):
         (directory / TRAIN_IMAGES).write_bytes(b"".join(v.to_bytes(4, "big") for v in header))
     elif problem == "test-shape-mismatch":
         write_idx_images(directory / TEST_IMAGES, synth_images(8, 1, rows=28, cols=27)[0])
+    elif problem == "gzip-does-not-inflate":
+        train = directory / TRAIN_IMAGES
+        train.write_bytes(invert_40_to_59(gzip.compress(train.read_bytes(), mtime=0)))
     else:  # "directory": a data path names a directory, not a file
         (directory / TRAIN_IMAGES).unlink()
         (directory / TRAIN_IMAGES).mkdir()
@@ -89,7 +93,8 @@ def _spoil(directory, problem):
 
 @pytest.mark.parametrize("command", ["train", "grid"])
 @pytest.mark.parametrize(
-    "problem", ["no-test-images", "zero-size-images", "huge-header", "test-shape-mismatch", "directory"]
+    "problem",
+    ["no-test-images", "zero-size-images", "huge-header", "test-shape-mismatch", "gzip-does-not-inflate", "directory"],
 )
 def test_unusable_data_exits_3(tmp_path, capsys, command, problem):
     write_mnist_dir(tmp_path, n_train=8, n_test=8)

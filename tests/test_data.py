@@ -22,7 +22,7 @@ from slimrnn.data import (
     scaled,
 )
 
-from .conftest import traced_peak_mb, write_idx_images, write_idx_labels, write_mnist_dir
+from .conftest import invert_40_to_59, synth_images, traced_peak_mb, write_idx_images, write_idx_labels, write_mnist_dir
 
 
 @pytest.mark.parametrize("suffix", ["", ".gz"])
@@ -53,10 +53,14 @@ def test_gzip_detected_by_content_not_name(tmp_path):
     assert np.array_equal(read_idx_images(disguised)[0], images)
 
 
-def test_corrupt_gzip_is_a_format_error(tmp_path):
+@pytest.mark.parametrize("images, spoil", [
+    (np.zeros((2, 3, 3), dtype=np.uint8), lambda raw: raw[:10]),  # keeps the 1f8b signature, ends early
+    (synth_images(64, 0)[0], invert_40_to_59),  # a zlib.error, not an OSError
+], ids=["truncated", "does-not-inflate"])
+def test_corrupt_gzip_is_a_format_error(tmp_path, images, spoil):
     path = tmp_path / "imgs.gz"
-    write_idx_images(path, np.zeros((2, 3, 3), dtype=np.uint8))
-    path.write_bytes(path.read_bytes()[:10])  # keeps the 1f8b signature
+    write_idx_images(path, images)
+    path.write_bytes(spoil(path.read_bytes()))
     with pytest.raises(IdxFormatError, match="decompress"):
         read_idx_images(path)
 
