@@ -28,8 +28,10 @@ number of calls, as many as fill ROUND_S, in an order that rotates by one
 per round. ``rmsprop_step``'s operands are 64-byte aligned, since their
 heap placement moves that call by more than the control band. ``ab`` holds
 per variant and timing each side's min ms and ``compare``'s record;
-``context`` the peak RSS, numpy's version and OpenBLAS's config string and
-core name. ``--out`` must not exist. ``--tiny`` is for smoke runs.
+``context`` the peak RSS, numpy's version, OpenBLAS's config string and
+core name, and the line count of side A's and side B's ``slimrnn/*.py``.
+``--out`` must not exist, but its directory must; ``--tiny`` is for smoke
+runs.
 """
 
 from __future__ import annotations
@@ -77,6 +79,11 @@ def load(src: Path, name: str):
     spec.loader.exec_module(package)
     importlib.import_module(f"{name}.cli")
     return package
+
+
+def source_lines(side) -> int:
+    """The lines of a loaded side's ``slimrnn/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in Path(side.__path__[0]).glob("*.py"))
 
 
 def ratio(num, den) -> dict:
@@ -190,6 +197,7 @@ def measure(sides: dict, shapes: dict, repeat: int) -> dict:
     context = {
         "python": platform.python_version(), "numpy": np.__version__, **openblas(sides.values()),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "src_lines": {name: source_lines(sides[name]) for name in ("a", "b")},
     }
     return {"shapes": shapes, "context": context, "ab": ab}
 
@@ -204,6 +212,11 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     if args.out.exists():
         p.error(f"{args.out} exists; give a new --out")
+    if not args.out.parent.is_dir():
+        p.error(f"{args.out.parent} is not a directory; give an --out in one")
+    for option, src in (("--against", args.against), ("--src", args.src)):
+        if not (src / "slimrnn" / "__init__.py").is_file():
+            p.error(f"{option} {src}: no slimrnn/__init__.py there; give a src directory")
     if args.repeat < 1:
         p.error(f"--repeat {args.repeat}: give at least one round")
 

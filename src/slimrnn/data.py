@@ -105,26 +105,25 @@ class Dataset:
 
 @contextmanager
 def _open_idx(path: str | Path) -> Iterator[BinaryIO]:
-    """Binary reader of an IDX file, gzipped or not.
+    """Binary reader of an IDX file, gzipped or not, from one open of ``path``.
 
     A path that cannot be opened (a directory, no permission) is a
     DataError; a bad gzip stream is an IdxFormatError.
     """
     path = Path(path)
     try:
-        with open(path, "rb") as f:
-            gzipped = f.read(2) == b"\x1f\x8b"
+        f = open(path, "rb")
     except OSError as e:
         raise DataError(f"{path}: cannot read: {e.strerror or e}") from e
-    if not gzipped:
-        with open(path, "rb") as f:
+    with f:
+        if f.peek(2)[:2] != b"\x1f\x8b":  # the gzip signature, sniffed without moving the reader
             yield f
-        return
-    try:
-        with gzip.open(path, "rb") as f:
-            yield f
-    except (OSError, EOFError, zlib.error) as e:
-        raise IdxFormatError(f"{path}: cannot decompress: {e}") from e
+            return
+        try:
+            with gzip.GzipFile(fileobj=f) as z:
+                yield z
+        except (OSError, EOFError, zlib.error) as e:
+            raise IdxFormatError(f"{path}: cannot decompress: {e}") from e
 
 
 def _read_payload(f: BinaryIO, size: int, kept: int, header_size: int, path) -> np.ndarray:

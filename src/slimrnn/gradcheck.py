@@ -31,10 +31,10 @@ a standalone forward pass only in the summation order of the matrix
 products. REPLICA_UNITS bounds the memory of a pass. The replica cell's
 layout, the map from each copy's coordinates to its vector and every
 index array of the sweep (each pass's slots, the head's logits) are built
-once per (layout, R) and cached. The replica vector, a zero vector filled
-with the model's values through that map, serves a whole sweep: each
-pass writes its vectors' +/- EPS entries into it in place and undoes them
-afterwards, so it leaves the sweep as it came.
+once per (layout, REPLICA_UNITS) and cached. The replica vector, a zero
+vector filled with the model's values through that map, serves a whole
+sweep: each pass writes its vectors' +/- EPS entries into it in place and
+undoes them afterwards, so it leaves the sweep as it came.
 
 ``check_all`` alone builds a check's inputs; ``check_gradients`` only
 checks the ones it is given. Each call of ``check_all`` draws each seed's
@@ -88,25 +88,27 @@ def relu_pattern(trace: Trace) -> np.ndarray | None:
 
 
 @lru_cache(maxsize=64)
-def _replica_map(
-    variant: Variant, n_in: int, n_h: int, n_out: int, R: int
-) -> tuple[Layout, np.ndarray, np.ndarray, tuple, tuple]:
-    """The layout of R copies of a cell as one replica cell, ``where``, and the sweep's index arrays.
+def _replica_map(lay: Layout, units: int) -> tuple[Layout, np.ndarray, np.ndarray, tuple, tuple]:
+    """The layout of R copies of ``lay``'s cell as one replica cell, ``where``, and the sweep's index arrays.
 
-    ``where[r, j]`` is the position of copy r's coordinate j in the
-    replica cell's vector, read off both vectors' positions. Then, for
-    ``sweep_losses``: the coordinate each cell vector moves; per replica
-    pass, its vectors, those that move a coordinate, their slots in the
-    replica vector and their coordinates; and per head coordinate, its
-    row of the head's features and the logit it moves. All are read-only.
+    R is ``units // n_h``, at least 1 and at most the number of vectors
+    that take passes. ``where[r, j]`` is the position of copy r's
+    coordinate j in the replica cell's vector, read off both vectors'
+    positions. Then, for ``sweep_losses``: the coordinate each cell vector
+    moves; per replica pass, its vectors, those that move a coordinate,
+    their slots in the replica vector and their coordinates; and per head
+    coordinate, its row of the head's features and the logit it moves.
+    All are read-only.
     """
-    lay = layout(variant, n_in, n_h, n_out)
-    rep = layout(variant, n_in, R * n_h, R * n_out)
+    cell = lay.fields["W_hy"][0].start  # the head's coordinates come last
+    n_cell = 2 * cell + 1
+    R = min(max(1, units // lay.n_h), n_cell)
+    rep = layout(lay.variant, lay.n_in, R * lay.n_h, R * lay.n_out)
     at, slots = Params(lay, np.arange(lay.size)), Params(rep, np.arange(rep.size))  # each array's positions
     covered = np.bincount(np.concatenate([a.ravel() for a in at.values()]), minlength=lay.size)
     if (covered != 1).any():  # overlapping views or a gap would leave ``where`` wrong or unset
         j = int(np.argmax(covered != 1))
-        raise ValueError(f"{variant.value}: coordinate {j} is covered by {covered[j]} named arrays, not 1")
+        raise ValueError(f"{lay.variant.value}: coordinate {j} is covered by {covered[j]} named arrays, not 1")
     where, diag = np.empty((R, lay.size), dtype=np.intp), np.arange(R)
     for name, a in at.items():
         if name.startswith("U_") or name == "W_hy":  # columns read the hidden state: copy r is diagonal block r
@@ -114,15 +116,13 @@ def _replica_map(
         else:  # rows are units or classes: copy r is row block r
             where[:, a] = slots[name].reshape(R, *a.shape)
 
-    cell = lay.fields["W_hy"][0].start  # the head's coordinates come last
-    n_cell = 2 * cell + 1
     coord = np.arange(-1, n_cell - 1) // 2  # vector k > 0 moves coordinate (k-1)//2
     passes = []
     for lo in range(0, n_cell, R):
         k = np.arange(lo, min(lo + R, n_cell))
         moved = k[k > 0]
         passes.append((k, moved, where[moved - lo, coord[moved]], coord[moved]))
-    head = np.arange(lay.size - cell), np.concatenate([np.repeat(np.arange(n_out), n_h), np.arange(n_out)])
+    head = np.arange(lay.size - cell), np.concatenate([np.arange(lay.n_out).repeat(lay.n_h), np.arange(lay.n_out)])
     for a in (where, coord, *(a for one_pass in passes for a in one_pass), *head):
         a.flags.writeable = False
     return rep, where, coord, tuple(passes), head
@@ -130,9 +130,7 @@ def _replica_map(
 
 def _replica(params: Params) -> tuple[Params, tuple]:
     """A replica cell holding R copies of ``params``, and its ``_replica_map``."""
-    lay = params.layout
-    R = min(max(1, REPLICA_UNITS // lay.n_h), 2 * lay.fields["W_hy"][0].start + 1)  # no more copies than vectors
-    replica_map = _replica_map(lay.variant, lay.n_in, lay.n_h, lay.n_out, R)
+    replica_map = _replica_map(params.layout, REPLICA_UNITS)
     replica = Params(replica_map[0])
     replica.vec[replica_map[1]] = params.vec
     return replica, replica_map
@@ -154,9 +152,8 @@ def sweep_losses(
     cell of ``replica``, ``_replica(params)``, and leave it as it was.
     """
     lay, base = params.layout, params.vec
-    P, cell = base.size, lay.fields["W_hy"][0].start
-    n, n_cell = 2 * P + 1, 2 * cell + 1
     replica, (_, _, coord, passes, (head_rows, head_logit)) = replica
+    n, n_cell = 2 * base.size + 1, len(coord)
     work, R = replica.vec, replica.n_h // lay.n_h
 
     value = base[coord] + np.where(np.arange(n_cell) % 2, EPS, -EPS)
@@ -178,7 +175,7 @@ def sweep_losses(
 
     # The head is affine in W_hy and b_y and feeds nothing back: a step on
     # W_hy[i, j] moves vector 0's logit i by the step times h_T[j], one on b_y[i] by the step.
-    feature = np.concatenate([np.tile(h_T, (lay.n_out, 1)), np.ones((lay.n_out, B))])  # (P - cell, B)
+    feature = np.concatenate([np.tile(h_T, (lay.n_out, 1)), np.ones((lay.n_out, B))])  # a row per head coordinate
     for first, step in ((n_cell, EPS), (n_cell + 1, -EPS)):
         head = logits[first::2]
         head[...] = logits[0]
@@ -230,22 +227,22 @@ def check_gradients(
 
 def check_all(
     seeds: tuple[int, ...] = (0, 1, 2), variants: tuple[Variant, ...] = tuple(Variant),
-    activations: tuple[Activation, ...] = tuple(Activation),
     n_in: int = 3, n_h: int = 5, n_out: int = 4, T: int = 4, batch_size: int = 1,
 ) -> list[CheckResult]:
     """The verification matrix variants x activations x seeds, each a mean over ``batch_size`` sequences.
 
-    Its configurations share one Workspace, each seed's batch and each
+    Every activation is checked, in the order of ``Activation``. The
+    configurations share one Workspace, each seed's batch and each
     (variant, seed)'s model and replica cell, all built by this call.
     """
     ws = Workspace()
     batches = {s: _batch(s, n_in, n_out, T, batch_size) for s in seeds}
     results = []
     for v in variants:  # init_params reads only the variant: one model per seed serves every activation
-        models = {s: _model(VariantSpec.make(v, a), n_in, n_h, n_out, s) for a in activations[:1] for s in seeds}
+        specs = [VariantSpec.make(v, a) for a in Activation]
+        models = {s: _model(specs[0], n_in, n_h, n_out, s) for s in seeds}
         replicas = {s: _replica(model) for s, model in models.items()}
-        results += [check_gradients(VariantSpec.make(v, a), s, models[s], batches[s], replicas[s], ws)
-                    for a in activations for s in seeds]
+        results += [check_gradients(spec, s, models[s], batches[s], replicas[s], ws) for spec in specs for s in seeds]
     return results
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slimrnn.cells import Activation
 from slimrnn.cli import _pin_blas
 from slimrnn.data import (
     IMAGE_MAGIC,
@@ -17,6 +18,7 @@ from slimrnn.data import (
     SequenceBatch,
     Split,
 )
+from slimrnn.gradcheck import CheckResult, check_all
 from slimrnn.rng import stream
 
 # One BLAS thread, as every CLI command runs: the bit fixtures hold only there, whatever test ran first.
@@ -53,6 +55,12 @@ def _write_bytes(path, payload: bytes) -> None:
 def invert_40_to_59(raw: bytes) -> bytes:
     """``raw`` with bytes 40-59 inverted: in a gzipped IDX file, a deflate stream that no longer inflates."""
     return raw[:40] + bytes(255 - b for b in raw[40:60]) + raw[60:]
+
+
+def check_one(variant, activation, **kwargs) -> CheckResult:
+    """``activation``'s result of ``check_all(variants=(variant,), **kwargs)``, which checks them all, at one seed."""
+    [result] = [r for r in check_all(variants=(variant,), **kwargs) if r.activation is Activation(activation)]
+    return result
 
 
 def seeded_batch(key, B: int, T: int, n_in: int, n_out: int) -> SequenceBatch:

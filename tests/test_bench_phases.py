@@ -79,7 +79,9 @@ def test_tiny_aa_run_times_every_call_on_three_isolated_copies_and_refuses_an_ex
         for t in timings.values():
             assert t["ms"].keys() == {"a", "b", "b2"} and all(ms > 0 for ms in t["ms"].values())
             assert t["rounds"] == 3 and t["verdict"] in {"faster", "slower", "inside"}
-    assert doc["context"].keys() == {"python", "numpy", "openblas_config", "openblas_core", "peak_rss_mb"}
+    assert doc["context"].keys() == {"python", "numpy", "openblas_config", "openblas_core", "peak_rss_mb", "src_lines"}
+    lines = doc["context"]["src_lines"]
+    assert lines.keys() == {"a", "b"} and lines["a"] == lines["b"] > 0  # an A/A: one tree on both sides
 
     written = out.read_bytes()
     with pytest.raises(SystemExit) as refused:
@@ -87,10 +89,24 @@ def test_tiny_aa_run_times_every_call_on_three_isolated_copies_and_refuses_an_ex
     assert refused.value.code == 2 and out.read_bytes() == written and len(loaded) == 3
 
 
-@pytest.mark.parametrize("repeat", ["0", "-1"])
-def test_fewer_than_one_round_is_refused_before_any_work(tmp_path, monkeypatch, repeat):
+@pytest.mark.parametrize("args, message", [
+    (["--repeat", "0"], "--repeat 0: give at least one round"),
+    (["--repeat", "-1"], "--repeat -1: give at least one round"),
+    (["--out", "{tmp}/missing/BENCH.json"], "{tmp}/missing is not a directory"),
+    (["--out", "{tmp}/file/BENCH.json"], "{tmp}/file is not a directory"),
+    (["--against", "{tmp}"], "--against {tmp}: no slimrnn/__init__.py there"),
+    (["--src", "{root}"], "--src {root}: no slimrnn/__init__.py there"),  # the checkout, not its src
+], ids=["repeat-0", "repeat-negative", "out-dir-missing", "out-dir-a-file", "against-no-package", "src-no-package"])
+def test_bad_arguments_are_refused_before_any_work(tmp_path, monkeypatch, capsys, args, message):
+    # a missing --out directory would otherwise surface only after the whole run, as a traceback
     loaded, out = [], tmp_path / "BENCH.json"
+    (tmp_path / "file").write_text("")
     monkeypatch.setattr(phases, "load", lambda src, name: loaded.append(name))
+    defaults = {"--out": str(out), "--against": str(ROOT / "src")}
+    given = [a.format(tmp=tmp_path, root=ROOT) for a in args]
+    argv = [*given, *(a for k, v in defaults.items() if k not in given for a in (k, v))]
     with pytest.raises(SystemExit) as refused:
-        phases.main(["--out", str(out), "--against", str(ROOT / "src"), "--repeat", repeat])
+        phases.main(argv)
     assert refused.value.code == 2 and not out.exists() and loaded == []
+    [error] = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]  # one line, no traceback
+    assert message.format(tmp=tmp_path, root=ROOT) in error

@@ -9,11 +9,10 @@ from slimrnn import bptt
 from slimrnn.bptt import Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
 from slimrnn.cells import Activation, Params, Variant, VariantSpec, init_params, layout
 from slimrnn.data import SequenceBatch, Split
-from slimrnn.gradcheck import check_all
 from slimrnn.harness import evaluate
 from slimrnn.rng import TAG_GRADCHECK, stream
 
-from .conftest import seeded_batch, traced_peak_mb
+from .conftest import check_one, seeded_batch, traced_peak_mb
 from .fixtures import freeze
 from .fixtures.freeze import GRAD_SIZES, N_H, N_IN, N_OUT, fixed_batch
 from .test_cells import zeroed_params
@@ -182,7 +181,7 @@ def test_backward_rejects_mismatched_caches():
     [("lstm", "tanh"), ("lstm4", "sigmoid"), ("lstm4a", "relu"), ("srn", "relu")],
 )
 def test_gradients_match_finite_differences(variant, activation):
-    [result] = check_all(seeds=(0,), variants=(variant,), activations=(activation,))
+    result = check_one(variant, activation, seeds=(0,))
     assert result.compared > 0
     assert result.max_rel_err < 1e-4
 
@@ -258,7 +257,7 @@ def test_batch_matches_frozen_per_example_engine(variant, activation):
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
 def test_batch_gradients_match_finite_differences(variant, activation):
     # gradcheck's bound, eps and relu kink rule, on a mean over three sequences
-    [result] = check_all(seeds=(0,), variants=(variant,), activations=(activation,), batch_size=3)
+    result = check_one(variant, activation, seeds=(0,), batch_size=3)
     assert result.compared > 0
     assert result.max_rel_err < 1e-4
 

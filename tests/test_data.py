@@ -1,3 +1,4 @@
+import builtins
 import gzip
 import re
 
@@ -263,6 +264,19 @@ def test_load_dataset_limit_is_prefix(tmp_path, suffix):
     for limit in (None, 1):
         images, count = read_idx_images(empty, limit)
         assert images.shape == (0, 28, 28) and count == 0
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+def test_load_dataset_opens_each_file_once(tmp_path, suffix, monkeypatch):
+    # the gzip signature is sniffed on the handle that is then read, so a file cannot change in between
+    write_mnist_dir(tmp_path, n_train=12, n_test=6)
+    if suffix:
+        _gzip_mnist_dir(tmp_path)
+    opened, real_open = [], builtins.open
+    monkeypatch.setattr(builtins, "open", lambda file, *args, **kw: opened.append(file) or real_open(file, *args, **kw))
+    load_dataset(tmp_path)
+    stems = (TRAIN_IMAGES, TRAIN_LABELS, TEST_IMAGES, TEST_LABELS)
+    assert sorted(opened) == sorted(tmp_path / (stem + suffix) for stem in stems)
 
 
 @pytest.mark.parametrize("limits", [(-1, 5), (5, -1)])

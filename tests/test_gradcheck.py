@@ -1,5 +1,6 @@
 """The central-difference check: its replica passes and their cached map, its counts, and that it catches a wrong gradient."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from slimrnn.cells import Activation, Layout, Variant, VariantSpec, init_params,
 from slimrnn.gradcheck import EPS, REL_TOL, check_all, check_gradients, relu_pattern, sweep_losses
 from slimrnn.rng import TAG_GRADCHECK, stream
 
+from .conftest import check_one
 from .fixtures.freeze import CHECK_SIZES, COARSE_EPS, DIMS, SEEDS, load
 
 FROZEN = load("gradcheck_counts.json")
@@ -27,7 +29,7 @@ def test_counts_match_frozen_one_coordinate_check(batch_size, monkeypatch):
         assert r.passed, (key, r.max_rel_err)
         seen += 1
     monkeypatch.setattr(gradcheck, "EPS", COARSE_EPS)
-    for r in check_all(seeds=SEEDS, activations=("relu",), batch_size=batch_size, **DIMS):
+    for r in (r for r in check_all(seeds=SEEDS, batch_size=batch_size, **DIMS) if r.activation is Activation.RELU):
         key = f"{r.variant.value}/relu/{r.seed}/{batch_size}/eps={COARSE_EPS:g}"
         assert [r.compared, r.skipped] == FROZEN[key], key
         seen += 1
@@ -91,21 +93,21 @@ def test_check_fails_on_one_corrupted_analytic_coordinate(variant, coordinate, b
         return loss, grads, correct
 
     monkeypatch.setattr(gradcheck, "batch_loss_and_grads", corrupted)
-    [result] = check_all(seeds=(0,), variants=(variant,), activations=("tanh",), batch_size=batch_size)
+    result = check_one(variant, "tanh", seeds=(0,), batch_size=batch_size)
     assert result.max_rel_err > REL_TOL
     assert not result.passed
 
 
 def check_with_one_small_gradient_scaled(variant, batch_size, monkeypatch, below, factor):
-    """The check of the first of seeds 0-9 whose gradient has a coordinate with 1e-4 < |g| < ``below``,
+    """The tanh check of the first of seeds 0-9 whose gradient has a coordinate with 1e-4 < |g| < ``below``,
     the smallest of them scaled by ``factor``."""
     real, scaled = gradcheck.batch_loss_and_grads, []
 
-    def corrupted(*args):
-        loss, grads, correct = real(*args)
+    def corrupted(spec, *args):
+        loss, grads, correct = real(spec, *args)
         size = np.abs(grads.vec)
         small = np.flatnonzero((size > 1e-4) & (size < below))
-        if small.size:
+        if small.size and spec.activation is Activation.TANH:
             j = small[np.argmin(size[small])]
             grads.vec[j] *= factor
             scaled.append(j)
@@ -113,7 +115,7 @@ def check_with_one_small_gradient_scaled(variant, batch_size, monkeypatch, below
 
     monkeypatch.setattr(gradcheck, "batch_loss_and_grads", corrupted)
     for seed in range(10):
-        [result] = check_all(seeds=(seed,), variants=(variant,), activations=("tanh",), batch_size=batch_size)
+        result = check_one(variant, "tanh", seeds=(seed,), batch_size=batch_size)
         if scaled:
             break
     assert len(scaled) == 1
@@ -169,6 +171,13 @@ def test_check_all_builds_one_workspace(monkeypatch):
     assert len(made) == 1
 
 
+@pytest.mark.parametrize("variants, seeds", [(("lstm6", "srn", "lstm"), (2, 0)), (tuple(Variant), (1,))])
+def test_check_all_returns_each_configuration_once_in_matrix_order(variants, seeds):
+    # variants x activations x seeds, each in the order given (Activation's for the activations)
+    results = check_all(seeds=seeds, variants=variants, n_h=2, T=2)
+    assert [(r.variant, r.activation, r.seed) for r in results] == list(itertools.product(variants, Activation, seeds))
+
+
 def test_check_all_builds_each_model_and_each_batch_once(monkeypatch):
     # the model depends on (variant, seed) and the batch on the seed: one variant x 3 activations x
     # seeds 0-2 is 9 configurations from 3 models and 3 batches
@@ -202,8 +211,8 @@ def test_check_all_builds_one_replica_cell_per_model_and_each_sweep_leaves_it_as
 @pytest.mark.parametrize("batch_size", [1, 3])
 def test_check_all_equals_single_checks_over_read_only_inputs(batch_size, monkeypatch):
     seeds = (0, 1, 2)
-    single = [check_all(seeds=(s,), variants=(v,), activations=(a,), batch_size=batch_size)[0]
-              for v in Variant for a in Activation for s in seeds]
+    alone = {(v, s): check_all(seeds=(s,), variants=(v,), batch_size=batch_size) for v in Variant for s in seeds}
+    single = [r for v in Variant for a in Activation for s in seeds for r in alone[v, s] if r.activation is a]
     shared, check = [], gradcheck.check_gradients
     monkeypatch.setattr(gradcheck, "check_gradients",
                         lambda *args: shared.append(args[2:4]) or check(*args))  # (spec, seed, model, batch, ...)
@@ -226,7 +235,7 @@ def test_interleaved_checks_match_fresh_ones():
     fresh = []
     for v, a, n_in, n_h, n_out in configs:
         gradcheck._replica_map.cache_clear()
-        fresh += check_all(seeds=(0,), variants=(v,), activations=(a,), n_in=n_in, n_h=n_h, n_out=n_out, batch_size=3)
+        fresh.append(check_one(v, a, seeds=(0,), n_in=n_in, n_h=n_h, n_out=n_out, batch_size=3))
 
     def check(v, a, n_in, n_h, n_out, ws):  # what check_all builds for seed 0 at T = 4 and B = 3, checked on ws
         spec = VariantSpec.make(v, a)
@@ -244,7 +253,7 @@ def test_interleaved_checks_match_fresh_ones():
 
 
 def test_cached_replica_map_is_read_only():
-    replica, where, coord, passes, head = gradcheck._replica_map(Variant.LSTM, 3, 5, 4, 32)
+    replica, where, coord, passes, head = gradcheck._replica_map(layout("lstm", 3, 5, 4), 160)
     assert replica.n_h == 32 * 5 and where.shape == (32, layout("lstm", 3, 5, 4).size)
     cached = [where, coord, *(a for one_pass in passes for a in one_pass), *head]
     assert len(cached) == 2 + 4 * len(passes) + 2 and not any(a.flags.writeable for a in cached)
@@ -267,17 +276,12 @@ def test_replica_map_is_cached_per_replica_count(monkeypatch):
     (-1, "lstm: coordinate 4 is covered by 2 named arrays, not 1"),  # U's last column, read by W too
     (1, "lstm: coordinate 5 is covered by 0 named arrays, not 1"),  # W's first column, read by nothing
 ])
-def test_replica_map_rejects_named_arrays_that_overlap_or_leave_a_gap(shift, message, monkeypatch):
+def test_replica_map_rejects_named_arrays_that_overlap_or_leave_a_gap(shift, message):
     # every W view of a fresh lstm layout shifted by one column of its dense stack's [U | W | b] rows;
     # the cached layout("lstm", 3, 5, 4) that other tests read is left as it is
     lay = Layout("lstm", 3, 5, 4)
     for name in ("W_i", "W_f", "W_o", "W_c"):
         at, shape, (rows, cols) = lay.fields[name]
         lay.fields[name] = (at, shape, (rows, slice(cols.start + shift, cols.stop + shift)))
-    monkeypatch.setattr(gradcheck, "layout", lambda *dims: lay if dims == ("lstm", 3, 5, 4) else layout(*dims))
-    gradcheck._replica_map.cache_clear()
-    try:
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            gradcheck._replica_map(Variant.LSTM, 3, 5, 4, 32)
-    finally:
-        gradcheck._replica_map.cache_clear()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gradcheck._replica_map(lay, gradcheck.REPLICA_UNITS)

@@ -15,9 +15,9 @@ from slimrnn import bptt, gradcheck
 from slimrnn.bptt import Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
 from slimrnn.cells import ACTIVATIONS, Activation, Variant, VariantSpec, init_params
 from slimrnn.data import Split, batches, read_idx_images
-from slimrnn.gradcheck import EPS, check_all, sweep_losses
+from slimrnn.gradcheck import EPS, sweep_losses
 
-from .conftest import seeded_batch, write_idx_images
+from .conftest import check_one, seeded_batch, write_idx_images
 
 SWEEP = settings(derandomize=True, database=None, max_examples=150, deadline=None)
 
@@ -86,9 +86,7 @@ def test_relu_value_is_positive_exactly_where_its_pre_activation_is(xs):
 )
 def test_gradient_check_passes_at_any_shape(variant, activation, n_in, n_h, n_out, T, B, seed):
     # the analytic pass and the replica sweep carve two layouts in turn from one workspace
-    [result] = check_all(
-        seeds=(seed,), variants=(variant,), activations=(activation,), n_in=n_in, n_h=n_h, n_out=n_out, T=T, batch_size=B
-    )
+    result = check_one(variant, activation, seeds=(seed,), n_in=n_in, n_h=n_h, n_out=n_out, T=T, batch_size=B)
     assert result.passed, result
 
 
