@@ -137,19 +137,15 @@ def best_of(metrics: Iterable[EpochMetrics]) -> BestResult:
     )
 
 
-def train(
-    config: TrainConfig,
-    dataset: Dataset | None = None,
-    verbose: bool = False,
-    ws: Workspace | None = None,
-) -> list[EpochMetrics]:
+def train(config: TrainConfig, dataset: Dataset | None = None, verbose: bool = False) -> list[EpochMetrics]:
     """Run the full protocol; returns one metrics row per epoch.
 
     ``dataset`` defaults to the MNIST files under ``config.data_dir`` and
     may be injected directly (tests, synthetic data); an unusable one
-    raises DataError. Rows stream to ``config.metrics_path`` as they are
-    produced. Every batch and evaluation chunk of the run reuses the
-    memory of ``ws``, a fresh Workspace when none is given.
+    raises DataError, and a model numpy cannot allocate ConfigError, both
+    before the metrics file is opened. Rows stream to ``config.metrics_path``
+    as they are produced. One Workspace of the run's own serves every
+    batch and evaluation chunk.
     """
     config = config.validate()
     if dataset is None:
@@ -159,29 +155,32 @@ def train(
 
     spec = VariantSpec.make(config.variant, config.activation)
     n_in = dataset.train.sequences.shape[2]
+    size = layout(spec.variant, n_in, config.n_h, NUM_CLASSES).size
+    try:  # RMSprop's accumulator: the first array the size of the parameter vector
+        acc = np.zeros(size)
+    except (ValueError, MemoryError) as e:
+        raise ConfigError(f"{spec.variant.value} at hidden size {config.n_h}: "
+                          f"numpy cannot allocate {size} parameters ({e})") from None
     model, _ = init_params(spec, n_in, config.n_h, NUM_CLASSES, config.seed)  # cell and head in one Params
-    acc = np.zeros_like(model.vec)
-    ws = Workspace() if ws is None else ws
+    ws = Workspace()
 
     metrics: list[EpochMetrics] = []
     out = None if config.metrics_path is None else _create_fresh(Path(config.metrics_path), METRICS_HEADER)
     try:
         for epoch in range(1, config.epochs + 1):
-            n_seen = 0
             loss_sum = 0.0
             t0 = time.perf_counter()
             for batch in batches(dataset.train, config.batch_size, config.seed, epoch):
                 loss, grads, _ = batch_loss_and_grads(spec, model, model, batch, ws)
                 rmsprop_step(model.vec, grads.vec, acc, config.eta)
                 loss_sum += loss * len(batch)
-                n_seen += len(batch)
             seconds = time.perf_counter() - t0
 
             row = EpochMetrics(
                 epoch=epoch,
                 train_accuracy=evaluate(spec, model, dataset.train, ws),
                 test_accuracy=evaluate(spec, model, dataset.test, ws),
-                mean_train_loss=loss_sum / n_seen,
+                mean_train_loss=loss_sum / len(dataset.train),
                 epoch_seconds=seconds,
             )
             metrics.append(row)
@@ -238,8 +237,8 @@ def run_grid(
     or lies under, a regular file among them), or two cells whose metrics
     files would share a name, raises ConfigError without training
     anything; an unusable dataset raises DataError before ``out_dir`` is
-    created. Each cell writes its own metrics CSV into ``out_dir``, and
-    all cells share one Workspace. A cell that fails while running is
+    created. Each cell is a ``train`` run of its own, which writes its
+    metrics CSV into ``out_dir``. A cell that fails while running is
     recorded with NaN accuracies and the grid keeps going.
     """
     out_dir = Path(out_dir)
@@ -259,7 +258,6 @@ def run_grid(
     else:
         check_dataset(dataset)
     n_in = dataset.train.sequences.shape[2]
-    ws = Workspace()
 
     summary_path = out_dir / "summary.csv"
     with _create_fresh(summary_path, SUMMARY_HEADER) as summary:
@@ -269,7 +267,7 @@ def run_grid(
             if verbose:
                 print(f"=== {variant.value} {activation.value} eta={eta:g}", flush=True)
             try:
-                best = best_of(train(config, dataset=dataset, verbose=verbose, ws=ws))
+                best = best_of(train(config, dataset=dataset, verbose=verbose))
             except Exception as e:  # any cell failure: record, move on
                 print(f"grid cell {variant.value}/{activation.value}/eta={eta:g} failed: {e}", file=sys.stderr)
                 best = BestResult(math.nan, math.nan, 0)

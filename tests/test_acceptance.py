@@ -186,10 +186,9 @@ def test_criterion_6_epoch_time_ordering(capsys):
     # The fastest of several epochs is the least disturbed by other load on
     # the machine, which only ever adds time. The variants take their epochs
     # in turn, one each per round, so that a slow spell of the machine hits
-    # all of them alike; each round is a one-epoch run from the same seed,
-    # on a workspace its variant keeps across rounds.
+    # all of them alike; each round is a fresh one-epoch run from the same
+    # seed, with a workspace of its own.
     variants = ("lstm", "lstm4", "lstm4a", "lstm6")
-    workspaces = {variant: Workspace() for variant in variants}
     seconds = {variant: [] for variant in variants}
     for _ in range(5):
         for variant in variants:
@@ -197,7 +196,7 @@ def test_criterion_6_epoch_time_ordering(capsys):
                 variant=variant, activation="tanh", eta=1e-3, epochs=1,
                 batch_size=32, n_h=100, seed=0,
             )
-            seconds[variant] += [m.epoch_seconds for m in train(config, dataset=dataset, ws=workspaces[variant])]
+            seconds[variant] += [m.epoch_seconds for m in train(config, dataset=dataset)]
     fastest = {variant: min(s) for variant, s in seconds.items()}
     assert fastest["lstm"] > fastest["lstm4"] > fastest["lstm4a"] > fastest["lstm6"], fastest
     with capsys.disabled():

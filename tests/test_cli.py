@@ -260,6 +260,55 @@ def test_wrong_kind_out_exits_2_before_loading_data(tmp_path, capsys, case):
     assert _tree_state(tmp_path) == before
 
 
+# numpy refuses a parameter vector at this hidden size before allocating anything: for lstm its length,
+# for lstm6 its size in bytes, is past the largest array numpy can make
+UNALLOCATABLE_HIDDEN = "3000000000"
+
+
+def test_train_model_numpy_cannot_allocate_exits_2_and_keeps_out(tmp_path, capsys):
+    write_mnist_dir(tmp_path, n_train=16, n_test=8)
+    out = tmp_path / "m.csv"
+    out.write_text("an earlier run\n")
+    before = _tree_state(tmp_path)
+    code = main(
+        [
+            "train",
+            "--variant", "lstm",
+            "--activation", "tanh",
+            "--hidden", UNALLOCATABLE_HIDDEN,
+            "--data-dir", str(tmp_path),
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: lstm at hidden size 3000000000:"), err
+    assert "36000000378000000010 parameters" in err[0]
+    assert _tree_state(tmp_path) == before
+
+
+def test_grid_records_a_model_numpy_cannot_allocate_as_a_nan_row(tmp_path, capsys):
+    write_mnist_dir(tmp_path, n_train=16, n_test=8)
+    out_dir = tmp_path / "grid"
+    code = main(
+        [
+            "grid",
+            "--variant", "lstm6",
+            "--activation", "tanh",
+            "--eta", "0.001",
+            "--hidden", UNALLOCATABLE_HIDDEN,
+            "--data-dir", str(tmp_path),
+            "--out", str(out_dir),
+        ]
+    )
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "grid cell lstm6/tanh/eta=0.001 failed: lstm6 at hidden size 3000000000:" in err
+    assert "Traceback" not in err
+    rows = (out_dir / "summary.csv").read_text().strip().splitlines()
+    assert rows[1] == "lstm6,tanh,0.001,nan,nan,9000000117000000010,0"
+
+
 @pytest.mark.parametrize("target_exists", [True, False], ids=["existing-target", "dangling"])
 def test_train_out_through_symlink_writes_target(tmp_path, target_exists):
     write_mnist_dir(tmp_path, n_train=16, n_test=8)

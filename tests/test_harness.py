@@ -259,10 +259,10 @@ def test_run_grid_records_failures_and_continues(tmp_path, monkeypatch):
     ds = synth_dataset(16, 8)
     real_train = harness.train
 
-    def flaky(config, dataset=None, verbose=False, ws=None):
+    def flaky(config, dataset=None, verbose=False):
         if config.variant == "lstm4a":
             raise RuntimeError("boom")
-        return real_train(config, dataset=dataset, verbose=verbose, ws=ws)
+        return real_train(config, dataset=dataset, verbose=verbose)
 
     monkeypatch.setattr(harness, "train", flaky)
     summary = run_grid(
@@ -355,7 +355,7 @@ def test_one_epoch_allocates_about_one_scaled_batch_at_a_time():
     assert traced_peak_mb(lambda: [len(b) for b in batches(ds.train, 32, seed=0, epoch=1)]) < 2.5 * batch_mb
 
 
-def test_run_grid_shares_one_workspace(tmp_path, monkeypatch):
+def test_each_grid_cell_runs_in_its_own_workspace(tmp_path, monkeypatch):
     made = []
 
     class Counted(Workspace):
@@ -365,10 +365,10 @@ def test_run_grid_shares_one_workspace(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "Workspace", Counted)
     run_grid(["lstm6", "srn"], ["tanh", "relu"], [1e-3], small_config(epochs=1), tmp_path, dataset=synth_dataset(16, 8))
-    assert len(made) == 1
+    assert len(made) == 4
 
 
-def test_train_grows_its_workspace_once():
+def test_train_grows_its_workspace_once(monkeypatch):
     # The first batch sizes the buffer for every later batch, the short last
     # batch and the evaluation chunks (EVAL_CHUNK = the batch size).
     grown = []
@@ -381,13 +381,14 @@ def test_train_grows_its_workspace_once():
                 grown.append(len(self._buf))
             return trace
 
+    monkeypatch.setattr(harness, "Workspace", Counted)
     config = small_config(variant="lstm", epochs=1, batch_size=32, n_h=100)
-    train(config, dataset=synth_dataset(40, 8), ws=Counted())
+    train(config, dataset=synth_dataset(40, 8))
     assert grown == [sum(map(math.prod, bptt._carved(layout("lstm", 28, 100, 10), 28, 32).values()))]
 
 
 def test_run_grid_cells_match_separate_train_runs(tmp_path):
-    # one workspace serves cells of three layouts in turn; no cell may see another's memory
+    # a grid cell is a train run like any other: cells of three layouts in turn leave nothing to the next
     ds = synth_dataset(24, 8)
     base = small_config(epochs=2)
     variants, activations = ["lstm", "lstm6", "srn"], ["tanh", "relu"]
