@@ -146,6 +146,7 @@ class Trace:
 
     As views: ``forward_steps[t]`` holds step t's, in the order the
     forward unpacks them: its operand and that operand's h_{t-1}; ``pre``'s
+    whole (m, B) slab (the srn's is the next operand's h rows), its
     dense rows as (k, n_h, B), point-wise rows as (g, n_h, B), biased
     point-wise rows, gate rows and candidate block (the srn's dense rows and
     candidate are the next operand's h rows); the next operand's h rows, h_t
@@ -182,7 +183,8 @@ class Trace:
             dense, cand = [h_op.reshape(1, n_h, B) for h_op in h_ops[1:]], h_ops[1:]
         x_next = z[n_h:-1, 1:].transpose(1, 0, 2)  # the last step's is never read
         pw = pre[:, :d0].reshape(T, d0 // n_h, n_h, B), pre[:, b0:d0], pre[:, :gr]
-        self.forward_steps = list(zip(ops, h_ops, dense, *pw, cand, h_ops[1:], h[1:], x_ops[1:], x_next, *c, *gates))
+        slabs = pre if lay.memory else h_ops[1:]  # each step's whole (m, B) pre-activation slab
+        self.forward_steps = list(zip(ops, h_ops, slabs, dense, *pw, cand, h_ops[1:], h[1:], x_ops[1:], x_next, *c, *gates))
         self.steps = list(zip(pre[:, :gr], pre[:, gr:], h[1:], *c, *gates, deltas.transpose(1, 0, 2)))
         self.d_gates = [d[lay.block[n]] if n in lay.block else None for n in GATE_NAMES]
         self.d_blocks = d[:gr], d[gr:], d[d0:].reshape(-1, n_h, B), d[:d0].reshape(d0 // n_h, n_h, B)
@@ -192,7 +194,7 @@ class Trace:
 
 
 def forward_sequence(
-    spec: VariantSpec, p: Params, head: Params, seq: np.ndarray, ws: Workspace | None = None
+    spec: VariantSpec, p: Params, head: Params, seq: np.ndarray, ws: Workspace | None = None, *, nudge: tuple | None = None
 ) -> tuple[np.ndarray, Trace]:
     """Run the cell from a zero state over one sequence or a time-major batch.
 
@@ -202,6 +204,15 @@ def forward_sequence(
     Returns the head logits of the final hidden state, (n_out,) or
     (B, n_out), and the Trace that the backward pass consumes: ``ws``'s
     own for this (layout, T, B), or a private one's.
+
+    ``nudge``, when given, is ``(at, by, step)``: flat indices into a
+    step's (m, B) pre-activation slab, flat indices into its (n_h + n_in +
+    1, B) operand, and one step per entry, each entry in a column of its
+    own. Every step, after the dense product and the point-wise terms and
+    before any nonlinearity, adds ``step`` times operand entry ``by`` to
+    slab entry ``at``: column b then runs the cell with the one parameter
+    that multiplies that operand row into that pre-activation row moved
+    by its step (``gradcheck.sweep_losses``).
     """
     x = np.asarray(seq, dtype=np.float64)
     single = x.ndim == 2
@@ -229,15 +240,19 @@ def forward_sequence(
 
     i_unit, o_unit = "i" in lay.unit, "o" in lay.unit
     act, sig_c = ACTIVATIONS[spec.activation][0], trace.sig_c
+    if nudge is not None:
+        at, by, step = nudge
     if d0:  # point-wise gates: u_g * h_{t-1}, plus a bias on rows b0 .. d0, each repeated over the batch
         u = np.repeat(p.stacks["u"].reshape(-1, n_h, 1), B, axis=2)  # once, so that no ufunc broadcasts
         b_pw = np.repeat(p.stacks["b"][:, None], B, axis=1) if b0 < d0 else None
-    for op, h_prev, dense, pw, biased, gates, cand, h_op, h_t, x_op, x_next, c_prev, c_t, i, f, o in trace.forward_steps:
+    for op, h_prev, slab, dense, pw, biased, gates, cand, h_op, h_t, x_op, x_next, c_prev, c_t, i, f, o in trace.forward_steps:
         np.matmul(stack, op, out=dense)
         if d0:
             np.multiply(u, h_prev, out=pw)
             if b0 < d0:
                 biased += b_pw
+        if nudge is not None:
+            np.put(slab, at, np.take(slab, at) + step * np.take(op, by))
         if gr:
             sigmoid(gates, out=gates)
         act(cand, out=cand)

@@ -18,31 +18,29 @@ b_y[i] by a step moves only logit i of the unperturbed evaluation, by
 the step times h_T[j] or by the step. The logits of all 2P + 1
 evaluations then go through one ``softmax_xent`` call.
 
-The forward passes run as replica passes:
-R = max(1, REPLICA_UNITS // n_h) parameter vectors become one cell of
-R*n_h units that goes through the ordinary ``forward_sequence``, replica r
-owning units r*n_h .. (r+1)*n_h of every gate block. Input maps, biases
-and point-wise gate vectors are stacked along the unit axis; the arrays
-that read the hidden state (recurrent U_* and the head's W_hy) are
-block-diagonal, so the logits hold R heads side by side. Every gate is
-per-unit or constant and the off-diagonal blocks are exact zeros, so no
-replica reads another's units: each computes its own cell, differing from
-a standalone forward pass only in the summation order of the matrix
-products. REPLICA_UNITS bounds the memory of a pass. The replica cell's
-layout, the map from each copy's coordinates to its vector and every
-index array of the sweep (each pass's slots, the head's logits) are built
-once per (layout, REPLICA_UNITS) and cached. The replica vector, a zero
-vector filled with the model's values through that map, serves a whole
-sweep: each pass writes its vectors' +/- EPS entries into it in place and
-undoes them afterwards, so it leaves the sweep as it came.
+The forward passes share the batch axis: all the vectors that take one
+run as columns of one batched ``forward_sequence`` of the model itself,
+vector k owning columns k*B .. (k+1)*B of the tiled batch. A cell
+coordinate enters the forward at one place only: it multiplies one row of
+the operand [h_{t-1}; x_t; 1] into one pre-activation row (a dense-stack
+entry (r, c) row ``dense_from`` + r by operand row c, ``u`` entry k row k
+by h row k mod n_h, a point-wise ``b`` entry k row ``bias_from`` + k by
+the bias row). So moving it by a step for one column is adding the step
+times that operand entry to that pre-activation entry at every step,
+which the forward's ``nudge`` does before any nonlinearity; each column
+differs from a standalone forward pass of its vector only in rounding.
+Where each coordinate enters, and the head's index arrays, are read once
+per layout and cached (``_sweep_map``). A pass takes as many vectors as
+fit, by the memory plan ``_carved``, in ``PASS_FLOATS`` floats of the
+workspace: every configuration of ``check_all`` at its default shapes is
+one pass.
 
 ``check_all`` alone builds a check's inputs; ``check_gradients`` only
 checks the ones it is given. Each call of ``check_all`` draws each seed's
 batch and initializes each (variant, seed)'s model once (``init_params``
-reads only the variant), both read-only, and fills that model's replica
-vector once: over three activations one model and one replica vector
-serve three configurations, and one batch every configuration of its
-seed. Nothing is kept across calls.
+reads only the variant), both read-only: over three activations one
+model serves three configurations, and one batch every configuration of
+its seed. Nothing is kept across calls.
 
 relu has a kink at zero, where no finite difference is trustworthy. A
 coordinate is only compared when every relu input (candidate
@@ -61,20 +59,21 @@ below zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .bptt import Trace, Workspace, batch_loss_and_grads, forward_sequence, softmax_xent
-from .cells import Activation, Layout, Params, Variant, VariantSpec, init_params, layout
+from .bptt import Trace, Workspace, _carved, batch_loss_and_grads, forward_sequence, softmax_xent
+from .cells import Activation, Layout, Params, Variant, VariantSpec, init_params
 from .data import SequenceBatch
 from .rng import TAG_GRADCHECK, stream
 
 EPS = 1e-5
 REL_TOL = 1e-4
 _ERR_FLOOR = 1e-4
-REPLICA_UNITS = 160  # units per replica pass; 80-200 ran equally fast at n_h=5, 320 slower
+PASS_FLOATS = 1 << 19  # workspace floats per sweep pass, 4.2 MB: lstm's training plan at the paper's shapes is 7.9 MB
 
 
 def relu_pattern(trace: Trace) -> np.ndarray | None:
@@ -88,98 +87,87 @@ def relu_pattern(trace: Trace) -> np.ndarray | None:
 
 
 @lru_cache(maxsize=64)
-def _replica_map(lay: Layout, units: int) -> tuple[Layout, np.ndarray, np.ndarray, tuple, tuple]:
-    """The layout of R copies of ``lay``'s cell as one replica cell, ``where``, and the sweep's index arrays.
+def _sweep_map(lay: Layout) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Per cell coordinate of ``lay``, the pre-activation row and the operand row it joins; and the head's index arrays.
 
-    R is ``units // n_h``, at least 1 and at most the number of vectors
-    that take passes. ``where[r, j]`` is the position of copy r's
-    coordinate j in the replica cell's vector, read off both vectors'
-    positions. Then, for ``sweep_losses``: the coordinate each cell vector
-    moves; per replica pass, its vectors, those that move a coordinate,
-    their slots in the replica vector and their coordinates; and per head
-    coordinate, its row of the head's features and the logit it moves.
-    All are read-only.
+    Coordinate j is moved by adding its step times operand row
+    ``oprow[j]`` of [h_{t-1}; x_t; 1] to pre-activation row ``row[j]``
+    (module docstring). Per head coordinate: its row of the head's
+    features and the logit it moves. All are read-only.
     """
-    cell = lay.fields["W_hy"][0].start  # the head's coordinates come last
-    n_cell = 2 * cell + 1
-    R = min(max(1, units // lay.n_h), n_cell)
-    rep = layout(lay.variant, lay.n_in, R * lay.n_h, R * lay.n_out)
-    at, slots = Params(lay, np.arange(lay.size)), Params(rep, np.arange(rep.size))  # each array's positions
+    at = Params(lay, np.arange(lay.size))  # each array's positions
     covered = np.bincount(np.concatenate([a.ravel() for a in at.values()]), minlength=lay.size)
-    if (covered != 1).any():  # overlapping views or a gap would leave ``where`` wrong or unset
+    if (covered != 1).any():  # overlapping views or a gap would leave a coordinate moved twice or never
         j = int(np.argmax(covered != 1))
         raise ValueError(f"{lay.variant.value}: coordinate {j} is covered by {covered[j]} named arrays, not 1")
-    where, diag = np.empty((R, lay.size), dtype=np.intp), np.arange(R)
-    for name, a in at.items():
-        if name.startswith("U_") or name == "W_hy":  # columns read the hidden state: copy r is diagonal block r
-            where[:, a] = slots[name].reshape(R, a.shape[0], R, a.shape[1])[diag, :, diag]
-        else:  # rows are units or classes: copy r is row block r
-            where[:, a] = slots[name].reshape(R, *a.shape)
-
-    coord = np.arange(-1, n_cell - 1) // 2  # vector k > 0 moves coordinate (k-1)//2
-    passes = []
-    for lo in range(0, n_cell, R):
-        k = np.arange(lo, min(lo + R, n_cell))
-        moved = k[k > 0]
-        passes.append((k, moved, where[moved - lo, coord[moved]], coord[moved]))
+    entry = {  # per stack, the (row, operand row) of the entry at each index
+        "u": lambda k: (k, k % lay.n_h),
+        "b": lambda k: (lay.bias_from + k, lay.n_h + lay.n_in),
+        "dense": lambda r, c: (lay.dense_from + r, c),
+    }
+    row, oprow = (Params(lay, np.zeros(lay.size, dtype=np.intp)) for _ in range(2))
+    for kind, stack in row.stacks.items():
+        stack[...], oprow.stacks[kind][...] = entry[kind](*np.indices(stack.shape))
+    cell = lay.fields["W_hy"][0].start  # the head's coordinates come last
     head = np.arange(lay.size - cell), np.concatenate([np.arange(lay.n_out).repeat(lay.n_h), np.arange(lay.n_out)])
-    for a in (where, coord, *(a for one_pass in passes for a in one_pass), *head):
+    out = row.vec[:cell], oprow.vec[:cell], head
+    for a in (*out[:2], *head):
         a.flags.writeable = False
-    return rep, where, coord, tuple(passes), head
+    return out
 
 
-def _replica(params: Params) -> tuple[Params, tuple]:
-    """A replica cell holding R copies of ``params``, and its ``_replica_map``."""
-    replica_map = _replica_map(params.layout, REPLICA_UNITS)
-    replica = Params(replica_map[0])
-    replica.vec[replica_map[1]] = params.vec
-    return replica, replica_map
+def _vectors_per_pass(lay: Layout, T: int, B: int) -> int:
+    """The vectors, B columns each, of one sweep pass: as many as ``_carved`` fits in ``PASS_FLOATS``, at least 1."""
+    return max(1, PASS_FLOATS // (B * sum(map(math.prod, _carved(lay, T, 1).values()))))
 
 
 def sweep_losses(
     spec: VariantSpec, params: Params, seqs: np.ndarray, labels: np.ndarray, ws: Workspace,
-    replica: tuple[Params, tuple],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean loss over the time-major batch ``seqs`` (T, B, n_in) at every vector of the sweep.
 
     Vector 0 is the unperturbed one; vectors 2j+1 and 2j+2 add +EPS and
     -EPS to coordinate j of the parameter vector ``params.vec``. Also
     returns, per vector, whether its relu pattern equals vector 0's. Only
-    vector 0 and the cell's coordinates take replica passes; every pass
-    carves its trace from ``ws`` and is read before the next starts it
-    over. The head's vectors move one of vector 0's logits, and one
-    ``softmax_xent`` call takes every vector's logits. The passes run the
-    cell of ``replica``, ``_replica(params)``, and leave it as it was.
+    vector 0 and the cell's coordinates take forward passes, each a batch
+    of ``_vectors_per_pass`` vectors side by side, vector 0 in the first B
+    columns of the first; every pass carves its trace from ``ws`` and is
+    read before the next starts it over. The head's vectors move one of
+    vector 0's logits, and one ``softmax_xent`` call takes every vector's
+    logits. ``params`` is only read.
     """
-    lay, base = params.layout, params.vec
-    replica, (_, _, coord, passes, (head_rows, head_logit)) = replica
-    n, n_cell = 2 * base.size + 1, len(coord)
-    work, R = replica.vec, replica.n_h // lay.n_h
-
-    value = base[coord] + np.where(np.arange(n_cell) % 2, EPS, -EPS)
-    B = len(labels)
+    lay = params.layout
+    row, oprow, (head_rows, head_logit) = _sweep_map(lay)
+    T, B, _ = seqs.shape
+    n, n_cell = 2 * lay.size + 1, 2 * len(row) + 1
+    coord = np.arange(-1, n_cell - 1) // 2  # vector k > 0 moves coordinate (k-1)//2
+    step = np.where(np.arange(n_cell) % 2, EPS, -EPS)
+    per_pass = min(_vectors_per_pass(lay, T, B), n_cell)
+    x = np.tile(seqs, (1, per_pass, 1))  # column k*B + b holds sequence b for vector k of a pass
     logits = np.empty((n, B, lay.n_out))
     same = np.ones(n, dtype=bool)
-    for k, moved, slots, moved_coord in passes:
-        work[slots] = value[moved]
-        out, trace = forward_sequence(spec, replica, replica, seqs, ws)
-        work[slots] = base[moved_coord]
-        logits[k] = out.reshape(B, R, -1)[:, : len(k)].swapaxes(0, 1)  # column block r is replica r
-        if k[0] == 0:
-            h_T = trace.h[-1, : lay.n_h].copy()  # vector 0's final hidden state, (n_h, B)
+    for lo in range(0, n_cell, per_pass):
+        k = np.arange(lo, min(lo + per_pass, n_cell))
+        moved, cols = k[k > 0], len(k) * B
+        col = ((moved - lo)[:, None] * B + np.arange(B)).ravel()  # each moved vector's columns
+        at, by = (np.repeat(a[coord[moved]], B) * cols + col for a in (row, oprow))
+        out, trace = forward_sequence(spec, params, params, x[:, :cols], ws, nudge=(at, by, np.repeat(step[moved], B)))
+        logits[k] = out.reshape(len(k), B, -1)
+        if lo == 0:
+            h_T = trace.h[-1, :, :B].copy()  # vector 0's final hidden state, (n_h, B)
         pattern = relu_pattern(trace)
         if pattern is not None:
-            pattern = pattern.reshape(len(pattern), R, -1, B)[:, : len(k)]
-            base_pattern = pattern[:, :1] if k[0] == 0 else base_pattern
-            same[k] = (pattern == base_pattern).all(axis=(0, 2, 3))
+            pattern = pattern.reshape(*pattern.shape[:2], len(k), B)
+            base_pattern = pattern[:, :, :1] if lo == 0 else base_pattern
+            same[k] = (pattern == base_pattern).all(axis=(0, 1, 3))
 
     # The head is affine in W_hy and b_y and feeds nothing back: a step on
     # W_hy[i, j] moves vector 0's logit i by the step times h_T[j], one on b_y[i] by the step.
     feature = np.concatenate([np.tile(h_T, (lay.n_out, 1)), np.ones((lay.n_out, B))])  # a row per head coordinate
-    for first, step in ((n_cell, EPS), (n_cell + 1, -EPS)):
+    for first, head_step in ((n_cell, EPS), (n_cell + 1, -EPS)):
         head = logits[first::2]
         head[...] = logits[0]
-        head[head_rows, :, head_logit] += step * feature
+        head[head_rows, :, head_logit] += head_step * feature
     xent, _ = softmax_xent(logits.reshape(n * B, -1), np.tile(labels, n))
     return xent.reshape(n, B).sum(axis=1) / B, same
 
@@ -198,20 +186,17 @@ class CheckResult:
         return self.compared > 0 and self.max_rel_err < REL_TOL
 
 
-def check_gradients(
-    spec: VariantSpec, seed: int, model: Params, batch: SequenceBatch, replica: tuple[Params, tuple], ws: Workspace,
-) -> CheckResult:
+def check_gradients(spec: VariantSpec, seed: int, model: Params, batch: SequenceBatch, ws: Workspace) -> CheckResult:
     """Compare batch BPTT gradients against central differences for one configuration.
 
-    ``model`` is the configuration's model, ``batch`` the sequences drawn
-    from ``seed`` and ``replica`` the model's replica cell (``_replica``),
-    as ``check_all`` builds them: all three are only read. The loss is the
+    ``model`` is the configuration's model and ``batch`` the sequences
+    drawn from ``seed``, as ``check_all`` builds them: both are only read. The loss is the
     mean over the batch, and the relu kink rule covers all of it. Every
     pass carves from ``ws``.
     """
     _, grads, _ = batch_loss_and_grads(spec, model, model, batch, ws)
     analytic = grads.vec
-    losses, same = sweep_losses(spec, model, np.swapaxes(batch.inputs, 0, 1), batch.labels, ws, replica)
+    losses, same = sweep_losses(spec, model, np.swapaxes(batch.inputs, 0, 1), batch.labels, ws)
     numeric = (losses[1::2] - losses[2::2]) / (2.0 * EPS)
     compared = same[1::2] & same[2::2]
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), _ERR_FLOOR)
@@ -233,7 +218,7 @@ def check_all(
 
     Every activation is checked, in the order of ``Activation``. The
     configurations share one Workspace, each seed's batch and each
-    (variant, seed)'s model and replica cell, all built by this call.
+    (variant, seed)'s model, all built by this call.
     """
     ws = Workspace()
     batches = {s: _batch(s, n_in, n_out, T, batch_size) for s in seeds}
@@ -241,8 +226,7 @@ def check_all(
     for v in variants:  # init_params reads only the variant: one model per seed serves every activation
         specs = [VariantSpec.make(v, a) for a in Activation]
         models = {s: _model(specs[0], n_in, n_h, n_out, s) for s in seeds}
-        replicas = {s: _replica(model) for s, model in models.items()}
-        results += [check_gradients(spec, s, models[s], batches[s], replicas[s], ws) for spec in specs for s in seeds]
+        results += [check_gradients(spec, s, models[s], batches[s], ws) for spec in specs for s in seeds]
     return results
 
 

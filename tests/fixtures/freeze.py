@@ -42,7 +42,9 @@ all 21 variant x activation configurations, under keys ``<variant>/<activation>/
     pass per coordinate that preceded the replica passes (commit c7a187b):
     batching the central differences changed neither the kink rule's
     verdicts nor the coordinates covered, and re-freezing it with the
-    digests above left it byte for byte as it was.
+    digests above left it byte for byte as it was. Neither did running
+    the perturbed vectors as columns of one batched pass in place of the
+    replica passes.
 
 ``train_metrics.json``
     Two epochs on the synthetic stripe data of ``tests/conftest.py`` (41

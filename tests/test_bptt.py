@@ -419,17 +419,17 @@ def test_a_grown_buffer_starts_on_a_cache_line():
 
 
 def test_alternating_carves_of_two_layouts_build_each_plan_once(monkeypatch):
-    # a check's model (n_h = 5, B = 3) and its replica cell of 32 copies (n_h = 160, B = 3), in turn
-    model, replica = (layout("lstm", 3, n_h, 4) for n_h in (5, 160))
+    # two layouts in turn, the second's plan the larger (n_h = 5 and 160, B = 3)
+    small, large = (layout("lstm", 3, n_h, 4) for n_h in (5, 160))
     real, planned = bptt._carved, []
     monkeypatch.setattr(bptt, "_carved", lambda *key: planned.append(key) or real(*key))
     ws = Workspace()
-    plans = {key: ws.carve(*key) for key in [(model, 4, 3), (replica, 4, 3)]}  # the second grows the buffer
-    plans[model, 4, 3] = ws.carve(model, 4, 3)  # so the first is cut again from the grown one, once
+    plans = {key: ws.carve(*key) for key in [(small, 4, 3), (large, 4, 3)]}  # the second grows the buffer
+    plans[small, 4, 3] = ws.carve(small, 4, 3)  # so the first is cut again from the grown one, once
     for _ in range(3):
         for key, plan in plans.items():
             assert ws.carve(*key) is plan
-    assert planned == [(model, 4, 3), (replica, 4, 3), (model, 4, 3)]
+    assert planned == [(small, 4, 3), (large, 4, 3), (small, 4, 3)]
 
 
 def arrays_of(obj) -> list[np.ndarray]:
@@ -501,15 +501,18 @@ def within(a: np.ndarray, room: np.ndarray) -> bool:
 def test_the_projection_goes_straight_into_pre_where_every_product_is_a_gemm(variant, shape):
     # at every T, n_h and B: one (n_h, n_h + n_in + 1) product per dense block and step, from a contiguous
     # operand [h; x; 1] straight into pre's dense rows, or for the srn, whose pre is h_1 .. h_T in z, into
-    # the next step's operand; the two operands take turns
+    # the next step's operand; the two operands take turns. Each step's whole pre-activation slab, (m, B), is
+    # contiguous, so a flat index names one entry of it
     T, n_h, B = shape
     lay = layout(variant, 28, n_h, 10)
     trace = Workspace().carve(lay, T, B)
     assert trace.zt.shape == (2, n_h + 29, B) and trace.zt.flags.c_contiguous
     assert trace.z.shape == (n_h + 29, T + 1, B) and within(trace.x, trace.z) and within(trace.h, trace.z)
-    for t, (op, h_prev, dense, *_, cand, h_op, h_t, x_op, x_next, _, _, _, _, _) in enumerate(trace.forward_steps):
+    for t, (op, h_prev, slab, dense, *_, cand, h_op, h_t, x_op, x_next, _, _, _, _, _) in enumerate(trace.forward_steps):
         assert op.shape == (n_h + 29, B) and within(op, trace.zt[t % 2]) and within(h_prev, op)
         assert within(h_op, trace.zt[(t + 1) % 2])
+        assert slab.shape == (lay.gate_rows + n_h, B) and slab.flags.c_contiguous and within(dense, slab)
+        assert within(slab, trace.pre[t] if lay.memory else h_op)
         assert dense.shape == (len(lay.dense), n_h, B) and np.shares_memory(cand, dense)
         assert within(dense, trace.pre[t, lay.dense_from :] if lay.memory else h_op)
         assert np.shares_memory(h_t, trace.h[t + 1]) and within(x_op, trace.zt[(t + 1) % 2])

@@ -1,4 +1,4 @@
-"""The central-difference check: its replica passes and their cached map, its counts, and that it catches a wrong gradient."""
+"""The central-difference check: its batched sweep and its cached map, its counts, and that it catches a wrong gradient."""
 
 import itertools
 import math
@@ -45,38 +45,64 @@ def sweep_setup(variant, activation, batch_size=3, n_in=3, n_h=5, n_out=4, T=4, 
     return spec, cell, head, seqs, labels
 
 
-@pytest.mark.parametrize("replica_units", [gradcheck.REPLICA_UNITS, 5])
-@pytest.mark.parametrize("activation", list(Activation))
-@pytest.mark.parametrize("variant", list(Variant))
-def test_replica_losses_match_standalone_forward(variant, activation, replica_units, monkeypatch):
-    # n_h = 5: 32 replicas per pass at the default, one when n_h >= REPLICA_UNITS;
-    # only vector 0 and the cell's coordinates, which come before the head's, take passes
-    monkeypatch.setattr(gradcheck, "REPLICA_UNITS", replica_units)
-    spec, cell, head, seqs, labels = sweep_setup(variant, activation)
-    P, P_cell = cell.vec.size, cell.layout.fields["W_hy"][0].start
-    R = max(1, replica_units // cell.n_h)
-    assert R == 1 or (2 * P_cell + 1) % R != 0  # the last pass is a partial one
+def standalone(spec, cell, seqs, labels, k):
+    """Vector k's mean loss and relu pattern from a forward pass of its own, coordinate (k-1)//2 moved for k > 0."""
+    p = cell.with_arrays(cell)  # a copy
+    if k:
+        p.vec[(k - 1) // 2] += EPS if k % 2 else -EPS
+    logits, trace = forward_sequence(spec, p, p, seqs)
+    xent, _ = softmax_xent(logits, labels)
+    return xent.sum() / len(labels), relu_pattern(trace)
 
+
+def floats(plan) -> int:
+    """The floats a memory plan of ``bptt._carved`` carves."""
+    return sum(map(math.prod, plan.values()))
+
+
+def recorded_widths(monkeypatch) -> list[int]:
+    """The batch width of every ``forward_sequence`` call gradcheck makes from now on."""
     widths = []
     monkeypatch.setattr(gradcheck, "forward_sequence",
-                        lambda s, p, h, x, ws: widths.append(p.n_h) or forward_sequence(s, p, h, x, ws))
-    losses, same = sweep_losses(spec, cell, seqs, labels, Workspace(), gradcheck._replica(cell))
-    assert widths == [R * cell.n_h] * math.ceil((2 * P_cell + 1) / R)
+                        lambda s, p, h, x, ws, **kw: widths.append(x.shape[1]) or forward_sequence(s, p, h, x, ws, **kw))
+    return widths
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+@pytest.mark.parametrize("activation", list(Activation))
+@pytest.mark.parametrize("variant", list(Variant))
+def test_sweep_losses_match_standalone_forward(variant, activation, batch_size, monkeypatch):
+    # vector 0 and every cell coordinate's two vectors run as columns of one pass; each loss is that of the
+    # model with the coordinate itself moved, and each relu flag that of its own pattern against vector 0's
+    spec, cell, head, seqs, labels = sweep_setup(variant, activation, batch_size=batch_size)
+    P, P_cell = cell.vec.size, cell.layout.fields["W_hy"][0].start
+    widths = recorded_widths(monkeypatch)
+    losses, same = sweep_losses(spec, cell, seqs, labels, Workspace())
+    assert widths == [(2 * P_cell + 1) * batch_size]
     assert losses.shape == same.shape == (2 * P + 1,)
 
-    base_pattern = None
+    _, base_pattern = standalone(spec, cell, seqs, labels, 0)
     for k in range(2 * P + 1):
-        p = cell.with_arrays(cell)  # a copy; vector k > 0 moves coordinate (k-1)//2 of its vec
-        if k:
-            p.vec[(k - 1) // 2] += EPS if k % 2 else -EPS
-        logits, trace = forward_sequence(spec, p, p, seqs)
-        xent, _ = softmax_xent(logits, labels)
-        want = xent.sum() / len(labels)
+        want, pattern = standalone(spec, cell, seqs, labels, k)
         assert abs(losses[k] - want) <= 1e-12 * abs(want), k
-        pattern = relu_pattern(trace)
-        if k == 0:
-            base_pattern = pattern
         assert same[k] == (pattern is None or np.array_equal(pattern, base_pattern)), k
+
+
+@pytest.mark.parametrize("batch_size", [1, 3])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_sweep_in_several_passes_matches_the_one_pass_sweep(variant, batch_size, monkeypatch):
+    # a budget just under 9 vectors' plans: passes of 8 vectors and a partial last one, vector 0 only in the first
+    spec, cell, _, seqs, labels = sweep_setup(variant, "relu", batch_size=batch_size)
+    one_pass = sweep_losses(spec, cell, seqs, labels, Workspace())
+    n_cell = 2 * cell.layout.fields["W_hy"][0].start + 1
+    assert n_cell % 8
+    per_column = floats(bptt._carved(cell.layout, len(seqs), 1))
+    monkeypatch.setattr(gradcheck, "PASS_FLOATS", 9 * batch_size * per_column - 1)
+    widths = recorded_widths(monkeypatch)
+    losses, same = sweep_losses(spec, cell, seqs, labels, Workspace())
+    assert widths == [8 * batch_size] * (n_cell // 8) + [n_cell % 8 * batch_size]
+    assert np.allclose(losses, one_pass[0], rtol=1e-12, atol=0.0)
+    assert np.array_equal(same, one_pass[1])
 
 
 @pytest.mark.parametrize("batch_size", CHECK_SIZES)
@@ -145,13 +171,13 @@ def test_check_fails_on_a_small_gradient_off_by_two_in_ten_thousand(variant, bat
 
 @pytest.mark.parametrize("batch_size", CHECK_SIZES)
 @pytest.mark.parametrize("variant", list(Variant))
-def test_sweep_is_bitwise_equal_with_cold_and_warm_replica_map(variant, batch_size):
+def test_sweep_is_bitwise_equal_with_cold_and_warm_sweep_map(variant, batch_size):
     spec, cell, _, seqs, labels = sweep_setup(variant, "relu", batch_size=batch_size)
-    gradcheck._replica_map.cache_clear()
-    cold = sweep_losses(spec, cell, seqs, labels, Workspace(), gradcheck._replica(cell))
-    assert gradcheck._replica_map.cache_info().misses == 1
-    warm = sweep_losses(spec, cell, seqs, labels, Workspace(), gradcheck._replica(cell))
-    assert gradcheck._replica_map.cache_info().hits == 1
+    gradcheck._sweep_map.cache_clear()
+    cold = sweep_losses(spec, cell, seqs, labels, Workspace())
+    assert gradcheck._sweep_map.cache_info().misses == 1
+    warm = sweep_losses(spec, cell, seqs, labels, Workspace())
+    assert gradcheck._sweep_map.cache_info().hits == 1
     for a, b in zip(cold, warm):
         assert a.tobytes() == b.tobytes()
 
@@ -191,21 +217,16 @@ def test_check_all_builds_each_model_and_each_batch_once(monkeypatch):
 
 @pytest.mark.parametrize("batch_size", CHECK_SIZES)
 @pytest.mark.parametrize("variant", list(Variant))
-def test_check_all_builds_one_replica_cell_per_model_and_each_sweep_leaves_it_as_it_was(variant, batch_size, monkeypatch):
-    # one variant x 3 activations x seeds 0-2: 3 replica cells, each run by the sweeps of 3 configurations
-    built, replicate, sweeps, sweep = [], gradcheck._replica, [], gradcheck.sweep_losses
-    monkeypatch.setattr(gradcheck, "_replica", lambda model: built.append(replicate(model)) or built[-1])
-
-    def recorded(spec, params, seqs, labels, ws, replica):
-        before = replica[0].vec.tobytes()
-        out = sweep(spec, params, seqs, labels, ws, replica)
-        sweeps.append((replica, replica[0].vec.tobytes() == before))
-        return out
-
-    monkeypatch.setattr(gradcheck, "sweep_losses", recorded)
+def test_check_all_sweeps_each_configuration_in_one_pass_of_its_model(variant, batch_size, monkeypatch):
+    # one variant x 3 activations x seeds 0-2: per configuration one sweep pass over every vector that takes
+    # one, run by the configuration's read-only model itself, 3 models in all
+    calls = []
+    monkeypatch.setattr(gradcheck, "forward_sequence",
+                        lambda s, p, h, x, ws, **kw: calls.append((p, h, x.shape[1])) or forward_sequence(s, p, h, x, ws, **kw))
     assert len(check_all(seeds=(0, 1, 2), variants=(variant,), batch_size=batch_size)) == 9
-    assert len(built) == 3 and [id(r) for r, _ in sweeps] == [id(r) for r in built] * 3
-    assert all(kept for _, kept in sweeps)
+    n_cell = 2 * layout(variant, 3, 5, 4).fields["W_hy"][0].start + 1
+    assert [(p is h, p.vec.flags.writeable, width) for p, h, width in calls] == [(True, False, n_cell * batch_size)] * 9
+    assert len({id(p) for p, _, _ in calls}) == 3
 
 
 @pytest.mark.parametrize("batch_size", [1, 3])
@@ -228,19 +249,19 @@ def test_check_all_equals_single_checks_over_read_only_inputs(batch_size, monkey
 
 def test_interleaved_checks_match_fresh_ones():
     # a check must not see the vector or trace of one at another layout, nor what a kept plan last held:
-    # all 21 configurations, their models' and replica cells' layouts interleaved on one workspace,
+    # all 21 configurations, their models' layouts at the analytic and the sweep's widths interleaved on one workspace,
     # the second time round with every float of its buffer NaN before each check
     configs = [(v, a, 3, 5, 4) for v in Variant for a in Activation]
     configs.insert(1, (Variant.LSTM6, Activation.RELU, 2, 7, 3))
     fresh = []
     for v, a, n_in, n_h, n_out in configs:
-        gradcheck._replica_map.cache_clear()
+        gradcheck._sweep_map.cache_clear()
         fresh.append(check_one(v, a, seeds=(0,), n_in=n_in, n_h=n_h, n_out=n_out, batch_size=3))
 
     def check(v, a, n_in, n_h, n_out, ws):  # what check_all builds for seed 0 at T = 4 and B = 3, checked on ws
         spec = VariantSpec.make(v, a)
         model = gradcheck._model(spec, n_in, n_h, n_out, 0)
-        return check_gradients(spec, 0, model, gradcheck._batch(0, n_in, n_out, 4, 3), gradcheck._replica(model), ws)
+        return check_gradients(spec, 0, model, gradcheck._batch(0, n_in, n_out, 4, 3), ws)
 
     ws = Workspace()
     assert [check(*config, ws) for config in configs] == fresh
@@ -252,31 +273,65 @@ def test_interleaved_checks_match_fresh_ones():
     assert all(r.passed for r in fresh)
 
 
-def test_cached_replica_map_is_read_only():
-    replica, where, coord, passes, head = gradcheck._replica_map(layout("lstm", 3, 5, 4), 160)
-    assert replica.n_h == 32 * 5 and where.shape == (32, layout("lstm", 3, 5, 4).size)
-    cached = [where, coord, *(a for one_pass in passes for a in one_pass), *head]
-    assert len(cached) == 2 + 4 * len(passes) + 2 and not any(a.flags.writeable for a in cached)
+def test_cached_sweep_map_is_read_only():
+    lay = layout("lstm", 3, 5, 4)
+    row, oprow, head = gradcheck._sweep_map(lay)
+    assert row.shape == oprow.shape == (lay.fields["W_hy"][0].start,) and len(head) == 2
+    assert not any(a.flags.writeable for a in (row, oprow, *head))
     with pytest.raises(ValueError):
-        where[0, 0] = 0
+        row[0] = 0
 
 
-def test_replica_map_is_cached_per_replica_count(monkeypatch):
+@pytest.mark.parametrize("variant", list(Variant))
+def test_sweep_map_names_the_row_and_operand_row_each_coordinate_joins(variant):
+    # u entry k joins row k by h row k mod n_h; a point-wise b entry k row bias_from + k by the operand's bias
+    # row; a dense-stack entry (r, c) row dense_from + r by operand row c
+    lay = layout(variant, 3, 5, 4)
+    want = []
+    for kind, (_, shape) in lay.stacks.items():  # the cell's coordinates, in vector order
+        for k, *c in np.ndindex(shape):
+            want.append({"u": (k, k % lay.n_h), "b": (lay.bias_from + k, lay.n_h + lay.n_in), "dense": (lay.dense_from + k, *c)}[kind])
+    row, oprow, _ = gradcheck._sweep_map(lay)
+    assert list(zip(row.tolist(), oprow.tolist())) == want
+
+
+def test_sweep_map_is_cached_per_layout(monkeypatch):
+    # one map serves every batch size and pass budget of a layout; another layout builds its own
     spec, cell, _, seqs, labels = sweep_setup("lstm6", "tanh")
-    gradcheck._replica_map.cache_clear()
-    sweep_losses(spec, cell, seqs, labels, Workspace(), gradcheck._replica(cell))
-    monkeypatch.setattr(gradcheck, "REPLICA_UNITS", 5)
-    sweep_losses(spec, cell, seqs, labels, Workspace(), gradcheck._replica(cell))
-    sweep_losses(spec, cell, seqs, labels, Workspace(), gradcheck._replica(cell))
-    info = gradcheck._replica_map.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (2, 2, 1)
+    gradcheck._sweep_map.cache_clear()
+    sweep_losses(spec, cell, seqs, labels, Workspace())
+    sweep_losses(spec, cell, seqs[:, :1], labels[:1], Workspace())
+    monkeypatch.setattr(gradcheck, "PASS_FLOATS", 1)
+    sweep_losses(spec, cell, seqs, labels, Workspace())
+    spec, cell, _, seqs, labels = sweep_setup("lstm6", "tanh", n_h=4)
+    sweep_losses(spec, cell, seqs, labels, Workspace())
+    info = gradcheck._sweep_map.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_sweep_pass_fits_its_budget(variant):
+    # the budget is below lstm's training plan at the paper's shapes; at check_all's default shapes every
+    # configuration is one pass, and at n_h = 100 a pass fits the budget (its plan is only computed)
+    assert gradcheck.PASS_FLOATS <= floats(bptt._carved(layout("lstm", 28, 100, 10), 28, 32))
+    for B in CHECK_SIZES:
+        spec, cell, _, seqs, labels = sweep_setup(variant, "tanh", batch_size=B)
+        ws = Workspace()
+        sweep_losses(spec, cell, seqs, labels, ws)
+        n_cell = 2 * cell.layout.fields["W_hy"][0].start + 1
+        assert gradcheck._vectors_per_pass(cell.layout, 4, B) >= n_cell
+        assert len(ws._buf) == floats(bptt._carved(cell.layout, 4, n_cell * B)) <= gradcheck.PASS_FLOATS
+        large = layout(variant, 3, 100, 4)
+        per_pass = gradcheck._vectors_per_pass(large, 4, B)
+        assert 1 <= per_pass < 2 * large.fields["W_hy"][0].start + 1
+        assert floats(bptt._carved(large, 4, per_pass * B)) <= gradcheck.PASS_FLOATS
 
 
 @pytest.mark.parametrize("shift, message", [
     (-1, "lstm: coordinate 4 is covered by 2 named arrays, not 1"),  # U's last column, read by W too
     (1, "lstm: coordinate 5 is covered by 0 named arrays, not 1"),  # W's first column, read by nothing
 ])
-def test_replica_map_rejects_named_arrays_that_overlap_or_leave_a_gap(shift, message):
+def test_sweep_map_rejects_named_arrays_that_overlap_or_leave_a_gap(shift, message):
     # every W view of a fresh lstm layout shifted by one column of its dense stack's [U | W | b] rows;
     # the cached layout("lstm", 3, 5, 4) that other tests read is left as it is
     lay = Layout("lstm", 3, 5, 4)
@@ -284,4 +339,4 @@ def test_replica_map_rejects_named_arrays_that_overlap_or_leave_a_gap(shift, mes
         at, shape, (rows, cols) = lay.fields[name]
         lay.fields[name] = (at, shape, (rows, slice(cols.start + shift, cols.stop + shift)))
     with pytest.raises(ValueError, match=f"^{message}$"):
-        gradcheck._replica_map(lay, gradcheck.REPLICA_UNITS)
+        gradcheck._sweep_map(lay)

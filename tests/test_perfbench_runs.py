@@ -67,11 +67,11 @@ def test_tracer_finds_every_hooked_function_but_the_known_dead_ones():
 
 def test_tracer_records_the_spans_behind_the_gradcheck_metrics():
     # gradcheck.config_s is the mean gradcheck.config span and gradcheck.loss_evals is bptt.forward calls per
-    # such span: each of lstm5's 9 configurations runs 1 analytic forward and 5 replica passes at these shapes
+    # such span: each of lstm5's 9 configurations runs 1 analytic forward and 1 sweep pass at these shapes
     tr = tracer.Tracer()
     with tr.installed():
         assert len(gradcheck.check_all(seeds=(0, 1, 2), variants=("lstm5",))) == 9
     assert {name: row.calls for name, row in tr.table().items()} == {
-        "cells.init": 3, "bptt.forward": 54, "bptt.backward": 9, "bptt.loss": 18, "bptt.batch": 9,
+        "cells.init": 3, "bptt.forward": 18, "bptt.backward": 9, "bptt.loss": 18, "bptt.batch": 9,
         "gradcheck.config": 9, "gradcheck.check_all": 1,
     }

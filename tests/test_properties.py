@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slimrnn import bptt, gradcheck
+from slimrnn import bptt
 from slimrnn.bptt import Workspace, backward_sequence, batch_loss_and_grads, forward_sequence, softmax_xent
 from slimrnn.cells import ACTIVATIONS, Activation, Variant, VariantSpec, init_params
 from slimrnn.data import Split, batches, read_idx_images
@@ -85,7 +85,7 @@ def test_relu_value_is_positive_exactly_where_its_pre_activation_is(xs):
     seed=st.integers(0, 2**16),
 )
 def test_gradient_check_passes_at_any_shape(variant, activation, n_in, n_h, n_out, T, B, seed):
-    # the analytic pass and the replica sweep carve two layouts in turn from one workspace
+    # the analytic pass and the sweep carve one layout at two widths in turn from one workspace
     result = check_one(variant, activation, seeds=(seed,), n_in=n_in, n_h=n_h, n_out=n_out, T=T, batch_size=B)
     assert result.passed, result
 
@@ -101,12 +101,12 @@ def test_gradient_check_passes_at_any_shape(variant, activation, n_in, n_h, n_ou
     B=st.integers(1, 4),
 )
 def test_sweep_head_vectors_match_standalone_forward(variant, activation, n_in, n_h, n_out, T, B):
-    # the head's vectors take no replica pass: each moves one of vector 0's logits
+    # the head's vectors take no forward pass: each moves one of vector 0's logits
     spec = VariantSpec.make(variant, activation)
     p, _ = init_params(spec, n_in, n_h, n_out, seed=n_h * T + B)
     rng = np.random.default_rng([n_in, n_h, n_out, T, B])
     seqs, labels = rng.uniform(0.0, 1.0, size=(T, B, n_in)), rng.integers(0, n_out, size=B)
-    losses, same = sweep_losses(spec, p, seqs, labels, Workspace(), gradcheck._replica(p))
+    losses, same = sweep_losses(spec, p, seqs, labels, Workspace())
     cell = p.layout.fields["W_hy"][0].start  # the head's coordinates come last
     assert same[2 * cell + 1 :].all()
     for k in [0, *range(2 * cell + 1, 2 * p.vec.size + 1)]:
