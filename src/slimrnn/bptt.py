@@ -218,12 +218,12 @@ def forward_sequence(
     single = x.ndim == 2
     if single:
         x = x[:, None, :]
-    if x.ndim != 3 or x.shape[0] == 0 or x.shape[1] == 0 or x.shape[2] != p.n_in:
+    if x.ndim != 3 or x.shape[0] == 0 or x.shape[1] == 0 or x.shape[2] != p.layout.n_in:
         raise ValueError(
-            f"inputs of shape {x.shape} are not a nonempty (T, [B,] n_in={p.n_in}) array"
+            f"inputs of shape {x.shape} are not a nonempty (T, [B,] n_in={p.layout.n_in}) array"
         )
     T, B, _ = x.shape
-    n_h, lay = p.n_h, p.layout
+    n_h, lay = p.layout.n_h, p.layout
     if lay.variant is not spec.variant:
         raise ValueError(f"parameters of {lay.variant.value} given for {spec.variant.value}")
     trace = (Workspace() if ws is None else ws).carve(lay, T, B)
@@ -309,10 +309,10 @@ def backward_sequence(trace: Trace, dlogits: np.ndarray) -> Params:
     p, head = trace.cell, trace.head
     (act, act_d), sig_d = ACTIVATIONS[trace.activation], ACTIVATIONS[Activation.SIGMOID][1]
     dl = np.atleast_2d(dlogits)
-    if dl.shape != (B, head.n_out):
+    if dl.shape != (B, head.layout.n_out):
         raise ValueError(f"dlogits shape {np.shape(dlogits)} does not match {B} rows of the head")
 
-    lay, n_h = p.layout, p.n_h
+    lay, n_h = p.layout, p.layout.n_h
     gr, d0, b0 = lay.gate_rows, lay.dense_from, lay.bias_from
     i_unit, o_unit = "i" in lay.unit, "o" in lay.unit
     Ut = p.stacks["dense"].reshape(-1, n_h, len(trace.z))[:, :, :n_h].transpose(0, 2, 1)  # each block's U^T

@@ -197,7 +197,6 @@ class Params(Mapping):
     def __init__(self, layout: Layout, vec: np.ndarray | None = None) -> None:
         self.layout = layout
         self.vec = np.zeros(layout.size) if vec is None else vec
-        self.n_in, self.n_h, self.n_out = layout.n_in, layout.n_h, layout.n_out
         self.stacks = {k: self.vec[sl].reshape(shape) for k, (sl, shape) in layout.stacks.items()}
         self._arrays = {k: self.vec[sl].reshape(shape)[ix] for k, (sl, shape, ix) in layout.fields.items()}
 

@@ -30,10 +30,12 @@ times that operand entry to that pre-activation entry at every step,
 which the forward's ``nudge`` does before any nonlinearity; each column
 differs from a standalone forward pass of its vector only in rounding.
 Where each coordinate enters, and the head's index arrays, are read once
-per layout and cached (``_sweep_map``). A pass takes as many vectors as
-fit, by the memory plan ``_carved``, in ``PASS_FLOATS`` floats of the
-workspace: every configuration of ``check_all`` at its default shapes is
-one pass.
+per layout and cached (``_sweep_map``). Each configuration is one pass,
+so its trace grows with the 2 P_cell + 1 vectors that take one (P_cell
+the cell's coordinates): 2.76 MB for lstm at ``check_all``'s default
+shapes and B = 3, 11.1 MB at the largest shape of the property tests
+(lstm, n_in 4, n_h 7, T 5, B 4), but about 3.9 GB for lstm at n_h = 100
+and T = 4, a shape no caller checks.
 
 ``check_all`` alone builds a check's inputs; ``check_gradients`` only
 checks the ones it is given. Each call of ``check_all`` draws each seed's
@@ -59,13 +61,12 @@ below zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .bptt import Trace, Workspace, _carved, batch_loss_and_grads, forward_sequence, softmax_xent
+from .bptt import Trace, Workspace, batch_loss_and_grads, forward_sequence, softmax_xent
 from .cells import Activation, Layout, Params, Variant, VariantSpec, init_params
 from .data import SequenceBatch
 from .rng import TAG_GRADCHECK, stream
@@ -73,7 +74,6 @@ from .rng import TAG_GRADCHECK, stream
 EPS = 1e-5
 REL_TOL = 1e-4
 _ERR_FLOOR = 1e-4
-PASS_FLOATS = 1 << 19  # workspace floats per sweep pass, 4.2 MB: lstm's training plan at the paper's shapes is 7.9 MB
 
 
 def relu_pattern(trace: Trace) -> np.ndarray | None:
@@ -116,11 +116,6 @@ def _sweep_map(lay: Layout) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, n
     return out
 
 
-def _vectors_per_pass(lay: Layout, T: int, B: int) -> int:
-    """The vectors, B columns each, of one sweep pass: as many as ``_carved`` fits in ``PASS_FLOATS``, at least 1."""
-    return max(1, PASS_FLOATS // (B * sum(map(math.prod, _carved(lay, T, 1).values()))))
-
-
 def sweep_losses(
     spec: VariantSpec, params: Params, seqs: np.ndarray, labels: np.ndarray, ws: Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -129,40 +124,31 @@ def sweep_losses(
     Vector 0 is the unperturbed one; vectors 2j+1 and 2j+2 add +EPS and
     -EPS to coordinate j of the parameter vector ``params.vec``. Also
     returns, per vector, whether its relu pattern equals vector 0's. Only
-    vector 0 and the cell's coordinates take forward passes, each a batch
-    of ``_vectors_per_pass`` vectors side by side, vector 0 in the first B
-    columns of the first; every pass carves its trace from ``ws`` and is
-    read before the next starts it over. The head's vectors move one of
-    vector 0's logits, and one ``softmax_xent`` call takes every vector's
-    logits. ``params`` is only read.
+    vector 0 and the cell's coordinates take forward passes, all as one
+    batch side by side, vector 0 in its first B columns, its trace carved
+    from ``ws``. The head's vectors move one of vector 0's logits, and one
+    ``softmax_xent`` call takes every vector's logits. ``params`` is only
+    read.
     """
     lay = params.layout
     row, oprow, (head_rows, head_logit) = _sweep_map(lay)
     T, B, _ = seqs.shape
     n, n_cell = 2 * lay.size + 1, 2 * len(row) + 1
-    coord = np.arange(-1, n_cell - 1) // 2  # vector k > 0 moves coordinate (k-1)//2
-    step = np.where(np.arange(n_cell) % 2, EPS, -EPS)
-    per_pass = min(_vectors_per_pass(lay, T, B), n_cell)
-    x = np.tile(seqs, (1, per_pass, 1))  # column k*B + b holds sequence b for vector k of a pass
+    col = np.arange(B, n_cell * B)  # vector k > 0 moves coordinate (k-1)//2 in columns k*B .. (k+1)*B
+    at, by = (np.repeat(a, 2 * B) * (n_cell * B) + col for a in (row, oprow))
+    step = np.repeat(np.tile([EPS, -EPS], len(row)), B)
+    out, trace = forward_sequence(spec, params, params, np.tile(seqs, (1, n_cell, 1)), ws, nudge=(at, by, step))
     logits = np.empty((n, B, lay.n_out))
+    logits[:n_cell] = out.reshape(n_cell, B, -1)
     same = np.ones(n, dtype=bool)
-    for lo in range(0, n_cell, per_pass):
-        k = np.arange(lo, min(lo + per_pass, n_cell))
-        moved, cols = k[k > 0], len(k) * B
-        col = ((moved - lo)[:, None] * B + np.arange(B)).ravel()  # each moved vector's columns
-        at, by = (np.repeat(a[coord[moved]], B) * cols + col for a in (row, oprow))
-        out, trace = forward_sequence(spec, params, params, x[:, :cols], ws, nudge=(at, by, np.repeat(step[moved], B)))
-        logits[k] = out.reshape(len(k), B, -1)
-        if lo == 0:
-            h_T = trace.h[-1, :, :B].copy()  # vector 0's final hidden state, (n_h, B)
-        pattern = relu_pattern(trace)
-        if pattern is not None:
-            pattern = pattern.reshape(*pattern.shape[:2], len(k), B)
-            base_pattern = pattern[:, :, :1] if lo == 0 else base_pattern
-            same[k] = (pattern == base_pattern).all(axis=(0, 1, 3))
+    pattern = relu_pattern(trace)
+    if pattern is not None:
+        pattern = pattern.reshape(*pattern.shape[:2], n_cell, B)
+        same[:n_cell] = (pattern == pattern[:, :, :1]).all(axis=(0, 1, 3))
 
     # The head is affine in W_hy and b_y and feeds nothing back: a step on
     # W_hy[i, j] moves vector 0's logit i by the step times h_T[j], one on b_y[i] by the step.
+    h_T = trace.h[-1, :, :B]  # vector 0's final hidden state, (n_h, B)
     feature = np.concatenate([np.tile(h_T, (lay.n_out, 1)), np.ones((lay.n_out, B))])  # a row per head coordinate
     for first, head_step in ((n_cell, EPS), (n_cell + 1, -EPS)):
         head = logits[first::2]
@@ -191,8 +177,8 @@ def check_gradients(spec: VariantSpec, seed: int, model: Params, batch: Sequence
 
     ``model`` is the configuration's model and ``batch`` the sequences
     drawn from ``seed``, as ``check_all`` builds them: both are only read. The loss is the
-    mean over the batch, and the relu kink rule covers all of it. Every
-    pass carves from ``ws``.
+    mean over the batch, and the relu kink rule covers all of it. Both
+    passes carve from ``ws``.
     """
     _, grads, _ = batch_loss_and_grads(spec, model, model, batch, ws)
     analytic = grads.vec

@@ -70,6 +70,8 @@ class TrainConfig:
             files = [d for d in path.parents if d.exists() and not d.is_dir()]
             if files:
                 raise ConfigError(f"metrics path {path} lies under {files[0]}, which is not a directory")
+        if not 0 <= self.seed < 1 << 64:  # rng.stream's key holds it in 64 bits
+            raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.epochs < 1 or self.batch_size < 1 or self.n_h < 1:
             raise ConfigError("epochs, batch_size and hidden size must be at least 1")
         for name in ("train_limit", "test_limit"):

@@ -16,14 +16,13 @@ TAG_INIT = 1
 TAG_SHUFFLE = 2
 TAG_GRADCHECK = 3
 
-_MASK64 = (1 << 64) - 1
 _EPOCH_MASK = (1 << 48) - 1
 
 
 def stream(seed: int, tag: int, epoch: int = 0) -> np.random.Generator:
-    """Generator for one (seed, tag, epoch) stream."""
+    """Generator for one (seed, tag, epoch) stream; a seed outside [0, 2^64) raises OverflowError."""
     key = np.array(
-        [seed & _MASK64, ((tag & 0xFFFF) << 48) | (epoch & _EPOCH_MASK)],
+        [seed, ((tag & 0xFFFF) << 48) | (epoch & _EPOCH_MASK)],
         dtype=np.uint64,
     )
     return np.random.Generator(np.random.Philox(key=key))

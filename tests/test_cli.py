@@ -355,6 +355,27 @@ def test_grad_check_without_trials_exits_2(trials, capsys):
     assert "--trials" in captured.err
 
 
+@pytest.mark.parametrize("seed, code", [(0, 3), (2**64 - 1, 3), (-1, 2), (2**64, 2)])
+@pytest.mark.parametrize("command", ["train", "grid"])
+def test_seeds_outside_64_bits_exit_2_before_loading_data(tmp_path, capsys, command, seed, code):
+    # the data is missing: an accepted seed gets as far as loading it (exit 3), a refused one does not (exit 2)
+    args = ["train", "--variant", "lstm6", "--activation", "tanh"] if command == "train" else ["grid"]
+    out = tmp_path / "out"
+    assert main([*args, "--seed", str(seed), "--data-dir", str(tmp_path / "missing"), "--out", str(out)]) == code
+    assert ("seed must lie in [0, 2^64)" in capsys.readouterr().err) == (code == 2)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed, trials", [(-1, 1), (2**64, 1), (2**64 - 1, 2)])
+def test_grad_check_seeds_outside_64_bits_exit_2(seed, trials, capsys):
+    # --seed and the --trials - 1 seeds after it must all lie in [0, 2^64)
+    code = main(["grad-check", "--seed", str(seed), "--trials", str(trials)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--seed" in captured.err
+
+
 def test_determinism_through_cli(tmp_path):
     write_mnist_dir(tmp_path, n_train=16, n_test=8)
     outs = []

@@ -88,23 +88,6 @@ def test_sweep_losses_match_standalone_forward(variant, activation, batch_size, 
         assert same[k] == (pattern is None or np.array_equal(pattern, base_pattern)), k
 
 
-@pytest.mark.parametrize("batch_size", [1, 3])
-@pytest.mark.parametrize("variant", list(Variant))
-def test_a_sweep_in_several_passes_matches_the_one_pass_sweep(variant, batch_size, monkeypatch):
-    # a budget just under 9 vectors' plans: passes of 8 vectors and a partial last one, vector 0 only in the first
-    spec, cell, _, seqs, labels = sweep_setup(variant, "relu", batch_size=batch_size)
-    one_pass = sweep_losses(spec, cell, seqs, labels, Workspace())
-    n_cell = 2 * cell.layout.fields["W_hy"][0].start + 1
-    assert n_cell % 8
-    per_column = floats(bptt._carved(cell.layout, len(seqs), 1))
-    monkeypatch.setattr(gradcheck, "PASS_FLOATS", 9 * batch_size * per_column - 1)
-    widths = recorded_widths(monkeypatch)
-    losses, same = sweep_losses(spec, cell, seqs, labels, Workspace())
-    assert widths == [8 * batch_size] * (n_cell // 8) + [n_cell % 8 * batch_size]
-    assert np.allclose(losses, one_pass[0], rtol=1e-12, atol=0.0)
-    assert np.array_equal(same, one_pass[1])
-
-
 @pytest.mark.parametrize("batch_size", CHECK_SIZES)
 @pytest.mark.parametrize("variant, coordinate", [  # a cell coordinate, then the head's two arrays
     pytest.param(v, name, id=v.value if name == "W_c" else f"{v.value}-{name}")
@@ -219,14 +202,18 @@ def test_check_all_builds_each_model_and_each_batch_once(monkeypatch):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_check_all_sweeps_each_configuration_in_one_pass_of_its_model(variant, batch_size, monkeypatch):
     # one variant x 3 activations x seeds 0-2: per configuration one sweep pass over every vector that takes
-    # one, run by the configuration's read-only model itself, 3 models in all
+    # one, run by the configuration's read-only model itself, 3 models in all; the shared workspace holds
+    # exactly that pass's memory plan
     calls = []
     monkeypatch.setattr(gradcheck, "forward_sequence",
-                        lambda s, p, h, x, ws, **kw: calls.append((p, h, x.shape[1])) or forward_sequence(s, p, h, x, ws, **kw))
+                        lambda s, p, h, x, ws, **kw: calls.append((p, h, x.shape[1], ws)) or forward_sequence(s, p, h, x, ws, **kw))
     assert len(check_all(seeds=(0, 1, 2), variants=(variant,), batch_size=batch_size)) == 9
-    n_cell = 2 * layout(variant, 3, 5, 4).fields["W_hy"][0].start + 1
-    assert [(p is h, p.vec.flags.writeable, width) for p, h, width in calls] == [(True, False, n_cell * batch_size)] * 9
-    assert len({id(p) for p, _, _ in calls}) == 3
+    lay = layout(variant, 3, 5, 4)
+    n_cell = 2 * lay.fields["W_hy"][0].start + 1
+    assert [(p is h, p.vec.flags.writeable, width) for p, h, width, _ in calls] == [(True, False, n_cell * batch_size)] * 9
+    assert len({id(p) for p, *_ in calls}) == 3
+    (ws,) = {ws for *_, ws in calls}
+    assert len(ws._buf) == floats(bptt._carved(lay, 4, n_cell * batch_size))
 
 
 @pytest.mark.parametrize("batch_size", [1, 3])
@@ -295,36 +282,16 @@ def test_sweep_map_names_the_row_and_operand_row_each_coordinate_joins(variant):
     assert list(zip(row.tolist(), oprow.tolist())) == want
 
 
-def test_sweep_map_is_cached_per_layout(monkeypatch):
-    # one map serves every batch size and pass budget of a layout; another layout builds its own
+def test_sweep_map_is_cached_per_layout():
+    # one map serves every batch size of a layout; another layout builds its own
     spec, cell, _, seqs, labels = sweep_setup("lstm6", "tanh")
     gradcheck._sweep_map.cache_clear()
     sweep_losses(spec, cell, seqs, labels, Workspace())
     sweep_losses(spec, cell, seqs[:, :1], labels[:1], Workspace())
-    monkeypatch.setattr(gradcheck, "PASS_FLOATS", 1)
-    sweep_losses(spec, cell, seqs, labels, Workspace())
     spec, cell, _, seqs, labels = sweep_setup("lstm6", "tanh", n_h=4)
     sweep_losses(spec, cell, seqs, labels, Workspace())
     info = gradcheck._sweep_map.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (2, 2, 2)
-
-
-@pytest.mark.parametrize("variant", list(Variant))
-def test_a_sweep_pass_fits_its_budget(variant):
-    # the budget is below lstm's training plan at the paper's shapes; at check_all's default shapes every
-    # configuration is one pass, and at n_h = 100 a pass fits the budget (its plan is only computed)
-    assert gradcheck.PASS_FLOATS <= floats(bptt._carved(layout("lstm", 28, 100, 10), 28, 32))
-    for B in CHECK_SIZES:
-        spec, cell, _, seqs, labels = sweep_setup(variant, "tanh", batch_size=B)
-        ws = Workspace()
-        sweep_losses(spec, cell, seqs, labels, ws)
-        n_cell = 2 * cell.layout.fields["W_hy"][0].start + 1
-        assert gradcheck._vectors_per_pass(cell.layout, 4, B) >= n_cell
-        assert len(ws._buf) == floats(bptt._carved(cell.layout, 4, n_cell * B)) <= gradcheck.PASS_FLOATS
-        large = layout(variant, 3, 100, 4)
-        per_pass = gradcheck._vectors_per_pass(large, 4, B)
-        assert 1 <= per_pass < 2 * large.fields["W_hy"][0].start + 1
-        assert floats(bptt._carved(large, 4, per_pass * B)) <= gradcheck.PASS_FLOATS
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 1)
 
 
 @pytest.mark.parametrize("shift, message", [

@@ -21,6 +21,7 @@ from slimrnn.harness import (
     run_grid,
     train,
 )
+from slimrnn.rng import TAG_INIT, TAG_SHUFFLE, stream
 
 from .conftest import synth_dataset, synth_split, traced_peak_mb
 from .fixtures.freeze import load, metrics_text
@@ -51,6 +52,19 @@ def test_config_validation():
         small_config(variant="gru").validate()
     with pytest.raises(ConfigError):
         small_config(train_limit=0).validate()
+
+
+def test_a_seed_is_a_stream_key_of_its_own_and_one_outside_64_bits_is_refused():
+    # the key is the seed itself, so no two accepted seeds share a stream: 2^64 does not wrap to seed 0, nor -1 to 2^64 - 1
+    for seed in (0, 1, 2**64 - 1):
+        assert small_config(seed=seed).validate().seed == seed
+        for tag, epoch in ((TAG_INIT, 0), (TAG_SHUFFLE, 5)):
+            assert stream(seed, tag, epoch).bit_generator.state["state"]["key"][0] == seed
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match=r"^seed must lie in \[0, 2\^64\), got "):
+            small_config(seed=seed).validate()
+        with pytest.raises(OverflowError):
+            stream(seed, TAG_INIT)
 
 
 def test_evaluate_zero_logits_tie_breaks_to_class_zero():

@@ -17,6 +17,11 @@ there too that sets it: by keyword, by position, through a ``*`` or ``**``
 spread (a ``**`` of a module-level dict literal sets that dict's keys
 alone), or by handing the function on as a value, which may set any of
 its parameters. Calls and values are matched by the function's name.
+
+No module of src/slimrnn may take a ``_private`` name from another module
+of the package, by importing it or by reading it as an attribute of a
+name imported from the package: what a module keeps private has readers
+in that module alone (and in tests/ and bench/, which are exempt).
 """
 
 import ast
@@ -60,9 +65,30 @@ def definitions(tree: ast.Module) -> list[str]:
     return names
 
 
+def is_private(name: str) -> bool:
+    """Whether ``name`` starts with one underscore."""
+    return name.startswith("_") and not name.startswith("__")
+
+
 def private_definitions(tree: ast.Module) -> list[str]:
     """Module-level definitions whose names start with one underscore."""
-    return [n for n in definitions(tree) if n.startswith("_") and not n.startswith("__")]
+    return [n for n in definitions(tree) if is_private(n)]
+
+
+def private_imports(tree: ast.Module) -> list[str]:
+    """The ``_private`` names that ``tree`` imports from the package slimrnn, and ``name._attr`` of each one
+    it reads as an attribute of a name imported from there."""
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "slimrnn")
+    ]
+    bound = {a.asname or a.name for node in imports for a in node.names}
+    taken = [a.name for node in imports for a in node.names]
+    taken += [
+        f"{n.value.id}.{n.attr}" for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in bound
+    ]
+    return [name for name in taken if is_private(name.split(".")[-1])]
 
 
 def public_definitions(tree: ast.Module) -> list[str]:
@@ -189,6 +215,11 @@ def test_every_private_name_has_a_reader():
     assert orphans == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_takes_a_private_name_from_another(path):
+    assert private_imports(parse(path)) == []
+
+
 def test_every_public_name_has_a_reader_outside_tests():
     read = references([parse(path) for path in readers_outside_tests()])
     orphans = [f"{path.stem}.{name}" for path in MODULES for name in public_definitions(parse(path)) if name not in read]
@@ -224,6 +255,13 @@ def test_checks_flag_a_planted_orphan():
                      "def use(p):\n    return p.arrays()\n")
     read = attributes_read([tree])
     assert [n for n in attributes_set(tree) if n.split(".")[1] not in read] == ["Trace.arrays"]
+
+
+def test_private_import_check_flags_a_planted_import_and_attribute():
+    tree = ast.parse("from __future__ import annotations\nfrom .bptt import Trace, _carved\nfrom . import cells as c\n"
+                     "from slimrnn.rng import _EPOCH_MASK\nfrom numpy import _core\n\n"
+                     "def f(t: Trace):\n    return t._buf, c._lookup, c.GATES, c.__name__, Trace._fields\n")
+    assert private_imports(tree) == ["_carved", "_EPOCH_MASK", "c._lookup", "Trace._fields"]
 
 
 def test_parameter_check_flags_a_test_only_keyword_and_accepts_every_way_a_caller_sets_one():
