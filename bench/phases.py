@@ -8,8 +8,8 @@ Run from the root of a checkout, with the parent's ``src`` extracted beside it:
 Three copies of slimrnn load side by side as packages of their own names,
 with caches of their own (``src`` imports only relatively), and leave
 ``sys.modules["slimrnn"]`` alone: side A from ``--against``, and side B and
-its control B' (``b2``), a second copy of B, from ``--src`` (by default
-this checkout's ``src``). B's ``cli._pin_blas`` pins BLAS to one thread.
+its control B' (``b2``), a second copy of B, from this checkout's ``src``.
+B's ``cli._pin_blas`` pins BLAS to one thread.
 The data are seeded synthetic 28 x 28 uint8 images, about 15% ink. Per
 variant:
 
@@ -206,7 +206,6 @@ def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", type=Path, required=True, help="the BENCH json to write; must not exist")
     p.add_argument("--against", type=Path, required=True, help="side A: a src directory, e.g. the parent's")
-    p.add_argument("--src", type=Path, default=ROOT / "src", help="sides B and B': a src directory")
     p.add_argument("--repeat", type=int, default=15, help="rounds per timing")
     p.add_argument("--tiny", action="store_true", help="tiny shapes, for a smoke run")
     args = p.parse_args(argv)
@@ -214,13 +213,13 @@ def main(argv: list[str] | None = None) -> int:
         p.error(f"{args.out} exists; give a new --out")
     if not args.out.parent.is_dir():
         p.error(f"{args.out.parent} is not a directory; give an --out in one")
-    for option, src in (("--against", args.against), ("--src", args.src)):
-        if not (src / "slimrnn" / "__init__.py").is_file():
-            p.error(f"{option} {src}: no slimrnn/__init__.py there; give a src directory")
+    if not (args.against / "slimrnn" / "__init__.py").is_file():
+        p.error(f"--against {args.against}: no slimrnn/__init__.py there; give a src directory")
     if args.repeat < 1:
         p.error(f"--repeat {args.repeat}: give at least one round")
 
-    sides = {name: load(src, f"slimrnn_{name}") for name, src in (("a", args.against), ("b", args.src), ("b2", args.src))}
+    sources = {"a": args.against, "b": ROOT / "src", "b2": ROOT / "src"}
+    sides = {name: load(src, f"slimrnn_{name}") for name, src in sources.items()}
     doc = measure(sides, TINY if args.tiny else FULL, args.repeat)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0

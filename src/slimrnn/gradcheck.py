@@ -95,11 +95,6 @@ def _sweep_map(lay: Layout) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, n
     (module docstring). Per head coordinate: its row of the head's
     features and the logit it moves. All are read-only.
     """
-    at = Params(lay, np.arange(lay.size))  # each array's positions
-    covered = np.bincount(np.concatenate([a.ravel() for a in at.values()]), minlength=lay.size)
-    if (covered != 1).any():  # overlapping views or a gap would leave a coordinate moved twice or never
-        j = int(np.argmax(covered != 1))
-        raise ValueError(f"{lay.variant.value}: coordinate {j} is covered by {covered[j]} named arrays, not 1")
     entry = {  # per stack, the (row, operand row) of the entry at each index
         "u": lambda k: (k, k % lay.n_h),
         "b": lambda k: (lay.bias_from + k, lay.n_h + lay.n_in),

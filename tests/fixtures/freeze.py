@@ -60,14 +60,6 @@ all 21 variant x activation configurations, under keys ``<variant>/<activation>/
     configurations (lstm4a/tanh, lstm4a/relu, lstm5a/tanh, lstm6/tanh,
     lstm6/relu), by at most 7.1e-11 relative, and no accuracy.
 
-``batch_grads.npz`` has no writer, on purpose. For batches of 1, 3 and 5
-sequences at the small shape above it holds, under ``.../<B>``, one vector
-of the mean loss, the correct count and every mean gradient array flattened
-in the order the gradients are returned. It was written by the per-example
-engine that preceded the batch-major one (commit 7428618), so the tests
-check the current engine, within a tolerance, against independently
-computed values; re-freezing it would compare the engine with itself.
-
 Run from the repository root, against a checkout's own code,
 
     PYTHONPATH=src python -m tests.fixtures.freeze [NAME ...] [--out DIR]
@@ -98,10 +90,8 @@ from ..conftest import seeded_batch, synth_dataset
 
 HERE = Path(__file__).parent
 
-# batch_grads.npz and gradcheck_counts.json: the small shape
-N_IN, N_H, N_OUT, T = 3, 5, 4, 4
-DIMS = dict(n_in=N_IN, n_h=N_H, n_out=N_OUT, T=T)
-GRAD_SIZES = (1, 3, 5)
+# gradcheck_counts.json: the small shape
+DIMS = dict(n_in=3, n_h=5, n_out=4, T=4)
 CHECK_SIZES = (1, 3)
 SEEDS = (0, 1, 2)
 COARSE_EPS = 0.03
@@ -116,11 +106,6 @@ SPECS = [VariantSpec.make(v, a) for v in Variant for a in Activation]
 
 def key(config: VariantSpec | gradcheck.CheckResult) -> str:
     return f"{config.variant.value}/{config.activation.value}"
-
-
-def fixed_batch(size: int) -> SequenceBatch:
-    """batch_grads.npz's inputs and labels, the same for every configuration of one batch size."""
-    return seeded_batch([20170714, size], size, T, N_IN, N_OUT)
 
 
 def digest_batch(size: int) -> SequenceBatch:
@@ -203,10 +188,7 @@ WRITERS = {
 
 
 def load(name: str) -> dict:
-    """The committed fixture ``name``, as its builder returned it (``batch_grads.npz`` as arrays)."""
-    if name.endswith(".npz"):
-        with np.load(HERE / name) as frozen:
-            return dict(frozen)
+    """The committed fixture ``name``, as its builder returned it."""
     return json.loads((HERE / name).read_text())
 
 

@@ -65,7 +65,7 @@ def test_tiny_aa_run_times_every_call_on_three_isolated_copies_and_refuses_an_ex
     loaded, load = [], phases.load
     monkeypatch.setattr(phases, "load", lambda src, name: loaded.append(load(src, name)) or loaded[-1])
     slimrnn, out = sys.modules["slimrnn"], tmp_path / "BENCH.json"
-    argv = ["--out", str(out), "--against", str(ROOT / "src"), "--src", str(ROOT / "src"), "--tiny", "--repeat", "3"]
+    argv = ["--out", str(out), "--against", str(ROOT / "src"), "--tiny", "--repeat", "3"]
     assert phases.main(argv) == 0
 
     assert sys.modules["slimrnn"] is slimrnn
@@ -95,18 +95,17 @@ def test_tiny_aa_run_times_every_call_on_three_isolated_copies_and_refuses_an_ex
     (["--out", "{tmp}/missing/BENCH.json"], "{tmp}/missing is not a directory"),
     (["--out", "{tmp}/file/BENCH.json"], "{tmp}/file is not a directory"),
     (["--against", "{tmp}"], "--against {tmp}: no slimrnn/__init__.py there"),
-    (["--src", "{root}"], "--src {root}: no slimrnn/__init__.py there"),  # the checkout, not its src
-], ids=["repeat-0", "repeat-negative", "out-dir-missing", "out-dir-a-file", "against-no-package", "src-no-package"])
+], ids=["repeat-0", "repeat-negative", "out-dir-missing", "out-dir-a-file", "against-no-package"])
 def test_bad_arguments_are_refused_before_any_work(tmp_path, monkeypatch, capsys, args, message):
     # a missing --out directory would otherwise surface only after the whole run, as a traceback
     loaded, out = [], tmp_path / "BENCH.json"
     (tmp_path / "file").write_text("")
     monkeypatch.setattr(phases, "load", lambda src, name: loaded.append(name))
     defaults = {"--out": str(out), "--against": str(ROOT / "src")}
-    given = [a.format(tmp=tmp_path, root=ROOT) for a in args]
+    given = [a.format(tmp=tmp_path) for a in args]
     argv = [*given, *(a for k, v in defaults.items() if k not in given for a in (k, v))]
     with pytest.raises(SystemExit) as refused:
         phases.main(argv)
     assert refused.value.code == 2 and not out.exists() and loaded == []
     [error] = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]  # one line, no traceback
-    assert message.format(tmp=tmp_path, root=ROOT) in error
+    assert message.format(tmp=tmp_path) in error

@@ -12,14 +12,12 @@ from slimrnn.data import SequenceBatch, Split
 from slimrnn.harness import evaluate
 from slimrnn.rng import TAG_GRADCHECK, stream
 
-from .conftest import check_one, seeded_batch, traced_peak_mb
+from .conftest import seeded_batch, traced_peak_mb
 from .fixtures import freeze
-from .fixtures.freeze import GRAD_SIZES, N_H, N_IN, N_OUT, fixed_batch
 from .test_cells import zeroed_params
 
 ALL_VARIANTS = list(Variant)
 ALL_ACTIVATIONS = list(Activation)
-FROZEN = freeze.load("batch_grads.npz")
 FROZEN_DIGESTS = freeze.load("batch_digests.json")
 
 
@@ -175,17 +173,6 @@ def test_backward_rejects_mismatched_caches():
         backward_sequence(caches, np.zeros(7))
 
 
-# A fast spot-check; the full matrix runs in the acceptance suite.
-@pytest.mark.parametrize(
-    "variant,activation",
-    [("lstm", "tanh"), ("lstm4", "sigmoid"), ("lstm4a", "relu"), ("srn", "relu")],
-)
-def test_gradients_match_finite_differences(variant, activation):
-    result = check_one(variant, activation, seeds=(0,))
-    assert result.compared > 0
-    assert result.max_rel_err < 1e-4
-
-
 def batch_of(seq_label_pairs):
     seqs = np.stack([s for s, _ in seq_label_pairs])
     labels = np.array([l for _, l in seq_label_pairs])
@@ -233,33 +220,6 @@ def test_batch_mean_is_hand_average():
     assert rel_err(loss, (losses[0] + losses[1]) / 2) <= 1e-12
     for name in grads:
         assert rel_err(grads[name], (parts[0][name] + parts[1][name]) / 2) <= 1e-12, name
-
-
-@pytest.mark.parametrize("activation", ALL_ACTIVATIONS)
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_batch_matches_frozen_per_example_engine(variant, activation):
-    # fixtures/batch_grads.npz holds what the per-example engine returned
-    spec = VariantSpec.make(variant, activation)
-    for size in GRAD_SIZES:
-        cell, head = init_params(spec, N_IN, N_H, N_OUT, seed=size)
-        loss, grads, correct = batch_loss_and_grads(spec, cell, head, fixed_batch(size))
-        want = FROZEN[f"{spec.variant.value}/{spec.activation.value}/{size}"]
-        assert rel_err(loss, want[0]) <= 1e-12, size
-        assert correct == want[1], size
-        assert sum(g.size for g in grads.values()) == want.size - 2, size
-        pos = 0
-        for name, g in grads.items():
-            assert rel_err(g.ravel(), want[2 + pos : 2 + pos + g.size]) <= 1e-12, (size, name)
-            pos += g.size
-
-
-@pytest.mark.parametrize("activation", ALL_ACTIVATIONS)
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_batch_gradients_match_finite_differences(variant, activation):
-    # gradcheck's bound, eps and relu kink rule, on a mean over three sequences
-    result = check_one(variant, activation, seeds=(0,), batch_size=3)
-    assert result.compared > 0
-    assert result.max_rel_err < 1e-4
 
 
 def test_batch_correct_count_ties_to_lowest_class():

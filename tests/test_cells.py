@@ -157,6 +157,13 @@ def test_a_named_dense_array_is_its_block_of_the_stack(name, block, cols):
     assert np.array_equal(p[name], marker)
 
 
+@pytest.mark.parametrize("dims", [(3, 5, 4), (1, 1, 1), (2, 7, 3), (28, 100, 10)])
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_every_coordinate_lies_in_exactly_one_named_array(variant, dims):
+    at = Params(layout(variant, *dims), np.arange(layout(variant, *dims).size))  # each array's positions
+    assert (np.bincount(np.concatenate([a.ravel() for a in at.values()]), minlength=at.vec.size) == 1).all()
+
+
 def test_layout_cache_accepts_variant_names():
     # "lstm6" and Variant.LSTM6 are equal and hash alike, so they share one
     # cache slot: a Layout first built from the name must still hold the Variant

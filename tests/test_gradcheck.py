@@ -8,7 +8,7 @@ import pytest
 
 from slimrnn import bptt, gradcheck
 from slimrnn.bptt import Workspace, forward_sequence, softmax_xent
-from slimrnn.cells import Activation, Layout, Variant, VariantSpec, init_params, layout
+from slimrnn.cells import Activation, Variant, VariantSpec, init_params, layout
 from slimrnn.gradcheck import EPS, REL_TOL, check_all, check_gradients, relu_pattern, sweep_losses
 from slimrnn.rng import TAG_GRADCHECK, stream
 
@@ -292,18 +292,3 @@ def test_sweep_map_is_cached_per_layout():
     sweep_losses(spec, cell, seqs, labels, Workspace())
     info = gradcheck._sweep_map.cache_info()
     assert (info.currsize, info.misses, info.hits) == (2, 2, 1)
-
-
-@pytest.mark.parametrize("shift, message", [
-    (-1, "lstm: coordinate 4 is covered by 2 named arrays, not 1"),  # U's last column, read by W too
-    (1, "lstm: coordinate 5 is covered by 0 named arrays, not 1"),  # W's first column, read by nothing
-])
-def test_sweep_map_rejects_named_arrays_that_overlap_or_leave_a_gap(shift, message):
-    # every W view of a fresh lstm layout shifted by one column of its dense stack's [U | W | b] rows;
-    # the cached layout("lstm", 3, 5, 4) that other tests read is left as it is
-    lay = Layout("lstm", 3, 5, 4)
-    for name in ("W_i", "W_f", "W_o", "W_c"):
-        at, shape, (rows, cols) = lay.fields[name]
-        lay.fields[name] = (at, shape, (rows, slice(cols.start + shift, cols.stop + shift)))
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        gradcheck._sweep_map(lay)

@@ -1,8 +1,8 @@
 """Source hygiene of src/slimrnn, read with ast: no unused import, no orphaned name, attribute or parameter.
 
 No module of src/slimrnn, tests/ or bench/ may import a name it never
-reads, and every data file in tests/fixtures/ but batch_grads.npz needs a
-writer in tests/fixtures/freeze.py that gives back its bytes.
+reads, and every data file in tests/fixtures/ needs a writer in
+tests/fixtures/freeze.py that gives back its bytes.
 
 A deletion that leaves an import or a module-level ``_private`` helper or
 constant behind with no reader fails here, and so does a module-level
@@ -282,9 +282,8 @@ def test_parameter_check_flags_a_test_only_keyword_and_accepts_every_way_a_calle
 
 
 def test_every_fixture_has_a_writer_that_keeps_its_bytes():
-    # each format writes back the committed file from what load() read of it;
-    # batch_grads.npz alone has no writer (see tests/fixtures/freeze.py)
+    # each format writes back the committed file from what load() read of it
     for name, (_, text) in freeze.WRITERS.items():
         assert text(freeze.load(name)) == (freeze.HERE / name).read_text(), name
     data = sorted(p.name for p in freeze.HERE.iterdir() if p.is_file() and p.suffix != ".py")
-    assert data == sorted([*freeze.WRITERS, "batch_grads.npz"])
+    assert data == sorted(freeze.WRITERS)
