@@ -130,9 +130,10 @@ class Trace:
 
     ``Workspace.carve`` builds one per (layout, T, B) from the arrays of
     ``_carved``; ``forward_sequence`` fills it, records on it the ``cell``,
-    ``head`` and ``activation`` it ran, and returns it, and
-    ``backward_sequence`` reads it. It describes the last forward of its
-    shape on its workspace, so it stays valid only until the next one.
+    ``head`` and ``activation`` it ran (a tuple, one per column block, when
+    it ran several), and returns it, and ``backward_sequence`` reads it. It
+    describes the last forward of its shape on its workspace, so it stays
+    valid only until the next one.
 
     As a trace: ``z`` (n_h + n_in + 1, T+1, B) holds every step's operand
     (module docstring), and as views of it ``h`` (T+1, n_h, B), the hidden
@@ -161,7 +162,7 @@ class Trace:
 
     cell: Params
     head: Params
-    activation: Activation
+    activation: Activation | tuple[Activation, ...]
 
     def __init__(self, lay: Layout, T: int, B: int, arrays: dict[str, np.ndarray]) -> None:
         n_h, gr, d0, b0 = lay.n_h, lay.gate_rows, lay.dense_from, lay.bias_from
@@ -194,7 +195,8 @@ class Trace:
 
 
 def forward_sequence(
-    spec: VariantSpec, p: Params, head: Params, seq: np.ndarray, ws: Workspace | None = None, *, nudge: tuple | None = None
+    spec: VariantSpec, p: Params, head: Params, seq: np.ndarray, ws: Workspace | None = None, *,
+    nudge: tuple | None = None, activations: tuple[Activation, ...] | None = None,
 ) -> tuple[np.ndarray, Trace]:
     """Run the cell from a zero state over one sequence or a time-major batch.
 
@@ -213,6 +215,11 @@ def forward_sequence(
     slab entry ``at``: column b then runs the cell with the one parameter
     that multiplies that operand row into that pre-activation row moved
     by its step (``gradcheck.sweep_losses``).
+
+    ``activations``, when given, splits the B columns into equal blocks,
+    one per entry: block j runs the cell with ``activations[j]`` in place
+    of ``spec``'s, and the trace records the tuple. Such a trace has no
+    backward pass.
     """
     x = np.asarray(seq, dtype=np.float64)
     single = x.ndim == 2
@@ -226,9 +233,11 @@ def forward_sequence(
     n_h, lay = p.layout.n_h, p.layout
     if lay.variant is not spec.variant:
         raise ValueError(f"parameters of {lay.variant.value} given for {spec.variant.value}")
+    if activations is not None and B % len(activations):
+        raise ValueError(f"{B} columns do not split into {len(activations)} equal blocks, one per activation")
     trace = (Workspace() if ws is None else ws).carve(lay, T, B)
     trace.x[...] = x
-    trace.cell, trace.head, trace.activation = p, head, spec.activation
+    trace.cell, trace.head, trace.activation = p, head, spec.activation if activations is None else activations
     gr, d0, b0 = lay.gate_rows, lay.dense_from, lay.bias_from
     z, zt = trace.z, trace.zt
     z[:n_h, 0] = 0.0  # h_0
@@ -240,6 +249,8 @@ def forward_sequence(
 
     i_unit, o_unit = "i" in lay.unit, "o" in lay.unit
     act, sig_c = ACTIVATIONS[spec.activation][0], trace.sig_c
+    if activations is not None:
+        act = _blockwise(activations, B)
     if nudge is not None:
         at, by, step = nudge
     if d0:  # point-wise gates: u_g * h_{t-1}, plus a bias on rows b0 .. d0, each repeated over the batch
@@ -268,6 +279,19 @@ def forward_sequence(
 
     logits = (head["W_hy"] @ trace.h[T]).T + head["b_y"]
     return (logits[0] if single else logits), trace
+
+
+def _blockwise(activations: tuple[Activation, ...], B: int):
+    """An ``act(v, out)`` over (n, B) arrays that applies ``activations[j]`` to the j-th of their equal column blocks."""
+    w = B // len(activations)
+    blocks = [(ACTIVATIONS[a][0], slice(j * w, (j + 1) * w)) for j, a in enumerate(activations)]
+
+    def act(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        for fn, cols in blocks:
+            fn(v[:, cols], out=out[:, cols])
+        return out
+
+    return act
 
 
 def softmax_xent(logits: np.ndarray, label) -> tuple[float | np.ndarray, np.ndarray]:
@@ -303,8 +327,11 @@ def backward_sequence(trace: Trace, dlogits: np.ndarray) -> Params:
     for a single sequence or (B, n_out) for a batch; the gradients are
     summed over the batch rows and returned as a Params of the traced
     cell's layout. The deltas lie in the arrays the trace's forward carved
-    for them, so the trace may be walked back any number of times.
+    for them, so the trace may be walked back any number of times. A trace
+    whose forward ran one activation per column block raises ValueError.
     """
+    if isinstance(trace.activation, tuple):
+        raise ValueError("the trace's forward ran one activation per column block; only a one-activation trace has a backward pass")
     T, B, _ = trace.x.shape
     p, head = trace.cell, trace.head
     (act, act_d), sig_d = ACTIVATIONS[trace.activation], ACTIVATIONS[Activation.SIGMOID][1]

@@ -141,7 +141,10 @@ def _cmd_grad_check(args: argparse.Namespace) -> int:
         raise ConfigError("--trials must be at least 1")
     if args.seed < 0 or args.seed + args.trials > 1 << 64:
         raise ConfigError(f"--seed and the --trials - 1 seeds after it must lie in [0, 2^64), got {args.seed}")
-    seeds = tuple(range(args.seed, args.seed + args.trials))
+    try:
+        seeds = tuple(range(args.seed, args.seed + args.trials))
+    except MemoryError:
+        raise ConfigError(f"--trials {args.trials}: cannot allocate that many seeds") from None
     # at B = 1 each step's products are matrix-vector ones, at B > 1 GEMMs, as in training
     results = [(B, r) for B in (1, 3) for r in check_all(seeds=seeds, batch_size=B)]
     for B, r in results:

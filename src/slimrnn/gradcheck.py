@@ -29,20 +29,28 @@ the bias row). So moving it by a step for one column is adding the step
 times that operand entry to that pre-activation entry at every step,
 which the forward's ``nudge`` does before any nonlinearity; each column
 differs from a standalone forward pass of its vector only in rounding.
+The three configurations of a (variant, seed) share the model and the
+batch and differ only in the activation, so they share the pass too:
+its ``activations`` give each one a block of columns that runs its own
+activation, bitwise as a pass of that block alone would.
 Where each coordinate enters, and the head's index arrays, are read once
-per layout and cached (``_sweep_map``). Each configuration is one pass,
-so its trace grows with the 2 P_cell + 1 vectors that take one (P_cell
-the cell's coordinates): 2.76 MB for lstm at ``check_all``'s default
-shapes and B = 3, 11.1 MB at the largest shape of the property tests
-(lstm, n_in 4, n_h 7, T 5, B 4), but about 3.9 GB for lstm at n_h = 100
-and T = 4, a shape no caller checks.
+per layout and cached (``_sweep_map``), and the nudge's index arrays once
+per (layout, B, number of activations) (``_sweep_nudge``). Each (variant,
+seed) is one pass, so its trace grows with the 3 (2 P_cell + 1) B
+columns of three configurations (P_cell the cell's coordinates): 8.27 MB
+for lstm at ``check_all``'s default shapes and B = 3, 33.3 MB at the
+largest shape of the property tests (lstm, n_in 4, n_h 7, T 5, B 4), but
+about 11.6 GB for lstm at n_h = 100, T = 4 and B = 1, a shape no caller
+checks.
 
 ``check_all`` alone builds a check's inputs; ``check_gradients`` only
-checks the ones it is given. Each call of ``check_all`` draws each seed's
-batch and initializes each (variant, seed)'s model once (``init_params``
-reads only the variant), both read-only: over three activations one
-model serves three configurations, and one batch every configuration of
-its seed. Nothing is kept across calls.
+checks the ones it is given, its sweep's losses included, and runs the
+analytic pass of its configuration. Each call of ``check_all`` draws each
+seed's batch and initializes and sweeps each (variant, seed)'s model
+once (``init_params`` reads only the variant), both read-only: over
+three activations one model and one sweep serve three configurations,
+and one batch every configuration of its seed. Nothing is kept across
+calls.
 
 relu has a kink at zero, where no finite difference is trustworthy. A
 coordinate is only compared when every relu input (candidate
@@ -77,8 +85,13 @@ _ERR_FLOOR = 1e-4
 
 
 def relu_pattern(trace: Trace) -> np.ndarray | None:
-    """Which relu inputs of a forward pass are positive; None when the cell has no relu."""
-    if trace.activation is not Activation.RELU:
+    """Which relu inputs of a forward pass are positive, per column; None when no column ran relu.
+
+    Of a trace whose forward ran one activation per column block, every
+    column is read, and only a relu block's columns mean anything.
+    """
+    ran = trace.activation if isinstance(trace.activation, tuple) else (trace.activation,)
+    if Activation.RELU not in ran:
         return None
     on = trace.pre[:, -trace.h.shape[1]:] > 0.0
     if trace.c is None:
@@ -111,46 +124,68 @@ def _sweep_map(lay: Layout) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, n
     return out
 
 
-def sweep_losses(
-    spec: VariantSpec, params: Params, seqs: np.ndarray, labels: np.ndarray, ws: Workspace,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean loss over the time-major batch ``seqs`` (T, B, n_in) at every vector of the sweep.
+@lru_cache(maxsize=64)
+def _sweep_nudge(lay: Layout, B: int, blocks: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``nudge`` of a sweep of ``blocks`` activations at batch size B, its steps as signs: ``(at, by, sign)``.
 
+    Block j's vector k > 0 moves coordinate (k-1)//2 by ``sign`` times the
+    step, +1 for odd k and -1 for even, in columns (j n_cell + k) B ..
+    (j n_cell + k + 1) B of the forward, n_cell = 2 P_cell + 1. Read-only;
+    the caller multiplies the signs by EPS.
+    """
+    row, oprow, _ = _sweep_map(lay)
+    block = (2 * len(row) + 1) * B  # one activation's columns
+    col = (np.arange(blocks)[:, None] * block + np.arange(B, block)).ravel()
+    at, by = (np.tile(np.repeat(a, 2 * B), blocks) * (blocks * block) + col for a in (row, oprow))
+    sign = np.tile(np.repeat(np.tile([1.0, -1.0], len(row)), B), blocks)
+    for a in (at, by, sign):
+        a.flags.writeable = False
+    return at, by, sign
+
+
+def sweep_losses(
+    specs: tuple[VariantSpec, ...], params: Params, seqs: np.ndarray, labels: np.ndarray, ws: Workspace,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per spec, the mean loss over the time-major batch ``seqs`` (T, B, n_in) at every vector of its sweep.
+
+    The specs share ``params``' variant and differ in their activations.
     Vector 0 is the unperturbed one; vectors 2j+1 and 2j+2 add +EPS and
     -EPS to coordinate j of the parameter vector ``params.vec``. Also
     returns, per vector, whether its relu pattern equals vector 0's. Only
-    vector 0 and the cell's coordinates take forward passes, all as one
-    batch side by side, vector 0 in its first B columns, its trace carved
-    from ``ws``. The head's vectors move one of vector 0's logits, and one
-    ``softmax_xent`` call takes every vector's logits. ``params`` is only
-    read.
+    vector 0 and the cell's coordinates take forward passes: those of
+    every spec run as one batch side by side, spec i's as the i-th block
+    of columns, vector 0 in the block's first B, the trace carved from
+    ``ws``. The head's vectors move one of their vector 0's logits, and
+    one ``softmax_xent`` call takes every vector's logits. ``params`` is
+    only read.
     """
     lay = params.layout
-    row, oprow, (head_rows, head_logit) = _sweep_map(lay)
+    row, _, (head_rows, head_logit) = _sweep_map(lay)
     T, B, _ = seqs.shape
-    n, n_cell = 2 * lay.size + 1, 2 * len(row) + 1
-    col = np.arange(B, n_cell * B)  # vector k > 0 moves coordinate (k-1)//2 in columns k*B .. (k+1)*B
-    at, by = (np.repeat(a, 2 * B) * (n_cell * B) + col for a in (row, oprow))
-    step = np.repeat(np.tile([EPS, -EPS], len(row)), B)
-    out, trace = forward_sequence(spec, params, params, np.tile(seqs, (1, n_cell, 1)), ws, nudge=(at, by, step))
-    logits = np.empty((n, B, lay.n_out))
-    logits[:n_cell] = out.reshape(n_cell, B, -1)
-    same = np.ones(n, dtype=bool)
+    k, n, n_cell = len(specs), 2 * lay.size + 1, 2 * len(row) + 1
+    at, by, sign = _sweep_nudge(lay, B, k)
+    out, trace = forward_sequence(specs[0], params, params, np.tile(seqs, (1, k * n_cell, 1)), ws,
+                                  nudge=(at, by, EPS * sign), activations=tuple(s.activation for s in specs))
+    logits = np.empty((k, n, B, lay.n_out))
+    logits[:, :n_cell] = out.reshape(k, n_cell, B, -1)
+    same = np.ones((k, n), dtype=bool)
     pattern = relu_pattern(trace)
     if pattern is not None:
-        pattern = pattern.reshape(*pattern.shape[:2], n_cell, B)
-        same[:n_cell] = (pattern == pattern[:, :, :1]).all(axis=(0, 1, 3))
+        pattern = pattern.reshape(*pattern.shape[:2], k, n_cell, B)
+        for j, spec in enumerate(specs):
+            if spec.activation is Activation.RELU:
+                same[j, :n_cell] = (pattern[:, :, j] == pattern[:, :, j, :1]).all(axis=(0, 1, 3))
 
     # The head is affine in W_hy and b_y and feeds nothing back: a step on
     # W_hy[i, j] moves vector 0's logit i by the step times h_T[j], one on b_y[i] by the step.
-    h_T = trace.h[-1, :, :B]  # vector 0's final hidden state, (n_h, B)
-    feature = np.concatenate([np.tile(h_T, (lay.n_out, 1)), np.ones((lay.n_out, B))])  # a row per head coordinate
+    h_T = trace.h[-1].reshape(lay.n_h, k, n_cell * B)[:, :, :B]  # each block's vector 0's final hidden state, (n_h, k, B)
+    feature = np.concatenate([np.tile(h_T, (lay.n_out, 1, 1)), np.ones((lay.n_out, k, B))])  # a row per head coordinate
     for first, head_step in ((n_cell, EPS), (n_cell + 1, -EPS)):
-        head = logits[first::2]
-        head[...] = logits[0]
-        head[head_rows, :, head_logit] += head_step * feature
-    xent, _ = softmax_xent(logits.reshape(n * B, -1), np.tile(labels, n))
-    return xent.reshape(n, B).sum(axis=1) / B, same
+        head = logits[:, first::2]
+        head[...] = logits[:, :1]
+        head[:, head_rows, :, head_logit] += head_step * feature  # indexed as (head coordinate, block, column)
+    xent, _ = softmax_xent(logits.reshape(k * n * B, -1), np.tile(labels, k * n))
+    return list(zip(xent.reshape(k, n, B).sum(axis=2) / B, same))
 
 
 @dataclass
@@ -167,17 +202,20 @@ class CheckResult:
         return self.compared > 0 and self.max_rel_err < REL_TOL
 
 
-def check_gradients(spec: VariantSpec, seed: int, model: Params, batch: SequenceBatch, ws: Workspace) -> CheckResult:
+def check_gradients(
+    spec: VariantSpec, seed: int, model: Params, batch: SequenceBatch, ws: Workspace, sweep: tuple[np.ndarray, np.ndarray],
+) -> CheckResult:
     """Compare batch BPTT gradients against central differences for one configuration.
 
-    ``model`` is the configuration's model and ``batch`` the sequences
-    drawn from ``seed``, as ``check_all`` builds them: both are only read. The loss is the
-    mean over the batch, and the relu kink rule covers all of it. Both
-    passes carve from ``ws``.
+    ``model`` is the configuration's model, ``batch`` the sequences drawn
+    from ``seed`` and ``sweep`` the configuration's ``(losses, same)`` of
+    ``sweep_losses`` over them, as ``check_all`` builds them: all are only
+    read. The loss is the mean over the batch, and the relu kink rule
+    covers all of it. The analytic pass carves from ``ws``.
     """
     _, grads, _ = batch_loss_and_grads(spec, model, model, batch, ws)
     analytic = grads.vec
-    losses, same = sweep_losses(spec, model, np.swapaxes(batch.inputs, 0, 1), batch.labels, ws)
+    losses, same = sweep
     numeric = (losses[1::2] - losses[2::2]) / (2.0 * EPS)
     compared = same[1::2] & same[2::2]
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), _ERR_FLOOR)
@@ -199,15 +237,16 @@ def check_all(
 
     Every activation is checked, in the order of ``Activation``. The
     configurations share one Workspace, each seed's batch and each
-    (variant, seed)'s model, all built by this call.
+    (variant, seed)'s model and sweep, all built by this call.
     """
     ws = Workspace()
     batches = {s: _batch(s, n_in, n_out, T, batch_size) for s in seeds}
     results = []
     for v in variants:  # init_params reads only the variant: one model per seed serves every activation
-        specs = [VariantSpec.make(v, a) for a in Activation]
+        specs = tuple(VariantSpec.make(v, a) for a in Activation)
         models = {s: _model(specs[0], n_in, n_h, n_out, s) for s in seeds}
-        results += [check_gradients(spec, s, models[s], batches[s], ws) for spec in specs for s in seeds]
+        sweeps = {s: sweep_losses(specs, models[s], np.swapaxes(b.inputs, 0, 1), b.labels, ws) for s, b in batches.items()}
+        results += [check_gradients(spec, s, models[s], batches[s], ws, sweeps[s][j]) for j, spec in enumerate(specs) for s in seeds]
     return results
 
 

@@ -173,6 +173,26 @@ def test_backward_rejects_mismatched_caches():
         backward_sequence(caches, np.zeros(7))
 
 
+@pytest.mark.parametrize("variant", ["lstm", "lstm6", "srn"])
+def test_a_forward_of_an_activation_per_column_block_runs_each_as_its_own_and_has_no_backward(variant):
+    # block j of the columns runs activations[j], bitwise as a forward of its own; the trace records the
+    # tuple, its backward is refused, and columns that do not split into equal blocks are refused
+    x = stream(2, TAG_GRADCHECK).uniform(0.0, 1.0, size=(4, 2, 3))
+    spec = VariantSpec.make(variant, "tanh")
+    p, _ = init_params(spec, 3, 5, 4, seed=0)
+    acts = (Activation.RELU, Activation.TANH, Activation.SIGMOID)
+    logits, trace = forward_sequence(spec, p, p, np.tile(x, (1, 3, 1)), activations=acts)
+    assert trace.activation == acts
+    for j, a in enumerate(acts):
+        want, alone = forward_sequence(VariantSpec.make(variant, a), p, p, x)
+        assert logits[2 * j : 2 * j + 2].tobytes() == want.tobytes(), a
+        assert trace.h[:, :, 2 * j : 2 * j + 2].tobytes() == alone.h.tobytes(), a
+    with pytest.raises(ValueError, match="one activation per column block"):
+        backward_sequence(trace, np.zeros((6, 4)))
+    with pytest.raises(ValueError, match="equal blocks"):
+        forward_sequence(spec, p, p, np.tile(x, (1, 2, 1)), activations=acts)
+
+
 def batch_of(seq_label_pairs):
     seqs = np.stack([s for s, _ in seq_label_pairs])
     labels = np.array([l for _, l in seq_label_pairs])

@@ -355,6 +355,16 @@ def test_grad_check_without_trials_exits_2(trials, capsys):
     assert "--trials" in captured.err
 
 
+def test_grad_check_with_more_trials_than_memory_holds_exits_2_before_any_check(monkeypatch, capsys):
+    # 2^62 seeds lie in [0, 2^64) but no tuple holds them: one configuration error line, and no check runs
+    monkeypatch.setattr(cli, "check_all", lambda **kwargs: pytest.fail("a check ran"))
+    code = main(["grad-check", "--trials", str(2**62)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"configuration error: --trials {2**62}: cannot allocate that many seeds"]
+
+
 @pytest.mark.parametrize("seed, code", [(0, 3), (2**64 - 1, 3), (-1, 2), (2**64, 2)])
 @pytest.mark.parametrize("command", ["train", "grid"])
 def test_seeds_outside_64_bits_exit_2_before_loading_data(tmp_path, capsys, command, seed, code):

@@ -36,13 +36,14 @@ def test_counts_match_frozen_one_coordinate_check(batch_size, monkeypatch):
     assert seen == len(FROZEN) // len(CHECK_SIZES)
 
 
-def sweep_setup(variant, activation, batch_size=3, n_in=3, n_h=5, n_out=4, T=4, seed=0):
-    spec = VariantSpec.make(variant, activation)
-    cell, head = init_params(spec, n_in, n_h, n_out, seed)
+def sweep_setup(variant, batch_size=3, n_in=3, n_h=5, n_out=4, T=4, seed=0):
+    """The specs of ``variant`` in ``Activation`` order, as ``check_all`` sweeps them, their model and a batch."""
+    specs = tuple(VariantSpec.make(variant, a) for a in Activation)
+    cell, _ = init_params(specs[0], n_in, n_h, n_out, seed)
     rng = stream(seed, TAG_GRADCHECK)
     seqs = rng.uniform(0.0, 1.0, size=(T, batch_size, n_in))
     labels = rng.integers(0, n_out, size=batch_size)
-    return spec, cell, head, seqs, labels
+    return specs, cell, seqs, labels
 
 
 def standalone(spec, cell, seqs, labels, k):
@@ -72,14 +73,17 @@ def recorded_widths(monkeypatch) -> list[int]:
 @pytest.mark.parametrize("activation", list(Activation))
 @pytest.mark.parametrize("variant", list(Variant))
 def test_sweep_losses_match_standalone_forward(variant, activation, batch_size, monkeypatch):
-    # vector 0 and every cell coordinate's two vectors run as columns of one pass; each loss is that of the
-    # model with the coordinate itself moved, and each relu flag that of its own pattern against vector 0's
-    spec, cell, head, seqs, labels = sweep_setup(variant, activation, batch_size=batch_size)
+    # vector 0 and every cell coordinate's two vectors of each activation run as columns of one pass; each
+    # loss is that of the model with the coordinate itself moved, and each relu flag that of its own pattern
+    # against vector 0's
+    specs, cell, seqs, labels = sweep_setup(variant, batch_size=batch_size)
+    spec = VariantSpec.make(variant, activation)
     P, P_cell = cell.vec.size, cell.layout.fields["W_hy"][0].start
     widths = recorded_widths(monkeypatch)
-    losses, same = sweep_losses(spec, cell, seqs, labels, Workspace())
-    assert widths == [(2 * P_cell + 1) * batch_size]
-    assert losses.shape == same.shape == (2 * P + 1,)
+    sweeps = sweep_losses(specs, cell, seqs, labels, Workspace())
+    assert widths == [len(specs) * (2 * P_cell + 1) * batch_size]
+    losses, same = sweeps[specs.index(spec)]
+    assert len(sweeps) == len(specs) and losses.shape == same.shape == (2 * P + 1,)
 
     _, base_pattern = standalone(spec, cell, seqs, labels, 0)
     for k in range(2 * P + 1):
@@ -155,14 +159,29 @@ def test_check_fails_on_a_small_gradient_off_by_two_in_ten_thousand(variant, bat
 @pytest.mark.parametrize("batch_size", CHECK_SIZES)
 @pytest.mark.parametrize("variant", list(Variant))
 def test_sweep_is_bitwise_equal_with_cold_and_warm_sweep_map(variant, batch_size):
-    spec, cell, _, seqs, labels = sweep_setup(variant, "relu", batch_size=batch_size)
-    gradcheck._sweep_map.cache_clear()
-    cold = sweep_losses(spec, cell, seqs, labels, Workspace())
-    assert gradcheck._sweep_map.cache_info().misses == 1
-    warm = sweep_losses(spec, cell, seqs, labels, Workspace())
-    assert gradcheck._sweep_map.cache_info().hits == 1
-    for a, b in zip(cold, warm):
+    specs, cell, seqs, labels = sweep_setup(variant, batch_size=batch_size)
+    caches = gradcheck._sweep_map, gradcheck._sweep_nudge
+    for cache in caches:
+        cache.cache_clear()
+    cold = sweep_losses(specs, cell, seqs, labels, Workspace())
+    assert [cache.cache_info().misses for cache in caches] == [1, 1]
+    warm = sweep_losses(specs, cell, seqs, labels, Workspace())
+    assert [cache.cache_info().misses for cache in caches] == [1, 1] and gradcheck._sweep_nudge.cache_info().hits == 1
+    for a, b in zip(itertools.chain(*cold), itertools.chain(*warm), strict=True):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("batch_size", CHECK_SIZES)
+@pytest.mark.parametrize("variant", list(Variant))
+def test_each_block_of_a_sweep_is_bitwise_a_one_activation_sweep(variant, batch_size):
+    # the activations' blocks share one pass but nothing else: each one's losses and relu flags are those of
+    # a sweep of its activation alone
+    specs, cell, seqs, labels = sweep_setup(variant, batch_size=batch_size)
+    ws = Workspace()
+    together = sweep_losses(specs, cell, seqs, labels, ws)
+    for spec, block in zip(specs, together, strict=True):
+        [alone] = sweep_losses((spec,), cell, seqs, labels, ws)
+        assert [a.tobytes() for a in block] == [a.tobytes() for a in alone], spec.activation
 
 
 def test_check_all_builds_one_workspace(monkeypatch):
@@ -201,19 +220,20 @@ def test_check_all_builds_each_model_and_each_batch_once(monkeypatch):
 @pytest.mark.parametrize("batch_size", CHECK_SIZES)
 @pytest.mark.parametrize("variant", list(Variant))
 def test_check_all_sweeps_each_configuration_in_one_pass_of_its_model(variant, batch_size, monkeypatch):
-    # one variant x 3 activations x seeds 0-2: per configuration one sweep pass over every vector that takes
-    # one, run by the configuration's read-only model itself, 3 models in all; the shared workspace holds
-    # exactly that pass's memory plan
+    # one variant x 3 activations x seeds 0-2: per seed one sweep pass over every vector that takes one, of
+    # all 3 activations' configurations, run by the seed's read-only model itself, 3 models in all; the
+    # shared workspace holds exactly that pass's memory plan
     calls = []
     monkeypatch.setattr(gradcheck, "forward_sequence",
-                        lambda s, p, h, x, ws, **kw: calls.append((p, h, x.shape[1], ws)) or forward_sequence(s, p, h, x, ws, **kw))
+                        lambda s, p, h, x, ws, **kw: calls.append((p, h, x.shape[1], kw["activations"], ws))
+                        or forward_sequence(s, p, h, x, ws, **kw))
     assert len(check_all(seeds=(0, 1, 2), variants=(variant,), batch_size=batch_size)) == 9
     lay = layout(variant, 3, 5, 4)
-    n_cell = 2 * lay.fields["W_hy"][0].start + 1
-    assert [(p is h, p.vec.flags.writeable, width) for p, h, width, _ in calls] == [(True, False, n_cell * batch_size)] * 9
+    width = 3 * (2 * lay.fields["W_hy"][0].start + 1) * batch_size
+    assert [(p is h, p.vec.flags.writeable, w, acts) for p, h, w, acts, _ in calls] == [(True, False, width, tuple(Activation))] * 3
     assert len({id(p) for p, *_ in calls}) == 3
     (ws,) = {ws for *_, ws in calls}
-    assert len(ws._buf) == floats(bptt._carved(lay, 4, n_cell * batch_size))
+    assert len(ws._buf) == floats(bptt._carved(lay, 4, width))
 
 
 @pytest.mark.parametrize("batch_size", [1, 3])
@@ -247,8 +267,9 @@ def test_interleaved_checks_match_fresh_ones():
 
     def check(v, a, n_in, n_h, n_out, ws):  # what check_all builds for seed 0 at T = 4 and B = 3, checked on ws
         spec = VariantSpec.make(v, a)
-        model = gradcheck._model(spec, n_in, n_h, n_out, 0)
-        return check_gradients(spec, 0, model, gradcheck._batch(0, n_in, n_out, 4, 3), ws)
+        model, batch = gradcheck._model(spec, n_in, n_h, n_out, 0), gradcheck._batch(0, n_in, n_out, 4, 3)
+        [sweep] = sweep_losses((spec,), model, np.swapaxes(batch.inputs, 0, 1), batch.labels, ws)
+        return check_gradients(spec, 0, model, batch, ws, sweep)
 
     ws = Workspace()
     assert [check(*config, ws) for config in configs] == fresh
@@ -283,12 +304,19 @@ def test_sweep_map_names_the_row_and_operand_row_each_coordinate_joins(variant):
 
 
 def test_sweep_map_is_cached_per_layout():
-    # one map serves every batch size of a layout; another layout builds its own
-    spec, cell, _, seqs, labels = sweep_setup("lstm6", "tanh")
-    gradcheck._sweep_map.cache_clear()
-    sweep_losses(spec, cell, seqs, labels, Workspace())
-    sweep_losses(spec, cell, seqs[:, :1], labels[:1], Workspace())
-    spec, cell, _, seqs, labels = sweep_setup("lstm6", "tanh", n_h=4)
-    sweep_losses(spec, cell, seqs, labels, Workspace())
-    info = gradcheck._sweep_map.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (2, 2, 1)
+    # one map serves every batch size and number of activations of a layout; another layout builds its own.
+    # The nudge's index arrays are built once per (layout, batch size, number of activations), read-only
+    specs, cell, seqs, labels = sweep_setup("lstm6")
+    caches = gradcheck._sweep_map, gradcheck._sweep_nudge
+    for cache in caches:
+        cache.cache_clear()
+    for some, x, y in [(specs, seqs, labels), (specs, seqs[:, :1], labels[:1]), (specs[:1], seqs, labels), (specs, seqs, labels)]:
+        sweep_losses(some, cell, x, y, Workspace())
+    specs, cell, seqs, labels = sweep_setup("lstm6", n_h=4)
+    sweep_losses(specs, cell, seqs, labels, Workspace())
+    maps, nudges = (cache.cache_info() for cache in caches)
+    assert (maps.currsize, maps.misses) == (2, 2)
+    assert (nudges.currsize, nudges.misses, nudges.hits) == (4, 4, 1)
+    at, by, sign = gradcheck._sweep_nudge(cell.layout, 3, 3)
+    assert not any(a.flags.writeable for a in (at, by, sign))
+    assert set(np.unique(sign)) == {-1.0, 1.0}

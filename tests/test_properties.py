@@ -101,12 +101,13 @@ def test_gradient_check_passes_at_any_shape(variant, activation, n_in, n_h, n_ou
     B=st.integers(1, 4),
 )
 def test_sweep_head_vectors_match_standalone_forward(variant, activation, n_in, n_h, n_out, T, B):
-    # the head's vectors take no forward pass: each moves one of vector 0's logits
+    # the head's vectors take no forward pass: each moves one of its activation's vector 0's logits
+    specs = tuple(VariantSpec.make(variant, a) for a in Activation)
     spec = VariantSpec.make(variant, activation)
     p, _ = init_params(spec, n_in, n_h, n_out, seed=n_h * T + B)
     rng = np.random.default_rng([n_in, n_h, n_out, T, B])
     seqs, labels = rng.uniform(0.0, 1.0, size=(T, B, n_in)), rng.integers(0, n_out, size=B)
-    losses, same = sweep_losses(spec, p, seqs, labels, Workspace())
+    losses, same = sweep_losses(specs, p, seqs, labels, Workspace())[specs.index(spec)]
     cell = p.layout.fields["W_hy"][0].start  # the head's coordinates come last
     assert same[2 * cell + 1 :].all()
     for k in [0, *range(2 * cell + 1, 2 * p.vec.size + 1)]:
